@@ -22,7 +22,6 @@ from .limits import (
     alpha_orbit,
     alpha_seed,
     are_conjugate,
-    classify_point,
     conjugate_seed,
     element_params,
     exceptional_dual_basis,

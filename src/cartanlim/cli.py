@@ -138,11 +138,7 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 def _run(args: argparse.Namespace) -> tuple[dict, dict, list[bytes], int]:
     """Returns (flags document, result document, input file bytes, exit code)."""
-    flags = {
-        "cap": getattr(args, "cap", 8),
-        "seed": getattr(args, "seed", 0),
-        "tolerance": getattr(args, "tolerance", 1e-12),
-    }
+    flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
     exit_code = EXIT_OK
     raw_inputs: list[bytes] = []
 
@@ -161,40 +157,25 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict, list[bytes], int]:
             "ordered": jsonio.tuple_doc(ordered),
             "unordered": jsonio.uc_doc(uc),
         }
-    elif args.command == "equivalent":
-        left = load(args.left, jsonio.read_basis)
-        right = load(args.right, jsonio.read_basis)
-        witness = projectively_equivalent(left, right)
-        within_cap = left.m <= args.cap
-        result = {
-            "conjugate": witness is not None,
-            "witness": jsonio.matrix_doc(witness.matrix) if witness else None,
-            "uc_left": jsonio.uc_doc(unordered_cross_ratio(left, cap=args.cap))
-            if within_cap
-            else None,
-            "uc_right": jsonio.uc_doc(unordered_cross_ratio(right, cap=args.cap))
-            if within_cap
-            else None,
-        }
-    elif args.command == "seed-conjugate":
-        left = load(args.left, jsonio.read_seed)
-        right = load(args.right, jsonio.read_seed)
-        witness = are_conjugate(left, right)
+    elif args.command in ("equivalent", "seed-conjugate"):
+        if args.command == "equivalent":
+            left = load(args.left, jsonio.read_basis)
+            right = load(args.right, jsonio.read_basis)
+            found = projectively_equivalent(left, right)
+            witness = found.matrix if found is not None else None
+        else:
+            seeds = load(args.left, jsonio.read_seed), load(args.right, jsonio.read_seed)
+            witness = are_conjugate(*seeds)
+            left, right = (exceptional_dual_basis(s) for s in seeds)
         within_cap = left.m <= args.cap
         result = {
             "conjugate": witness is not None,
             "witness": jsonio.matrix_doc(witness) if witness is not None else None,
-            "uc_left": jsonio.uc_doc(
-                unordered_cross_ratio(exceptional_dual_basis(left), cap=args.cap)
-            )
-            if within_cap
-            else None,
-            "uc_right": jsonio.uc_doc(
-                unordered_cross_ratio(exceptional_dual_basis(right), cap=args.cap)
-            )
-            if within_cap
-            else None,
         }
+        for key, basis in (("uc_left", left), ("uc_right", right)):
+            result[key] = (
+                jsonio.uc_doc(unordered_cross_ratio(basis, cap=args.cap)) if within_cap else None
+            )
     elif args.command == "orbit-dim":
         seed = load(args.seed_file, jsonio.read_seed)
         point = load(args.point, jsonio.read_point)
@@ -282,26 +263,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         command = f"{command} {args.subcommand}"
     try:
         flags, result, raw_inputs, exit_code = _run(args)
-    except (CapExceededError, SampleCapExceededError) as exc:
-        document = {
-            "tool": TOOL,
-            "version": __version__,
-            "command": command,
-            "seed": getattr(args, "seed", 0),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(document, args.output)
-        return EXIT_UNRESOLVED
     except CartanlimError as exc:
         document = {
             "tool": TOOL,
             "version": __version__,
             "command": command,
-            "seed": getattr(args, "seed", 0),
+            "seed": args.seed,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(document, args.output)
-        return EXIT_BAD_INPUT
+        capped = isinstance(exc, (CapExceededError, SampleCapExceededError))
+        return EXIT_UNRESOLVED if capped else EXIT_BAD_INPUT
     document = {
         "tool": TOOL,
         "version": __version__,

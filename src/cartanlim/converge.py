@@ -20,6 +20,7 @@ from typing import Sequence
 from .errors import (
     NonpositiveRError,
     NoPositiveRootError,
+    ScheduleError,
     ZeroFirstColumnError,
 )
 from .exactq import QMatrix, rational
@@ -35,15 +36,7 @@ def build_Pr(seed: SeedMatrix, r: int | str | Fraction) -> QMatrix:
     rv = rational(r)
     if rv <= 0:
         raise NonpositiveRError(f"r must be positive, got {rv}")
-    m, n = seed.m, seed.n
-    k = m + n + 1
-    grid = [[Fraction(i == j) for j in range(k)] for i in range(k)]
-    for j in range(m):
-        for i in range(n):
-            grid[j][m + 1 + i] = seed.matrix.rows[j][i] * rv
-    for i in range(n):
-        grid[m][m + 1 + i] = rv * rv
-    return QMatrix(grid)
+    return rho(seed, GroupElementParams((rv,) * seed.m, (rv * rv,) * seed.n))
 
 
 def _inverse_Pr(pr: QMatrix) -> QMatrix:
@@ -162,9 +155,9 @@ def _trace_point(
 ) -> tuple[list[float], list[list[float]]]:
     col = _zero_free_column(seed)
     seed2, params2 = _swapped(seed, params, col)
+    pr = build_Pr(seed2, rv)
     cs = _offsets(seed2, params2, rv)
     root = _positive_root(cs)
-    pr = build_Pr(seed2, rv)
     exact = _inverse_Pr(pr) * QMatrix.diagonal(cs) * pr
     k = seed.ambient
     m = seed.m
@@ -229,9 +222,9 @@ def convergence_report(
     """
     rs = [rational(r) for r in r_schedule]
     if not rs:
-        raise ValueError("empty r schedule")
+        raise ScheduleError("empty r schedule")
     if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
-        raise ValueError("r schedule must be strictly increasing")
+        raise ScheduleError("r schedule must be strictly increasing")
     target = [[float(x) for x in row] for row in rho(seed, params).rows]
     distances = []
     diags = []

@@ -85,6 +85,10 @@ class NoPositiveRootError(CartanlimError):
     pass
 
 
+class ScheduleError(CartanlimError, ValueError):
+    """The r schedule is empty or not strictly increasing."""
+
+
 # --- obstruction checks -------------------------------------------------------
 
 class UnknownNameError(CartanlimError):
@@ -93,6 +97,10 @@ class UnknownNameError(CartanlimError):
 
 class SampleCapExceededError(CartanlimError):
     """The certifying sample would exceed the configured cap."""
+
+
+class RedundantParametersError(CartanlimError, ValueError):
+    """The image of a family has fewer dimensions than it has parameters."""
 
 
 # --- dimension bounds ----------------------------------------------------------

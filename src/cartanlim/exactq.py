@@ -239,28 +239,43 @@ def det(matrix: QMatrix) -> Fraction:
     return Fraction(sign * last, prod(factors))
 
 
+def _echelon_solve(
+    matrix: QMatrix, rhs: Sequence[Sequence[int | Fraction]]
+) -> tuple[int, Optional[list[list[Fraction]]]]:
+    """Rank of A and some X with A·X = B, or None for X when inconsistent.
+
+    One fraction-free echelon of [A | B], then one back-substitution with
+    free variables set to zero.  With d the last pivot, d·X is an integer
+    matrix by Cramer's rule, so every division there is exact and each
+    entry of X becomes a Fraction only once.
+    """
+    ncols = matrix.ncols
+    scaled, _ = _scaled_integer_rows(
+        [list(row) + list(b) for row, b in zip(matrix.rows, rhs)]
+    )
+    r, _, d, pivot_cols = _fraction_free_echelon(scaled, pivot_limit=ncols)
+    if any(x for row in scaled[r:] for x in row[ncols:]):
+        return r, None
+    width = len(scaled[0]) - ncols
+    y = [[0] * width for _ in range(ncols)]
+    for i in reversed(range(r)):
+        row = scaled[i]
+        later = pivot_cols[i + 1 :]
+        for t in range(width):
+            acc = d * row[ncols + t] - sum(row[j] * y[j][t] for j in later)
+            y[pivot_cols[i]][t] = acc // row[pivot_cols[i]]
+    return r, [[Fraction(v, d) for v in yrow] for yrow in y]
+
+
 def inverse(matrix: QMatrix) -> QMatrix:
-    """Exact inverse via rational Gauss-Jordan elimination."""
+    """Exact inverse: one fraction-free elimination of [A | I]."""
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"inverse of a {matrix.shape} matrix")
     n = matrix.nrows
-    aug = [
-        list(matrix.rows[i]) + [Fraction(i == j) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise SingularError("matrix is not invertible")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        head = aug[c][c]
-        aug[c] = [x / head for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return QMatrix([row[n:] for row in aug])
+    r, x = _echelon_solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
+    if r < n:
+        raise SingularError("matrix is not invertible")
+    return QMatrix(x)
 
 
 def solve(
@@ -274,22 +289,19 @@ def solve(
     b = [rational(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise DimensionMismatchError("right-hand side length does not match rows")
-    ncols = matrix.ncols
-    aug_rows = [list(row) + [bi] for row, bi in zip(matrix.rows, b)]
-    scaled, _ = _scaled_integer_rows(aug_rows)
-    r, _, _, pivot_cols = _fraction_free_echelon(scaled, pivot_limit=ncols)
-    for i in range(r, len(scaled)):
-        if scaled[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i in reversed(range(r)):
-        pc = pivot_cols[i]
-        acc = Fraction(scaled[i][ncols])
-        for j in range(pc + 1, ncols):
-            if scaled[i][j]:
-                acc -= scaled[i][j] * x[j]
-        x[pc] = acc / scaled[i][pc]
-    return tuple(x)
+    _, x = _echelon_solve(matrix, [[bi] for bi in b])
+    return None if x is None else tuple(row[0] for row in x)
+
+
+def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:
+    """Indices of the rows that are independent of the rows before them.
+
+    These are the pivot columns of the echelon form of the transpose.
+    """
+    if not rows or not rows[0]:
+        return []
+    scaled, _ = _scaled_integer_rows(list(zip(*rows)))
+    return _fraction_free_echelon(scaled)[3]
 
 
 def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:

@@ -91,6 +91,13 @@ def _want(obj: Any, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _want_int(obj: Any, key: str, context: str) -> int:
+    value = _want(obj, key, context)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{context}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def read_rational(obj: Any, context: str) -> Fraction:
     if isinstance(obj, int):
         return Fraction(obj)
@@ -119,7 +126,7 @@ def read_point(obj: Any, context: str = "point") -> ProjPoint:
 
 
 def read_basis(obj: Any, context: str = "basis") -> AugmentedBasis:
-    n = _want(obj, "n", context)
+    n = _want_int(obj, "n", context)
     points_raw = _want(obj, "points", context)
     if not isinstance(points_raw, list):
         raise ParseError(f"{context}: 'points' must be an array")
@@ -130,8 +137,8 @@ def read_basis(obj: Any, context: str = "basis") -> AugmentedBasis:
 
 
 def read_seed(obj: Any, context: str = "seed") -> SeedMatrix:
-    m = _want(obj, "m", context)
-    n = _want(obj, "n", context)
+    m = _want_int(obj, "m", context)
+    n = _want_int(obj, "n", context)
     rows = read_matrix(_want(obj, "rows", context), context)
     if rows.shape != (m, n):
         raise ParseError(
@@ -165,16 +172,22 @@ def _read_poly(obj: Any, nvars: int, context: str) -> Poly:
     return Poly(nvars, terms)
 
 
+def _read_builtin(obj: dict, context: str, builder):
+    name = obj["builtin"]
+    if not isinstance(name, str):
+        raise ParseError(f"{context}: 'builtin' must be a name, got {name!r}")
+    seed = read_seed(obj["seed"], context) if "seed" in obj else None
+    try:
+        return builder(name, seed)
+    except ValueError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+
+
 def read_group(obj: Any, context: str = "group") -> PolyParamGroup:
     if isinstance(obj, dict) and "builtin" in obj:
-        name = obj["builtin"]
-        seed = read_seed(obj["seed"], context) if "seed" in obj else None
-        try:
-            return builtin_group(name, seed)
-        except ValueError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
-    d = _want(obj, "dim_params", context)
-    ambient = _want(obj, "ambient", context)
+        return _read_builtin(obj, context, builtin_group)
+    d = _want_int(obj, "dim_params", context)
+    ambient = _want_int(obj, "ambient", context)
     entries_raw = _want(obj, "entries", context)
     if not isinstance(entries_raw, list) or not all(
         isinstance(row, list) for row in entries_raw
@@ -191,12 +204,7 @@ def read_group(obj: Any, context: str = "group") -> PolyParamGroup:
 
 def read_family(obj: Any, context: str = "family") -> LinearBlockFamily:
     if isinstance(obj, dict) and "builtin" in obj:
-        name = obj["builtin"]
-        seed = read_seed(obj["seed"], context) if "seed" in obj else None
-        try:
-            return builtin_block_family(name, seed)
-        except ValueError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
+        return _read_builtin(obj, context, builtin_block_family)
     coeffs = _want(obj, "coeff_matrices", context)
     if not isinstance(coeffs, list) or not coeffs:
         raise ParseError(f"{context}: 'coeff_matrices' must be a nonempty array")

@@ -207,10 +207,6 @@ def orbit_dimension(seed: SeedMatrix, point: ProjPoint) -> OrbitClass:
     return OrbitClass(kind, dim, vanishing)
 
 
-# The acceptance-facing name for the same classification.
-classify_point = orbit_dimension
-
-
 def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
     """Dual points of the m exceptional hyperplanes: the projectivized rows.
 
@@ -314,7 +310,7 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
         perm[sigma[j]][j] = Fraction(1)
     for i in range(m, k):
         perm[i][i] = Fraction(1)
-    witness = QMatrix(perm) * block_diag(QMatrix.identity(m + 1), exactq.inverse(p))
+    witness = QMatrix(perm) * seed_conjugator(left, p)
     witness_inv = exactq.inverse(witness)
     for params in _verification_params(left):
         conjugated = witness * rho(left, params) * witness_inv

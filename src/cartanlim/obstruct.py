@@ -18,7 +18,7 @@ from math import prod as int_prod
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
-from .errors import SampleCapExceededError, UnknownNameError
+from .errors import RedundantParametersError, SampleCapExceededError, UnknownNameError
 from .exactq import QMatrix, rational
 from .limits import SeedMatrix
 
@@ -182,18 +182,10 @@ class LinearBlockFamily:
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValueError("coefficient matrices of mixed shapes")
-        kept: list[QMatrix] = []
-        basis: list[tuple[int, list[Fraction]]] = []
-        for mat in mats:
-            vec = [x for row in mat.rows for x in row]
-            for lead, brow in basis:
-                if vec[lead] != 0:
-                    f = vec[lead] / brow[lead]
-                    vec = [x - f * y for x, y in zip(vec, brow)]
-            lead = next((i for i, x in enumerate(vec) if x != 0), None)
-            if lead is not None:
-                basis.append((lead, vec))
-                kept.append(mat)
+        kept = [
+            mats[i]
+            for i in exactq.independent_rows([[x for row in m.rows for x in row] for m in mats])
+        ]
         self.coeff_matrices = tuple(kept)
         self.dim_params = len(kept)
         self.nrows, self.ncols = shape
@@ -276,46 +268,32 @@ def _unipotent_group_from_block(family: LinearBlockFamily) -> PolyParamGroup:
     return PolyParamGroup(d, ambient, entries)
 
 
+# name -> (parameter count, size, {(row, col): (coefficient, variable, power)})
+# for the off-diagonal entries of the two quadratic families.
+_QUADRATIC_GROUPS = {
+    "M5": (4, 5, {
+        (0, 1): (1, 0, 1), (0, 3): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
+        (1, 3): (1, 0, 1), (2, 3): (1, 2, 1), (2, 4): (1, 3, 1),
+    }),
+    "M6": (5, 6, {
+        (0, 1): (1, 0, 1), (0, 2): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
+        (0, 5): (1, 2, 1), (1, 2): (1, 0, 1), (3, 4): (1, 3, 1), (3, 5): (1, 4, 1),
+    }),
+}
+
+
 def builtin_group(name: str, seed: Optional[SeedMatrix] = None) -> PolyParamGroup:
     """One of the named matrix families, as an exact polynomial group."""
     key = name.upper()
-    if key == "M5":
-        V = lambda i: Poly.variable(i, 4)
-        C = lambda x: Poly.constant(x, 4)
-        half_a2 = Poly.monomial(Fraction(1, 2), (2, 0, 0, 0), 4)
-        z = C(0)
-        one = C(1)
-        rows = [
-            [one, V(0), z, half_a2, V(1)],
-            [z, one, z, V(0), z],
-            [z, z, one, V(2), V(3)],
-            [z, z, z, one, z],
-            [z, z, z, z, one],
-        ]
-        return PolyParamGroup(4, 5, rows)
-    if key == "M6":
-        V = lambda i: Poly.variable(i, 5)
-        C = lambda x: Poly.constant(x, 5)
-        half_a2 = Poly.monomial(Fraction(1, 2), (2, 0, 0, 0, 0), 5)
-        z = C(0)
-        one = C(1)
-        rows = [
-            [one, V(0), half_a2, z, V(1), V(2)],
-            [z, one, V(0), z, z, z],
-            [z, z, one, z, z, z],
-            [z, z, z, one, V(3), V(4)],
-            [z, z, z, z, one, z],
-            [z, z, z, z, z, one],
-        ]
-        return PolyParamGroup(5, 6, rows)
-    if key == "E":
-        return _unipotent_group_from_block(LinearBlockFamily(_e_coefficient_matrices()))
-    if key == "LT":
-        if seed is None:
-            raise ValueError("the LT family needs a seed matrix")
-        return _unipotent_group_from_block(
-            LinearBlockFamily(_lt_coefficient_matrices(seed))
-        )
+    if key in _QUADRATIC_GROUPS:
+        d, ambient, cells = _QUADRATIC_GROUPS[key]
+        rows = [[Poly.constant(int(i == j), d) for j in range(ambient)] for i in range(ambient)]
+        for (i, j), (coeff, var, power) in cells.items():
+            exps = tuple(power if t == var else 0 for t in range(d))
+            rows[i][j] = Poly.monomial(coeff, exps, d)
+        return PolyParamGroup(d, ambient, rows)
+    if key in ("E", "LT"):
+        return _unipotent_group_from_block(builtin_block_family(key, seed))
     raise UnknownNameError(f"unknown builtin group {name!r}")
 
 
@@ -344,20 +322,6 @@ class FlatnessReport:
     witness_params: tuple[tuple[Fraction, ...], ...]
 
 
-def _evaluation_grid(group: PolyParamGroup, cap: int) -> tuple[tuple[int, ...], Iterable[tuple[Fraction, ...]]]:
-    sizes = tuple(d + 1 for d in group.max_degrees())
-    total = int_prod(sizes)
-    if total > cap:
-        raise SampleCapExceededError(
-            f"certifying grid has {total} points, above the cap of {cap}"
-        )
-    points = (
-        tuple(Fraction(x) for x in combo)
-        for combo in product(*(range(s) for s in sizes))
-    )
-    return sizes, points
-
-
 def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     """Compare the affine-hull dimension of the image with the parameter count.
 
@@ -366,32 +330,20 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     image: equality with dim_params certifies flatness, excess certifies the
     opposite.  The parameter vectors that grew the hull are reported.
     """
-    sizes, points = _evaluation_grid(group, cap)
-    basis: list[tuple[int, list[Fraction]]] = []
-    witnesses: list[tuple[Fraction, ...]] = []
-    base_vec: Optional[list[Fraction]] = None
-    base_point: Optional[tuple[Fraction, ...]] = None
-    count = 0
-    for point in points:
-        count += 1
-        vec = [x for row in group.evaluate(point).rows for x in row]
-        if base_vec is None:
-            base_vec = vec
-            base_point = point
-            witnesses.append(point)
-            continue
-        row = [x - y for x, y in zip(vec, base_vec)]
-        for lead, brow in basis:
-            if row[lead] != 0:
-                f = row[lead] / brow[lead]
-                row = [x - f * y for x, y in zip(row, brow)]
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is not None:
-            basis.append((lead, row))
-            witnesses.append(point)
-    hull_dim = len(basis)
+    sizes = tuple(d + 1 for d in group.max_degrees())
+    total = int_prod(sizes)
+    if total > cap:
+        raise SampleCapExceededError(
+            f"certifying grid has {total} points, above the cap of {cap}"
+        )
+    points = [tuple(Fraction(x) for x in combo) for combo in product(*(range(s) for s in sizes))]
+    images = [[x for row in group.evaluate(p).rows for x in row] for p in points]
+    base = images[0]
+    grew = exactq.independent_rows([[x - y for x, y in zip(v, base)] for v in images[1:]])
+    witnesses = [points[0]] + [points[i + 1] for i in grew]
+    hull_dim = len(grew)
     if hull_dim < group.dim_params:
-        raise ValueError(
+        raise RedundantParametersError(
             "image hull is smaller than the parameter count; parameters are redundant"
         )
     verdict = "Flat" if hull_dim == group.dim_params else "NotFlat"
@@ -399,7 +351,7 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
         verdict=verdict,
         hull_dim=hull_dim,
         dim_params=group.dim_params,
-        sample_size=count,
+        sample_size=len(points),
         grid_sizes=sizes,
         witness_params=tuple(witnesses),
     )
@@ -655,12 +607,7 @@ def flag_tier_profile(
             tuple(Fraction(int(j < level)) for j in range(d)),
         ]
         for _ in range(random_per_level):
-            points.append(
-                tuple(
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if j < level else Fraction(0)
-                    for j in range(d)
-                )
-            )
+            points.append(_random_rational_vector(rng, level) + (Fraction(0),) * (d - level))
         for point in points:
             best = max(best, exactq.rank(group.evaluate(point) - ident))
         if best > level:

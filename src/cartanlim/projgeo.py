@@ -269,16 +269,17 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     if len(pts) != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} points, got {len(pts)}")
     span = QMatrix([[pts[j].coords[i] for j in range(n)] for i in range(n)])
-    lam = exactq.solve(span, pts[n].coords)
-    if lam is None or any(x == 0 for x in lam):
-        raise DegenerateBasisError("points do not form a projective basis")
-    scaled_cols = QMatrix(
-        [[lam[j] * pts[j].coords[i] for j in range(n)] for i in range(n)]
-    )
     try:
-        return ProjTransform(exactq.inverse(scaled_cols))
+        inv = exactq.inverse(span)
     except SingularError as exc:
         raise DegenerateBasisError("points do not form a projective basis") from exc
+    # span·λ = p_{n+1}; the transform is (span·diag(λ))⁻¹ = diag(1/λ)·span⁻¹.
+    lam = inv.matvec(pts[n].coords)
+    if any(x == 0 for x in lam):
+        raise DegenerateBasisError("points do not form a projective basis")
+    return ProjTransform(
+        QMatrix([x / li for x in row] for row, li in zip(inv.rows, lam))
+    )
 
 
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
@@ -319,10 +320,14 @@ def projectively_equivalent(
 ) -> Optional[ProjTransform]:
     """A transform mapping the left point set onto the right one, or None.
 
-    Any witness must send the first n+1 left points to some ordered
-    (n+1)-subset of the right points; each of the m(m-1)...(m-n) assignments
-    determines a unique candidate, which is tested exactly.  The search
-    order is deterministic, so identical inputs yield the identity.
+    The search runs right to left: any witness W has an inverse sending
+    some ordered (n+1)-subset of the right points to the first n+1 left
+    points, and each of the m(m-1)...(m-n) assignments determines a unique
+    candidate for that inverse.  The left frame is inverted once, each
+    candidate costs one frame normalization, and it is tested by mapping
+    the right points into the left set.  The inverse of the first hit is
+    returned; the search order is deterministic, so identical inputs yield
+    the identity.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -331,13 +336,12 @@ def projectively_equivalent(
             f"configurations of shape (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
         )
     n, m = a.n, a.m
-    to_std = basis_transform(a.points[: n + 1])
-    target = set(b.points)
+    from_std = basis_transform(a.points[: n + 1]).inverse()
+    target = set(a.points)
     for head in permutations(range(m), n + 1):
-        from_std = basis_transform([b.points[i] for i in head]).inverse()
-        candidate = from_std.compose(to_std)
-        if all(candidate(p) in target for p in a.points):
-            return candidate
+        candidate = from_std.compose(basis_transform([b.points[i] for i in head]))
+        if all(candidate(p) in target for p in b.points):
+            return candidate.inverse()
     return None
 
 

@@ -1,0 +1,97 @@
+"""Inputs that must end in a JSON error document with exit code 2."""
+
+import json
+
+from util import FIXTURES, run_cli
+
+SEED = str(FIXTURES / "seed_a3.json")
+PARAMS = str(FIXTURES / "params_ones.json")
+
+
+def error_of(argv: list[str]) -> tuple[int, dict]:
+    code, out = run_cli(argv)
+    return code, json.loads(out)["error"]
+
+
+def write(tmp_path, name: str, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_decreasing_r_schedule_exits_2():
+    code, error = error_of(["converge", SEED, PARAMS, "--r-schedule", "100,10"])
+    assert code == 2
+    assert error["type"] == "ScheduleError"
+
+
+def test_empty_r_schedule_exits_2():
+    code, error = error_of(["converge", SEED, PARAMS, "--r-schedule", ""])
+    assert code == 2
+    assert error["type"] == "ScheduleError"
+
+
+def test_zero_r_exits_2():
+    code, error = error_of(["converge", SEED, PARAMS, "--r-schedule", "0,10"])
+    assert code == 2
+    assert error["type"] == "NonpositiveRError"
+
+
+def test_flat_on_redundant_parameters_exits_2(tmp_path):
+    # [[1, v0 + v1], [0, 1]]: two parameters with a one-dimensional image
+    group = write(
+        tmp_path,
+        "redundant.json",
+        {
+            "dim_params": 2,
+            "ambient": 2,
+            "entries": [
+                [[["1", [0, 0]]], [["1", [1, 0]], ["1", [0, 1]]]],
+                [[], [["1", [0, 0]]]],
+            ],
+        },
+    )
+    code, error = error_of(["obstruct", "flat", group])
+    assert code == 2
+    assert error["type"] == "RedundantParametersError"
+
+
+def test_non_integer_basis_n_names_the_key(tmp_path):
+    points = [["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"]]
+    for n in ("2", 2.0, True):
+        basis = write(tmp_path, "basis.json", {"n": n, "points": points})
+        code, error = error_of(["cross-ratio", basis])
+        assert code == 2
+        assert error["type"] == "ParseError"
+        assert "'n' must be an integer" in error["message"]
+
+
+def test_non_integer_seed_shape_names_the_key(tmp_path):
+    rows = [["1", "0"], ["1", "1"], ["1", "2"], ["1", "3"]]
+    for key in ("m", "n"):
+        doc = {"m": 4, "n": 2, "rows": rows}
+        doc[key] = float(doc[key])
+        seed = write(tmp_path, "seed.json", doc)
+        code, error = error_of(["orbit-dim", seed, str(FIXTURES / "point_typical.json")])
+        assert code == 2
+        assert error["type"] == "ParseError"
+        assert f"{key!r} must be an integer" in error["message"]
+
+
+def test_non_integer_group_shape_names_the_key(tmp_path):
+    entries = [[[["1", [0]]], [["1", [1]]]], [[], [["1", [0]]]]]
+    for key in ("dim_params", "ambient"):
+        doc = {"dim_params": 1, "ambient": 2, "entries": entries}
+        doc[key] = float(doc[key])
+        group = write(tmp_path, "group.json", doc)
+        code, error = error_of(["obstruct", "flat", group])
+        assert code == 2
+        assert error["type"] == "ParseError"
+        assert f"{key!r} must be an integer" in error["message"]
+
+
+def test_non_string_builtin_name_exits_2(tmp_path):
+    group = write(tmp_path, "group.json", {"builtin": 5})
+    code, error = error_of(["obstruct", "flat", group])
+    assert code == 2
+    assert error["type"] == "ParseError"

@@ -18,11 +18,13 @@ from cartanlim.exactq import (
     block_diag,
     det,
     format_rational,
+    independent_rows,
     inverse,
     parse_rational,
     rank,
     solve,
 )
+from util import incremental_basis_oracle
 
 
 def gauss_rank_oracle(matrix: QMatrix) -> int:
@@ -164,6 +166,64 @@ def test_solve_residual(a, x):
 def test_solve_underdetermined_free_vars_zero():
     a = QMatrix([[1, 1, 0]])
     assert solve(a, [2]) == (F(2), F(0), F(0))
+
+
+# --- one elimination kernel ------------------------------------------------------
+
+
+@st.composite
+def rows_with_dependencies(draw, max_rows=5, max_cols=4, square=False):
+    """Rational rows, some of them combinations of the rows before them."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    rows: list[list[F]] = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(small_fraction, min_size=len(rows), max_size=len(rows)))
+            rows.append(
+                [sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(ncols)]
+            )
+        else:
+            rows.append(draw(st.lists(small_fraction, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def test_independent_rows_examples():
+    assert independent_rows([]) == []
+    assert independent_rows([[0, 0], [1, 2], [2, 4], [0, 1]]) == [1, 3]
+    assert independent_rows([[F(1, 2), 1], [1, 2]]) == [0]
+
+
+@settings(max_examples=60)
+@given(rows_with_dependencies())
+def test_independent_rows_match_incremental_oracle(rows):
+    kept = independent_rows(rows)
+    assert kept == incremental_basis_oracle(rows)
+    assert rank(QMatrix(rows)) == len(kept) == gauss_rank_oracle(QMatrix(rows))
+
+
+@settings(max_examples=60)
+@given(rows_with_dependencies(max_rows=4, square=True))
+def test_inverse_exactly_when_det_nonzero(rows):
+    a = QMatrix(rows)
+    if det(a) == 0:
+        with pytest.raises(SingularError):
+            inverse(a)
+    else:
+        assert a * inverse(a) == QMatrix.identity(a.nrows)
+
+
+@settings(max_examples=60)
+@given(rows_with_dependencies(), st.data())
+def test_solve_none_exactly_when_inconsistent(rows, data):
+    a = QMatrix(rows)
+    b = data.draw(st.lists(small_fraction, min_size=a.nrows, max_size=a.nrows))
+    augmented = QMatrix([list(row) + [bi] for row, bi in zip(rows, b)])
+    consistent = gauss_rank_oracle(augmented) == gauss_rank_oracle(a)
+    x = solve(a, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert a.matvec(x) == tuple(F(bi) for bi in b)
 
 
 # --- affine hull ------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cartanlim.limits import (
     alpha_orbit,
     alpha_seed,
     are_conjugate,
-    classify_point,
     conjugate_seed,
     element_params,
     exceptional_dual_basis,
@@ -178,7 +177,6 @@ def test_orbit_dimension_alpha_table():
         assert oc.vanishing == frozenset({j})
     fixed = orbit_dimension(t, ProjPoint([1, 2, 0, 0, 0, 0, 0]))
     assert fixed.kind is OrbitKind.FIXED and fixed.dim == 0
-    assert classify_point is orbit_dimension
 
 
 def test_orbit_dimension_matches_hull_oracle():

@@ -97,6 +97,24 @@ def random_params(rng: random.Random, seed: SeedMatrix) -> GroupElementParams:
     )
 
 
+def incremental_basis_oracle(rows) -> list[int]:
+    """Independent oracle for `independent_rows`: grow a basis one row at a
+    time by rational elimination against the rows kept so far."""
+    basis: list[tuple[int, list[Fraction]]] = []
+    kept = []
+    for idx, row in enumerate(rows):
+        vec = [Fraction(x) for x in row]
+        for lead, brow in basis:
+            if vec[lead] != 0:
+                f = vec[lead] / brow[lead]
+                vec = [x - f * y for x, y in zip(vec, brow)]
+        lead = next((i for i, x in enumerate(vec) if x != 0), None)
+        if lead is not None:
+            basis.append((lead, vec))
+            kept.append(idx)
+    return kept
+
+
 def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> int:
     """Independent oracle: affine-hull dimension of sampled orbit points.
 
