@@ -2,7 +2,9 @@
 
 Every invocation prints one JSON document embedding the tool version, the
 seed, and a hash of the inputs.  Negative mathematical verdicts are data and
-exit 0; malformed input exits 2; capped or undecided outcomes exit 3.
+exit 0; malformed input exits 2; capped or undecided outcomes exit 3; a
+failed internal self-check exits 4.  Library results go into the document as
+returned: `jsonio` knows how each value looks on the wire.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ from typing import Optional
 from . import __version__, jsonio
 from .bounds import verify_bounds
 from .converge import convergence_report
-from .errors import (
-    CapExceededError,
-    CartanlimError,
-    ParseError,
-    SampleCapExceededError,
-)
-from .exactq import format_rational, parse_rational
+from .errors import CartanlimError, ParseError
+from .exactq import parse_rational
 from .limits import (
     alpha_conjugacy_class,
     alpha_orbit,
@@ -136,8 +133,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, dict, list[bytes], int]:
-    """Returns (flags document, result document, input file bytes, exit code)."""
+def _run(args: argparse.Namespace) -> tuple[dict, object, list[bytes], int]:
+    """Returns (flags document, result value, input file bytes, exit code)."""
     flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
     exit_code = EXIT_OK
     raw_inputs: list[bytes] = []
@@ -151,12 +148,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict, list[bytes], int]:
         basis = load(args.basis, jsonio.read_basis)
         ordered = ordered_cross_ratio(basis)
         uc = unordered_cross_ratio(basis, cap=args.cap)
-        result = {
-            "m": basis.m,
-            "n": basis.n,
-            "ordered": jsonio.tuple_doc(ordered),
-            "unordered": jsonio.uc_doc(uc),
-        }
+        result = {"m": basis.m, "n": basis.n, "ordered": ordered, "unordered": uc}
     elif args.command in ("equivalent", "seed-conjugate"):
         if args.command == "equivalent":
             left = load(args.left, jsonio.read_basis)
@@ -168,69 +160,60 @@ def _run(args: argparse.Namespace) -> tuple[dict, dict, list[bytes], int]:
             witness = are_conjugate(*seeds)
             left, right = (exceptional_dual_basis(s) for s in seeds)
         within_cap = left.m <= args.cap
-        result = {
-            "conjugate": witness is not None,
-            "witness": jsonio.matrix_doc(witness) if witness is not None else None,
-        }
+        result = {"conjugate": witness is not None, "witness": witness}
         for key, basis in (("uc_left", left), ("uc_right", right)):
-            result[key] = (
-                jsonio.uc_doc(unordered_cross_ratio(basis, cap=args.cap)) if within_cap else None
-            )
+            result[key] = unordered_cross_ratio(basis, cap=args.cap) if within_cap else None
     elif args.command == "orbit-dim":
         seed = load(args.seed_file, jsonio.read_seed)
         point = load(args.point, jsonio.read_point)
-        result = jsonio.orbit_class_doc(orbit_dimension(seed, point))
+        result = orbit_dimension(seed, point)
     elif args.command == "alpha-orbit":
         try:
             alpha = parse_rational(args.alpha)
         except ValueError as exc:
             raise ParseError(f"bad alpha {args.alpha!r}: {exc}") from exc
-        flags["alpha"] = format_rational(alpha)
+        flags["alpha"] = alpha
         points = alpha_orbit(alpha)
         result = {
-            "alpha": format_rational(alpha),
-            "points": [jsonio.point_doc(p) for p in points],
-            "affine_values": [
-                format_rational(v) if (v := p.affine_value()) is not None else "inf"
-                for p in points
-            ],
-            "conjugate_params": [
-                format_rational(b) for b in alpha_conjugacy_class(alpha)
-            ],
+            "alpha": alpha,
+            "points": points,
+            "affine_values": [p.affine_value() for p in points],
+            "conjugate_params": alpha_conjugacy_class(alpha),
         }
     elif args.command == "converge":
         seed = load(args.seed_file, jsonio.read_seed)
         params = load(args.params, jsonio.read_params, seed)
         schedule = _parse_schedule(args.r_schedule)
-        flags["r_schedule"] = [format_rational(r) for r in schedule]
+        flags["r_schedule"] = schedule
         trace = convergence_report(seed, params, schedule, tolerance=args.tolerance)
-        result = jsonio.trace_doc(trace)
+        result = {"r": trace.r_values, "distance": trace.distances, "diag": trace.diag_entries}
     elif args.command == "obstruct":
         flags["sample_cap"] = args.sample_cap
         if args.subcommand == "flat":
             group = load(args.group, jsonio.read_group)
-            result = jsonio.flatness_doc(flatness_check(group, cap=args.sample_cap))
+            result = flatness_check(group, cap=args.sample_cap)
         elif args.subcommand == "tier":
             group = load(args.group, jsonio.read_group)
-            result = jsonio.tier_doc(tier(group, seed=args.seed))
+            result = tier(group, seed=args.seed)
         elif args.subcommand == "tier-one":
             family = load(args.family, jsonio.read_family)
             verdict = has_tier_one_element(family, seed=args.seed)
-            result = jsonio.tier_one_doc(verdict)
+            result = {
+                "verdict": verdict.kind,
+                "witness": verdict.witness,
+                "certificate": verdict.certificate,
+            }
             if verdict.kind == "Undecided":
                 exit_code = EXIT_UNRESOLVED
         else:
             seed = load(args.seed_file, jsonio.read_seed)
             profile = flag_tier_profile(seed, seed=args.seed)
-            result = {"profile": list(profile), "tier": profile[-1]}
+            result = {"profile": profile, "tier": profile[-1]}
     elif args.command == "bounds":
         lo, hi = _parse_k_range(args.k_range)
         flags["k_range"] = f"{lo}:{hi}"
         reports = verify_bounds(lo, hi)
-        result = {
-            "reports": [jsonio.bounds_doc(r) for r in reports],
-            "all_ok": all(r.ok for r in reports),
-        }
+        result = {"reports": reports, "all_ok": all(r.ok for r in reports)}
     else:  # pragma: no cover - argparse enforces the choices
         raise ParseError(f"unknown command {args.command!r}")
     return flags, result, raw_inputs, exit_code
@@ -272,8 +255,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(document, args.output)
-        capped = isinstance(exc, (CapExceededError, SampleCapExceededError))
-        return EXIT_UNRESOLVED if capped else EXIT_BAD_INPUT
+        return exc.exit_code
     document = {
         "tool": TOOL,
         "version": __version__,

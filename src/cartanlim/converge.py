@@ -54,14 +54,18 @@ def _offsets(
     seed: SeedMatrix, params: GroupElementParams, rv: Fraction
 ) -> list[Fraction]:
     """Exact offsets c_i with x_i = x_{m+1} + c_i, from the matching rules:
-    x_{m+1+i} = x_{m+1} - b_i/r^2 and x_j = x_{m+1} + a_j/r - b_1/r^2."""
-    if any(seed.matrix.rows[j][0] == 0 for j in range(seed.m)):
+    x_{m+1+i} = x_{m+1} - b_i/r^2 and x_j = x_{m+1} + a_j/r - b_c/r^2, where
+    c is the first column of the seed without a zero entry."""
+    rows = seed.matrix.rows
+    c = next((c for c in range(seed.n) if all(row[c] != 0 for row in rows)), None)
+    if c is None:
         raise ZeroFirstColumnError(
-            "the matching formulas need a zero-free first column"
+            "every column of the seed has a zero entry; the matching construction "
+            "does not apply"
         )
     m, n = seed.m, seed.n
     r2 = rv * rv
-    cs = [params.a[j] / rv - params.b[0] / r2 for j in range(m)]
+    cs = [params.a[j] / rv - params.b[c] / r2 for j in range(m)]
     cs.append(Fraction(0))
     cs.extend(-params.b[i] / r2 for i in range(n))
     return cs
@@ -114,71 +118,36 @@ def _positive_root(offsets: Sequence[Fraction]) -> float:
     return root
 
 
+def _trace_point(
+    seed: SeedMatrix, params: GroupElementParams, r: int | str | Fraction
+) -> tuple[list[float], list[list[float]]]:
+    """The solved diagonal and its conjugate P_r^-1 diag(x) P_r at r.
+
+    The diagonal of the exact part P_r^-1 diag(c) P_r is c itself: N = P_r - I
+    is nonzero only in rows 0..m and columns m+1.., so the diagonals of ND,
+    DN and NDN are zero.
+    """
+    rv = rational(r)
+    pr = build_Pr(seed, rv)
+    cs = _offsets(seed, params, rv)
+    root = _positive_root(cs)
+    exact = _inverse_Pr(pr) * QMatrix.diagonal(cs) * pr
+    matrix = [
+        [float(x) + (root if i == j else 0.0) for j, x in enumerate(row)]
+        for i, row in enumerate(exact.rows)
+    ]
+    diag = [row[i] for i, row in enumerate(matrix)]
+    return diag, matrix
+
+
 def diagonal_for_target(
     seed: SeedMatrix, params: GroupElementParams, r: int | str | Fraction
 ) -> list[float]:
     """The positive diagonal whose conjugate matches the target element at r."""
-    rv = rational(r)
-    if rv <= 0:
-        raise NonpositiveRError(f"r must be positive, got {rv}")
-    cs = _offsets(seed, params, rv)
-    root = _positive_root(cs)
-    diag = [root + float(c) for c in cs]
+    diag, _ = _trace_point(seed, params, r)
     if any(x <= 0 for x in diag):
         raise NoPositiveRootError("solved diagonal has a nonpositive entry")
     return diag
-
-
-def _zero_free_column(seed: SeedMatrix) -> int:
-    for c in range(seed.n):
-        if all(seed.matrix.rows[j][c] != 0 for j in range(seed.m)):
-            return c
-    raise ZeroFirstColumnError(
-        "every column of the seed has a zero entry; the matching construction "
-        "does not apply"
-    )
-
-
-def _swapped(seed: SeedMatrix, params: GroupElementParams, c: int):
-    if c == 0:
-        return seed, params
-    rows = [list(row) for row in seed.matrix.rows]
-    for row in rows:
-        row[0], row[c] = row[c], row[0]
-    b = list(params.b)
-    b[0], b[c] = b[c], b[0]
-    return SeedMatrix(rows), GroupElementParams(params.a, tuple(b))
-
-
-def _trace_point(
-    seed: SeedMatrix, params: GroupElementParams, rv: Fraction
-) -> tuple[list[float], list[list[float]]]:
-    col = _zero_free_column(seed)
-    seed2, params2 = _swapped(seed, params, col)
-    pr = build_Pr(seed2, rv)
-    cs = _offsets(seed2, params2, rv)
-    root = _positive_root(cs)
-    exact = _inverse_Pr(pr) * QMatrix.diagonal(cs) * pr
-    k = seed.ambient
-    m = seed.m
-
-    def back(i: int) -> int:
-        # undo the tail-coordinate swap that made column 1 zero-free
-        if col and i == m + 1:
-            return m + 1 + col
-        if col and i == m + 1 + col:
-            return m + 1
-        return i
-
-    matrix = [
-        [
-            float(exact.rows[back(i)][back(j)]) + (root if i == j else 0.0)
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    diag = [matrix[i][i] for i in range(k)]
-    return diag, matrix
 
 
 def conjugated_element(
@@ -186,15 +155,10 @@ def conjugated_element(
 ) -> list[list[float]]:
     """The conjugate of the solved diagonal, as a float matrix.
 
-    When the first column of the seed has zeros but some other column is
-    zero-free, the construction runs on the column-swapped seed and the
-    result is mapped back, so the returned matrix always converges to the
-    element of the original group.
+    The matching rules use the first zero-free column of the seed, so seeds
+    whose first column has zeros converge to their group element as well.
     """
-    rv = rational(r)
-    if rv <= 0:
-        raise NonpositiveRError(f"r must be positive, got {rv}")
-    _, matrix = _trace_point(seed, params, rv)
+    _, matrix = _trace_point(seed, params, r)
     return matrix
 
 

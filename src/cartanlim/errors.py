@@ -2,7 +2,18 @@
 
 
 class CartanlimError(Exception):
-    """Base class for every failure raised by this package."""
+    """Base class for every failure raised by this package.
+
+    `exit_code` is the CLI's exit status when the error ends a run.
+    """
+
+    exit_code = 2
+
+
+class InternalError(CartanlimError):
+    """A self-check failed: the package computed something inconsistent."""
+
+    exit_code = 4
 
 
 # --- exact linear algebra ---------------------------------------------------
@@ -39,6 +50,8 @@ class NotAugmentedBasisError(CartanlimError):
 
 class CapExceededError(CartanlimError):
     """Permutation enumeration would exceed the configured cap."""
+
+    exit_code = 3
 
 
 class SizeMismatchError(CartanlimError):
@@ -97,6 +110,8 @@ class UnknownNameError(CartanlimError):
 
 class SampleCapExceededError(CartanlimError):
     """The certifying sample would exceed the configured cap."""
+
+    exit_code = 3
 
 
 class RedundantParametersError(CartanlimError, ValueError):

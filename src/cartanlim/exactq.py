@@ -89,14 +89,8 @@ class QMatrix:
         n = len(vals)
         return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.rows[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(zip(*self.rows))
@@ -142,9 +136,6 @@ class QMatrix:
         if len(v) != self.ncols:
             raise DimensionMismatchError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def to_strings(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.rows]
 
     def __repr__(self) -> str:
         body = "; ".join(

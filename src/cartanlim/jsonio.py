@@ -2,28 +2,28 @@
 
 Rationals travel as `p/q` strings, floats as 17-significant-digit decimals,
 and objects are emitted with sorted keys, so identical inputs always produce
-byte-identical documents.
+byte-identical documents.  The emitter knows the wire form of each library
+value type (points, matrices, cross-ratio tuples and sets, enums, frozensets
+and result dataclasses), so results are serialized as returned, with no
+per-type adapter.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
-from .converge import ConvergenceTrace
-from .bounds import BoundsReport
 from .errors import ParseError
 from .exactq import QMatrix, format_rational, parse_rational
-from .limits import GroupElementParams, OrbitClass, SeedMatrix
+from .limits import GroupElementParams, SeedMatrix
 from .obstruct import (
-    FlatnessReport,
     LinearBlockFamily,
     Poly,
     PolyParamGroup,
-    TierOneResult,
-    TierReport,
     builtin_block_family,
     builtin_group,
 )
@@ -31,11 +31,33 @@ from .projgeo import AugmentedBasis, CrossRatioTuple, ProjPoint, UnorderedCrossR
 
 # --- canonical emission -------------------------------------------------------
 
+# The attribute a library value travels as.
+_WIRE_ATTR = {
+    ProjPoint: "coords",
+    QMatrix: "rows",
+    CrossRatioTuple: "entries",
+    UnorderedCrossRatio: "tuples",
+}
+
 
 def _float_literal(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
         raise ValueError("cannot serialize non-finite float")
     return format(value, ".17g")
+
+
+def _wire(obj: Any) -> Any:
+    """The plain value that a library object is emitted as."""
+    attr = _WIRE_ATTR.get(type(obj))
+    if attr is not None:
+        return getattr(obj, attr)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit(obj: Any, out: list[str]) -> None:
@@ -72,11 +94,15 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(obj[key], out)
         out.append("}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        _emit(_wire(obj), out)
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, `p/q` rationals, 17-digit floats."""
+    """Canonical JSON text: sorted keys, `p/q` rationals, 17-digit floats.
+
+    Library values (`ProjPoint`, `QMatrix`, cross ratios, result
+    dataclasses) may appear anywhere in `obj`.
+    """
     out: list[str] = []
     _emit(obj, out)
     return "".join(out)
@@ -209,107 +235,3 @@ def read_family(obj: Any, context: str = "family") -> LinearBlockFamily:
     if not isinstance(coeffs, list) or not coeffs:
         raise ParseError(f"{context}: 'coeff_matrices' must be a nonempty array")
     return LinearBlockFamily([read_matrix(m, context) for m in coeffs])
-
-
-# --- result documents -----------------------------------------------------------
-
-
-def point_doc(point: ProjPoint) -> list[str]:
-    return list(point.serialized())
-
-
-def vector_doc(vec: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in vec]
-
-
-def matrix_doc(matrix: QMatrix) -> list[list[str]]:
-    return matrix.to_strings()
-
-
-def basis_doc(basis: AugmentedBasis) -> dict:
-    return {"n": basis.n, "points": [point_doc(p) for p in basis.points]}
-
-
-def seed_doc(seed: SeedMatrix) -> dict:
-    return {"m": seed.m, "n": seed.n, "rows": matrix_doc(seed.matrix)}
-
-
-def tuple_doc(t: CrossRatioTuple) -> list[list[str]]:
-    return [point_doc(p) for p in t.entries]
-
-
-def uc_doc(uc: UnorderedCrossRatio) -> list[list[list[str]]]:
-    return [tuple_doc(t) for t in uc.tuples]
-
-
-def orbit_class_doc(oc: OrbitClass) -> dict:
-    return {
-        "kind": oc.kind.value,
-        "dim": oc.dim,
-        "vanishing": sorted(oc.vanishing),
-    }
-
-
-def trace_doc(trace: ConvergenceTrace) -> dict:
-    return {
-        "r": [format_rational(r) for r in trace.r_values],
-        "distance": list(trace.distances),
-        "diag": [list(d) for d in trace.diag_entries],
-    }
-
-
-def bounds_doc(report: BoundsReport) -> dict:
-    return {
-        "k": report.k,
-        "best_m": report.best_m,
-        "best_n": report.best_n,
-        "best_value": report.best_value,
-        "lower_bound": format_rational(report.lower_bound),
-        "upper_bound": report.upper_bound,
-        "ok": report.ok,
-    }
-
-
-def flatness_doc(report: FlatnessReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "hull_dim": report.hull_dim,
-        "dim_params": report.dim_params,
-        "sample_size": report.sample_size,
-        "grid_sizes": list(report.grid_sizes),
-        "witness_params": [vector_doc(v) for v in report.witness_params],
-    }
-
-
-def tier_doc(report: TierReport) -> dict:
-    return {"tier": report.tier, "witness": vector_doc(report.witness)}
-
-
-def _certificate_doc(steps) -> list:
-    doc = []
-    for step in steps:
-        entry = {
-            "kind": step["kind"],
-            "rows": list(step["rows"]),
-            "cols": list(step["cols"]),
-            "monomial": list(step["monomial"]),
-        }
-        if step["kind"] == "minor":
-            entry["forced"] = step["forced"]
-        else:
-            entry["cases"] = [
-                {"assume": case["assume"], "steps": _certificate_doc(case["steps"])}
-                for case in step["cases"]
-            ]
-        doc.append(entry)
-    return doc
-
-
-def tier_one_doc(result: TierOneResult) -> dict:
-    return {
-        "verdict": result.kind,
-        "witness": vector_doc(result.witness) if result.witness is not None else None,
-        "certificate": _certificate_doc(result.certificate)
-        if result.certificate is not None
-        else None,
-    }

@@ -16,11 +16,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from . import exactq, projgeo
+from . import exactq
 from .errors import (
     DegenerateAlphaError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InternalError,
     NotGenericError,
     ShapeMismatchError,
     SingularError,
@@ -315,7 +316,7 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
     for params in _verification_params(left):
         conjugated = witness * rho(left, params) * witness_inv
         if element_params(right, conjugated) is None:
-            raise RuntimeError("conjugator failed verification; this is a bug")
+            raise InternalError("conjugator failed verification; this is a bug")
     return witness
 
 

@@ -18,7 +18,12 @@ from math import prod as int_prod
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
-from .errors import RedundantParametersError, SampleCapExceededError, UnknownNameError
+from .errors import (
+    InternalError,
+    RedundantParametersError,
+    SampleCapExceededError,
+    UnknownNameError,
+)
 from .exactq import QMatrix, rational
 from .limits import SeedMatrix
 
@@ -611,8 +616,8 @@ def flag_tier_profile(
         for point in points:
             best = max(best, exactq.rank(group.evaluate(point) - ident))
         if best > level:
-            raise RuntimeError(f"tier {best} above level {level}; this is a bug")
+            raise InternalError(f"tier {best} above level {level}; this is a bug")
         profile.append(best)
     if profile[0] != 1:
-        raise RuntimeError("level-one subgroup must have tier exactly 1")
+        raise InternalError("level-one subgroup must have tier exactly 1")
     return tuple(profile)

@@ -94,10 +94,8 @@ class ProjTransform:
     def n(self) -> int:
         return self.matrix.nrows
 
-    def apply(self, point: ProjPoint) -> ProjPoint:
+    def __call__(self, point: ProjPoint) -> ProjPoint:
         return ProjPoint(self.matrix.matvec(point.coords))
-
-    __call__ = apply
 
     def inverse(self) -> "ProjTransform":
         return ProjTransform(exactq.inverse(self.matrix))

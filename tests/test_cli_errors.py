@@ -1,7 +1,8 @@
-"""Inputs that must end in a JSON error document with exit code 2."""
+"""Runs that must end in one JSON error document and the documented exit code."""
 
 import json
 
+import cartanlim.limits
 from util import FIXTURES, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
@@ -95,3 +96,15 @@ def test_non_string_builtin_name_exits_2(tmp_path):
     code, error = error_of(["obstruct", "flat", group])
     assert code == 2
     assert error["type"] == "ParseError"
+
+
+def test_failed_self_check_exits_4(monkeypatch):
+    # no conjugated verification element is recognised as a group member
+    monkeypatch.setattr(cartanlim.limits, "element_params", lambda seed, matrix: None)
+    code, out = run_cli(
+        ["seed-conjugate", SEED, str(FIXTURES / "seed_a3_colscaled.json")]
+    )
+    assert code == 4
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InternalError"

@@ -80,10 +80,15 @@ def test_diagonal_row_matching_identity():
             )
 
 
-def test_diagonal_zero_first_column_strict():
+def test_diagonal_zero_first_column_matches_conjugated_element():
+    # the first column has a zero; both entry points use the second column
     t = SeedMatrix([[0, 1], [1, 1], [1, 2], [1, 3]])
-    with pytest.raises(ZeroFirstColumnError):
-        diagonal_for_target(t, GroupElementParams.zero(t), 10)
+    p = GroupElementParams.make([1, 2, 3, 4], [5, 6])
+    for r in (10, 100):
+        diag = diagonal_for_target(t, p, r)
+        got = conjugated_element(t, p, r)
+        assert diag == [got[i][i] for i in range(7)]
+        assert all(x > 0 for x in diag)
 
 
 def test_conjugated_element_zero_params():
@@ -139,6 +144,8 @@ def test_all_zero_columns_rejected():
     t = SeedMatrix([[0, 1], [1, 0], [1, 1], [1, 2]])
     with pytest.raises(ZeroFirstColumnError):
         conjugated_element(t, GroupElementParams.zero(t), 10)
+    with pytest.raises(ZeroFirstColumnError):
+        diagonal_for_target(t, GroupElementParams.zero(t), 10)
 
 
 def test_convergence_report_schedule_checks():
