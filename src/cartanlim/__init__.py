@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .bounds import BoundsReport, best_integer_split, dim_T, g_value, lower_bound, upper_bound, verify_bounds
 from .converge import ConvergenceTrace, build_Pr, conjugated_element, convergence_report, diagonal_for_target
-from .exactq import QMatrix, Rational, affine_hull_dim, block_diag, det, format_rational, inverse, parse_rational, rank, rational, solve
+from .exactq import QMatrix, affine_hull_dim, block_diag, det, format_rational, inverse, parse_rational, rank, rational, solve
 from .limits import (
     GroupElementParams,
     OrbitClass,

@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__, jsonio
 from .bounds import verify_bounds
 from .converge import convergence_report
-from .errors import CartanlimError, ParseError
+from .errors import CartanlimError, OutputError, ParseError
 from .exactq import parse_rational
 from .limits import (
     alpha_conjugacy_class,
@@ -228,11 +228,14 @@ def _input_hash(flags: dict, raw_inputs: list[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _emit(document: dict, output: Optional[str]) -> None:
-    text = jsonio.dumps(document)
-    print(text)
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+def _error_document(command: str, seed: int, exc: CartanlimError) -> dict:
+    return {
+        "tool": TOOL,
+        "version": __version__,
+        "command": command,
+        "seed": seed,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -246,26 +249,28 @@ def main(argv: Optional[list[str]] = None) -> int:
         command = f"{command} {args.subcommand}"
     try:
         flags, result, raw_inputs, exit_code = _run(args)
-    except CartanlimError as exc:
         document = {
             "tool": TOOL,
             "version": __version__,
             "command": command,
-            "seed": args.seed,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "seed": flags["seed"],
+            "flags": flags,
+            "input_hash": _input_hash(flags, raw_inputs),
+            "result": result,
         }
-        _emit(document, args.output)
-        return exc.exit_code
-    document = {
-        "tool": TOOL,
-        "version": __version__,
-        "command": command,
-        "seed": flags["seed"],
-        "flags": flags,
-        "input_hash": _input_hash(flags, raw_inputs),
-        "result": result,
-    }
-    _emit(document, args.output)
+    except CartanlimError as exc:
+        document, exit_code = _error_document(command, args.seed, exc), exc.exit_code
+    text = jsonio.dumps(document)
+    if args.output:
+        # Written before anything is printed, so a failed write still ends
+        # in exactly one document on stdout.
+        try:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            error = OutputError(f"cannot write {args.output}: {exc}")
+            text = jsonio.dumps(_error_document(command, args.seed, error))
+            exit_code = error.exit_code
+    print(text)
     return exit_code
 
 

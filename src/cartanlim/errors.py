@@ -128,7 +128,11 @@ class KTooSmallError(CartanlimError):
     pass
 
 
-# --- input parsing ---------------------------------------------------------------
+# --- input and output ------------------------------------------------------------
 
 class ParseError(CartanlimError):
     pass
+
+
+class OutputError(CartanlimError):
+    """The document could not be written to the `--output` path."""

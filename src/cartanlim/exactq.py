@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -19,8 +19,6 @@ from .errors import (
     NonSquareError,
     SingularError,
 )
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
@@ -45,9 +43,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize as `p/q`, with `/q` omitted when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """`format_rational(Fraction(num, den))` for den > 0, without the Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 class QMatrix:
@@ -88,9 +92,6 @@ class QMatrix:
         vals = [rational(v) for v in values]
         n = len(vals)
         return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
 
     def transpose(self) -> "QMatrix":
         return QMatrix(zip(*self.rows))
@@ -230,15 +231,32 @@ def det(matrix: QMatrix) -> Fraction:
     return Fraction(sign * last, prod(factors))
 
 
+def _back_substitute(
+    rows: list[list[int]], r: int, d: int, pivot_cols: list[int], ncols: int
+) -> list[list[int]]:
+    """d·X for an echelon form of [A | B] with A·X = B consistent.
+
+    Free variables are set to zero.  With d the last pivot, d·X is an
+    integer matrix by Cramer's rule, so every division is exact.
+    """
+    width = len(rows[0]) - ncols
+    y = [[0] * width for _ in range(ncols)]
+    for i in reversed(range(r)):
+        row = rows[i]
+        later = pivot_cols[i + 1 :]
+        for t in range(width):
+            acc = d * row[ncols + t] - sum(row[j] * y[j][t] for j in later)
+            y[pivot_cols[i]][t] = acc // row[pivot_cols[i]]
+    return y
+
+
 def _echelon_solve(
     matrix: QMatrix, rhs: Sequence[Sequence[int | Fraction]]
 ) -> tuple[int, Optional[list[list[Fraction]]]]:
     """Rank of A and some X with A·X = B, or None for X when inconsistent.
 
-    One fraction-free echelon of [A | B], then one back-substitution with
-    free variables set to zero.  With d the last pivot, d·X is an integer
-    matrix by Cramer's rule, so every division there is exact and each
-    entry of X becomes a Fraction only once.
+    One fraction-free echelon of [A | B], then one integer back-substitution,
+    so each entry of X becomes a Fraction only once.
     """
     ncols = matrix.ncols
     scaled, _ = _scaled_integer_rows(
@@ -247,15 +265,25 @@ def _echelon_solve(
     r, _, d, pivot_cols = _fraction_free_echelon(scaled, pivot_limit=ncols)
     if any(x for row in scaled[r:] for x in row[ncols:]):
         return r, None
-    width = len(scaled[0]) - ncols
-    y = [[0] * width for _ in range(ncols)]
-    for i in reversed(range(r)):
-        row = scaled[i]
-        later = pivot_cols[i + 1 :]
-        for t in range(width):
-            acc = d * row[ncols + t] - sum(row[j] * y[j][t] for j in later)
-            y[pivot_cols[i]][t] = acc // row[pivot_cols[i]]
+    y = _back_substitute(scaled, r, d, pivot_cols, ncols)
     return r, [[Fraction(v, d) for v in yrow] for yrow in y]
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The adjugate Y of an invertible integer matrix A, so A·Y = det(A)·I.
+
+    One fraction-free elimination of [A | I]; no Fraction is created.
+    Raises SingularError when det(A) = 0.
+    """
+    n = len(rows)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    r, sign, d, pivot_cols = _fraction_free_echelon(work, pivot_limit=n)
+    if r < n:
+        raise SingularError("matrix is not invertible")
+    # The echelon runs on P·A with sign = det(P), so d = sign·det(A) and the
+    # back-substitution yields d·A⁻¹ = sign·adj(A).
+    y = _back_substitute(work, r, d, pivot_cols, n)
+    return y if sign > 0 else [[-x for x in row] for row in y]
 
 
 def inverse(matrix: QMatrix) -> QMatrix:

@@ -1,9 +1,13 @@
 """Projective points, transformations, and the generalized cross-ratio invariant.
 
-Points of RP^{n-1} are stored in a canonical homogeneous form (first nonzero
-coordinate scaled to 1) so that equality of points, tuples and invariant sets
-is plain structural equality.  The unordered cross ratio of an augmented basis
-is a complete invariant of the configuration up to projective equivalence, and
+A point of RP^{n-1} is stored as its primitive integer vector: the unique
+integer representative with gcd 1 whose first nonzero coordinate is positive.
+A transform is stored the same way, as its primitive integer matrix.  So
+equality of points, tuples and invariant sets is plain structural equality on
+integers, and the enumerations never create a Fraction.  The rational
+`coords` and `matrix` (first nonzero entry scaled to 1) are derived only when
+read.  The unordered cross ratio of an augmented basis is a complete
+invariant of the configuration up to projective equivalence, and
 `projectively_equivalent` decides that equivalence directly, with a search
 over ordered (n+1)-point assignments instead of the full permutation group.
 """
@@ -12,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from . import exactq
@@ -24,91 +30,152 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .exactq import QMatrix, format_rational, rational
+from .exactq import QMatrix, _format_ratio, rational
 
 #: Largest m for which unordered_cross_ratio will enumerate all m! orderings.
 DEFAULT_PERMUTATION_CAP = 8
 
 
-class ProjPoint:
-    """A point of RP^{n-1} in canonical homogeneous coordinates."""
+def _cleared(values: Sequence[Fraction]) -> list[int]:
+    """The values times the lcm of their denominators."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
 
-    __slots__ = ("coords",)
+
+def _primitive(values: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its gcd, signed so the first
+    nonzero entry is positive."""
+    g = gcd(*values)
+    if next(x for x in values if x) < 0:
+        g = -g
+    if g == 1:
+        return tuple(values)
+    return tuple(x // g for x in values)
+
+
+def _primitive_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """`_primitive` of a nonzero square integer matrix read in row-major order."""
+    n = len(rows)
+    flat = _primitive([x for row in rows for x in row])
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
+def _matvec(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, vec)) for row in rows]
+
+
+class ProjPoint:
+    """A point of RP^{n-1}, keyed by its primitive integer vector `ints`."""
+
+    __slots__ = ("ints",)
 
     def __init__(self, coords: Iterable[int | str | Fraction]):
-        raw = tuple(rational(c) for c in coords)
+        raw = [rational(c) for c in coords]
         if not raw:
             raise ZeroVectorError("empty coordinate vector")
-        pivot = next((c for c in raw if c != 0), None)
-        if pivot is None:
+        ints = _cleared(raw)
+        if not any(ints):
             raise ZeroVectorError("all homogeneous coordinates are zero")
-        object.__setattr__(self, "coords", tuple(c / pivot for c in raw))
+        object.__setattr__(self, "ints", _primitive(ints))
+
+    @classmethod
+    def _from_ints(cls, ints: Sequence[int]) -> "ProjPoint":
+        """The point of a nonzero integer vector."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "ints", _primitive(ints))
+        return point
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Rational coordinates with the first nonzero one equal to 1."""
+        pivot = next(x for x in self.ints if x)
+        return tuple(Fraction(x, pivot) for x in self.ints)
+
+    @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.ints)
 
     def affine_value(self) -> Optional[Fraction]:
         """x2/x1 for a point [x1 : x2] of RP^1; None for the point at infinity."""
-        if self.coords[0] == 0:
+        if self.ints[0] == 0:
             return None
-        return self.coords[1] / self.coords[0]
+        return Fraction(self.ints[1], self.ints[0])
 
     def serialized(self) -> tuple[str, ...]:
-        return tuple(format_rational(c) for c in self.coords)
+        pivot = next(x for x in self.ints if x)
+        return tuple(_format_ratio(x, pivot) for x in self.ints)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ProjPoint) and self.coords == other.coords
+        return isinstance(other, ProjPoint) and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(self.ints)
 
     def __repr__(self) -> str:
         return "[" + " : ".join(self.serialized()) + "]"
 
 
 class ProjTransform:
-    """An invertible transformation of RP^{n-1}, canonical up to scale.
-
-    The representing matrix is rescaled so its first nonzero entry in
-    row-major order is 1; equality of transforms is equality of matrices.
+    """An invertible transformation of RP^{n-1}, keyed by its primitive
+    integer matrix `ints` (gcd of all entries 1, first nonzero entry in
+    row-major order positive); equality of transforms is equality of keys.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("ints",)
 
     def __init__(self, matrix: QMatrix):
         if matrix.nrows != matrix.ncols:
             raise DimensionMismatchError("projective transform matrix must be square")
         if exactq.det(matrix) == 0:
             raise SingularError("projective transform matrix must be invertible")
-        pivot = next(x for row in matrix.rows for x in row if x != 0)
-        object.__setattr__(self, "matrix", matrix * (1 / pivot))
+        n = matrix.nrows
+        flat = _cleared([x for row in matrix.rows for x in row])
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        object.__setattr__(self, "ints", _primitive_matrix(rows))
+
+    @classmethod
+    def _from_ints(cls, rows: Sequence[Sequence[int]]) -> "ProjTransform":
+        """The transform of an integer matrix the caller knows is invertible."""
+        transform = object.__new__(cls)
+        object.__setattr__(transform, "ints", _primitive_matrix(rows))
+        return transform
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjTransform is immutable")
 
     @property
+    def matrix(self) -> QMatrix:
+        """The rational matrix with first nonzero entry (row-major) equal to 1."""
+        pivot = next(x for row in self.ints for x in row if x)
+        return QMatrix([Fraction(x, pivot) for x in row] for row in self.ints)
+
+    @property
     def n(self) -> int:
-        return self.matrix.nrows
+        return len(self.ints)
 
     def __call__(self, point: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.matrix.matvec(point.coords))
+        if point.n != self.n:
+            raise DimensionMismatchError("point and transform live in different dimensions")
+        return ProjPoint._from_ints(_matvec(self.ints, point.ints))
 
     def inverse(self) -> "ProjTransform":
-        return ProjTransform(exactq.inverse(self.matrix))
+        return ProjTransform._from_ints(exactq.integer_adjugate(self.ints))
 
     def compose(self, other: "ProjTransform") -> "ProjTransform":
         """The transform `self after other`."""
-        return ProjTransform(self.matrix * other.matrix)
+        if other.n != self.n:
+            raise DimensionMismatchError("transforms live in different dimensions")
+        cols = list(zip(*other.ints))
+        return ProjTransform._from_ints([_matvec(cols, row) for row in self.ints])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ProjTransform) and self.matrix == other.matrix
+        return isinstance(other, ProjTransform) and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash(self.ints)
 
     def __repr__(self) -> str:
         return f"ProjTransform({self.matrix!r})"
@@ -133,7 +200,7 @@ def general_position(points: Sequence[ProjPoint]) -> bool:
     if len(pts) < n + 1:
         raise DimensionMismatchError(f"need at least {n + 1} points in RP^{n - 1}")
     for subset in combinations(pts, n):
-        if exactq.rank(QMatrix([p.coords for p in subset])) < n:
+        if len(exactq.independent_rows([p.ints for p in subset])) < n:
             return False
     return True
 
@@ -266,17 +333,18 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     n = _common_dimension(pts)
     if len(pts) != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} points, got {len(pts)}")
-    span = QMatrix([[pts[j].coords[i] for j in range(n)] for i in range(n)])
+    span = [[pts[j].ints[i] for j in range(n)] for i in range(n)]
     try:
-        inv = exactq.inverse(span)
+        adj = exactq.integer_adjugate(span)
     except SingularError as exc:
         raise DegenerateBasisError("points do not form a projective basis") from exc
-    # span·λ = p_{n+1}; the transform is (span·diag(λ))⁻¹ = diag(1/λ)·span⁻¹.
-    lam = inv.matvec(pts[n].coords)
-    if any(x == 0 for x in lam):
+    # span·λ = p_{n+1} with λ = λ'/det, λ' = adj·p_{n+1}; the transform is
+    # (span·diag(λ))⁻¹ ∝ diag(1/λ')·adj, cleared of denominators by ∏λ'.
+    lam = _matvec(adj, pts[n].ints)
+    if not all(lam):
         raise DegenerateBasisError("points do not form a projective basis")
-    return ProjTransform(
-        QMatrix([x / li for x in row] for row, li in zip(inv.rows, lam))
+    return ProjTransform._from_ints(
+        [[x * prod(lam[:i] + lam[i + 1 :]) for x in row] for i, row in enumerate(adj)]
     )
 
 

@@ -108,3 +108,13 @@ def test_failed_self_check_exits_4(monkeypatch):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "InternalError"
+
+
+def test_unwritable_output_exits_2_with_one_document(tmp_path):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out = run_cli(["--output", str(out_path), "bounds", "--k-range", "7:8"])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "OutputError"
+    assert not out_path.exists()

@@ -1,0 +1,102 @@
+"""Mutated fixture JSON through `cli.main`: every run ends in one JSON
+document and an exit code in {0, 2, 3}, never in a traceback."""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from util import FIXTURES, manifest_cases, resolve_argv, run_cli
+
+# manifest cases that read at least one JSON file, with the indices of those files
+CASES = [
+    (case["argv"], [i for i, a in enumerate(case["argv"]) if a.endswith(".json")])
+    for case in manifest_cases()
+    if any(a.endswith(".json") for a in case["argv"])
+]
+
+rational_text = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
+        lambda x: str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    ),
+    st.sampled_from(["1/0", "3/-2", "x", "", "2.5", "1e3"]),
+)
+leaf = st.one_of(
+    rational_text,
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.floats(allow_infinity=True, allow_nan=True),
+    st.sampled_from(["M5", "M6", "LT", "E"]),
+)
+
+
+def mutate(value, data):
+    """One random edit somewhere inside a JSON value, usually deep inside."""
+    if isinstance(value, (list, dict)) and value and data.draw(st.integers(0, 4)):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        key = data.draw(st.sampled_from(list(keys)))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = mutate(value[key], data)
+        return copy
+    edits = ["leaf", "empty list", "empty object", "wrap"]
+    if isinstance(value, str):
+        edits += ["rational"] * 4
+    if isinstance(value, list) and value:
+        edits += ["drop", "duplicate"]
+    if isinstance(value, dict) and value:
+        edits += ["delete key"]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "rational":
+        return data.draw(rational_text)
+    if edit == "leaf":
+        return data.draw(leaf)
+    if edit == "empty list":
+        return []
+    if edit == "empty object":
+        return {}
+    if edit == "wrap":
+        return [value]
+    if edit == "drop":
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[:i] + value[i + 1 :]
+    if edit == "duplicate":
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[: i + 1] + value[i:]
+    key = data.draw(st.sampled_from(sorted(value)))
+    return {k: v for k, v in value.items() if k != key}
+
+
+def mutated_bytes(raw: bytes, data) -> bytes:
+    kind = data.draw(st.sampled_from(["json", "json", "json", "truncate", "bad utf-8"]))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "bad utf-8":
+        return b"\xff" + raw
+    doc = json.loads(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(doc, data)
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_fixture_json_ends_in_one_document(data):
+    argv, json_args = data.draw(st.sampled_from(CASES))
+    victim = data.draw(st.sampled_from(json_args))
+    raw = mutated_bytes((FIXTURES / argv[victim]).read_bytes(), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(raw)
+        run_argv = resolve_argv(argv)
+        run_argv[victim] = str(path)
+        code, out = run_cli(run_argv)
+    assert code in (0, 2, 3), out
+    lines = out.splitlines()
+    assert len(lines) == 1, out
+    document = json.loads(lines[0])
+    assert document["tool"] == "cartanlim"
+    assert ("result" in document) != ("error" in document)
+    assert ("error" in document) == (code == 2) or code == 3

@@ -140,6 +140,25 @@ def test_inverse_roundtrip(m):
     assert inverse(inv) == m
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_integer_adjugate_times_matrix_is_det(rows):
+    a = QMatrix(rows)
+    d = det(a)
+    if d == 0:
+        with pytest.raises(SingularError):
+            exactq.integer_adjugate(rows)
+        return
+    adj = exactq.integer_adjugate(rows)
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert a * QMatrix(adj) == QMatrix.identity(len(rows)) * d
+    assert QMatrix(adj) == inverse(a) * d
+
+
 # --- solve ---------------------------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd, perm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cartanlim import exactq, projgeo
 from cartanlim.errors import (
     CapExceededError,
     DegenerateBasisError,
@@ -25,9 +29,15 @@ from cartanlim.projgeo import (
     projectively_equivalent,
     unordered_cross_ratio,
 )
-from cartanlim.exactq import QMatrix
+from cartanlim.exactq import QMatrix, format_rational
 
-from util import random_augmented_basis, random_invertible
+from util import (
+    basis_transform_oracle,
+    canonical_coords_oracle,
+    canonical_matrix_oracle,
+    random_augmented_basis,
+    random_invertible,
+)
 
 
 def P(*coords):
@@ -56,6 +66,68 @@ def test_projpoint_canonical():
     assert P(2, 4).coords == (F(1), F(2))
     assert P(0, -3).coords == (F(0), F(1))
     assert P(2, 4) == P(1, 2)
+
+
+# zeros and negative leads are common draws, and non-integers are the rule
+coordinate = st.one_of(st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+def coordinates(n: int):
+    return st.lists(coordinate, min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def invertible(draw, n: int) -> QMatrix:
+    mat = QMatrix(draw(st.lists(coordinates(n), min_size=n, max_size=n)))
+    assume(exactq.det(mat) != 0)
+    return mat
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(coordinates), nonzero)
+def test_projpoint_ints_coords_round_trip(coords, scale):
+    p = ProjPoint(coords)
+    assert p.coords == canonical_coords_oracle(coords)
+    assert gcd(*p.ints) == 1 and next(x for x in p.ints if x) > 0
+    assert canonical_coords_oracle(p.ints) == p.coords
+    assert ProjPoint(p.ints) == p == ProjPoint(p.coords)
+    scaled = ProjPoint([scale * c for c in coords])
+    assert scaled.ints == p.ints and hash(scaled) == hash(p)
+    assert p.serialized() == tuple(format_rational(c) for c in p.coords)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(coordinates(n), min_size=n + 1, max_size=n + 1)))
+def test_basis_transform_matches_fraction_oracle(coords):
+    points = [ProjPoint(c) for c in coords]
+    if general_position(points):
+        assert basis_transform(points).matrix == basis_transform_oracle(points)
+    else:
+        with pytest.raises(DegenerateBasisError):
+            basis_transform(points)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(invertible(n), invertible(n), coordinates(n))))
+def test_compose_inverse_call_agree_with_qmatrix(args):
+    a, b, coords = args
+    ta, tb = ProjTransform(a), ProjTransform(b)
+    assert ta.compose(tb).matrix == canonical_matrix_oracle(a * b)
+    assert ta.inverse().matrix == canonical_matrix_oracle(exactq.inverse(a))
+    assert ta.compose(ta.inverse()) == ProjTransform(QMatrix.identity(a.nrows))
+    point = ProjPoint(coords)
+    assert ta(point) == ProjPoint(a.matvec(point.coords))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3).flatmap(invertible), nonzero)
+def test_projtransform_key_ignores_rescaling(a, scale):
+    t = ProjTransform(a)
+    rescaled = ProjTransform(a * scale)
+    assert rescaled == t and hash(rescaled) == hash(t)
+    assert rescaled.matrix == canonical_matrix_oracle(a)
+    assert gcd(*(x for row in t.ints for x in row)) == 1
 
 
 def test_projpoint_zero_rejected():
@@ -263,3 +335,42 @@ def test_equivalent_size_mismatch():
             AugmentedBasis(alpha_points(3)),
             AugmentedBasis(alpha_points(3) + [P(1, 7)]),
         )
+
+
+# --- work counters -------------------------------------------------------------------
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """One entry per call to `projgeo.basis_transform`, that is per head tried."""
+    calls = []
+    original = projgeo.basis_transform
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(projgeo, "basis_transform", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_uc_tries_every_ordered_head_once(frames, n, m):
+    basis = random_augmented_basis(random.Random(n * 10 + m), n, m)
+    unordered_cross_ratio(basis)
+    assert len(frames) == perm(m, n + 1)
+
+
+def test_equivalent_negative_tries_every_head(frames):
+    # one frame for the left head, then all 4·3·2 ordered right heads
+    got = projectively_equivalent(
+        AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
+    )
+    assert got is None
+    assert len(frames) == 1 + perm(4, 3)
+
+
+def test_equivalent_identity_stops_at_first_head(frames):
+    basis = AugmentedBasis(alpha_points(3))
+    assert projectively_equivalent(basis, basis) is not None
+    assert len(frames) == 2

@@ -19,6 +19,7 @@ from cartanlim import (
     det,
     general_position,
     group_action,
+    inverse,
 )
 from cartanlim.cli import main
 
@@ -113,6 +114,33 @@ def incremental_basis_oracle(rows) -> list[int]:
             basis.append((lead, vec))
             kept.append(idx)
     return kept
+
+
+def canonical_coords_oracle(coords) -> tuple[Fraction, ...]:
+    """Independent oracle for `ProjPoint.coords`: the Fraction form that
+    divides every coordinate by the first nonzero one."""
+    raw = [Fraction(c) for c in coords]
+    pivot = next(c for c in raw if c != 0)
+    return tuple(c / pivot for c in raw)
+
+
+def canonical_matrix_oracle(matrix: QMatrix) -> QMatrix:
+    """Independent oracle for `ProjTransform.matrix`: the matrix divided by
+    its first nonzero entry in row-major order."""
+    pivot = next(x for row in matrix.rows for x in row if x != 0)
+    return matrix * (1 / pivot)
+
+
+def basis_transform_oracle(points) -> QMatrix:
+    """Independent oracle for `basis_transform(points).matrix`, over the
+    Fractions: with span·λ = p_{n+1}, the transform is diag(1/λ)·span⁻¹."""
+    n = points[0].n
+    span = QMatrix([[points[j].coords[i] for j in range(n)] for i in range(n)])
+    inv = inverse(span)
+    lam = inv.matvec(points[n].coords)
+    return canonical_matrix_oracle(
+        QMatrix([x / li for x in row] for row, li in zip(inv.rows, lam))
+    )
 
 
 def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> int:
