@@ -10,7 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidShapeError, KTooSmallError
+from .errors import CapExceededError, InvalidShapeError, KTooSmallError
+
+#: Most values of k that one `verify_bounds` call reports on.
+MAX_K_VALUES = 10_000
 
 
 def dim_T(m: int, n: int) -> int:
@@ -28,18 +31,14 @@ def g_value(k: int, n: int) -> int:
 def best_integer_split(k: int) -> tuple[int, int, int]:
     """The (m, n, value) maximizing g over integers with m-2 >= n >= 2.
 
-    Ties break toward smaller n for reproducibility.
+    g is a concave quadratic in n with its vertex at k/4, so the best integer
+    is the one nearest k/4, with ties (k = 2 mod 4) toward the smaller n,
+    clipped to [2, (k-3)//2].
     """
     if k < 7:
         raise KTooSmallError(f"no admissible split for k = {k} < 7")
-    best: tuple[int, int, int] | None = None
-    for n in range(2, (k - 3) // 2 + 1):
-        m = k - n - 1
-        value = g_value(k, n)
-        if best is None or value > best[2]:
-            best = (m, n, value)
-    assert best is not None
-    return best
+    n = min(max((k + 1) // 4, 2), (k - 3) // 2)
+    return k - n - 1, n, g_value(k, n)
 
 
 def lower_bound(k: int) -> Fraction:
@@ -80,9 +79,14 @@ def bounds_report(k: int) -> BoundsReport:
 
 
 def verify_bounds(k_lo: int, k_hi: int) -> list[BoundsReport]:
-    """One report per k in the range; the run is expected to be all-ok."""
+    """One report per k in the range; the run is expected to be all-ok.
+
+    A range of more than MAX_K_VALUES values raises CapExceededError.
+    """
     if k_lo < 7:
         raise KTooSmallError(f"range must start at k >= 7, got {k_lo}")
     if k_hi < k_lo:
         raise KTooSmallError(f"empty range {k_lo}:{k_hi}")
+    if k_hi - k_lo >= MAX_K_VALUES:
+        raise CapExceededError(f"range {k_lo}:{k_hi} has more than {MAX_K_VALUES} values")
     return [bounds_report(k) for k in range(k_lo, k_hi + 1)]

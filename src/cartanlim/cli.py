@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,12 +36,20 @@ from .projgeo import ordered_cross_ratio, projectively_equivalent, unordered_cro
 TOOL = "cartanlim"
 
 EXIT_OK = 0
-EXIT_BAD_INPUT = 2
 EXIT_UNRESOLVED = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints usage to stderr, then raises a ParseError in place of exiting,
+    so that flag errors also end in one JSON document."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL, description="exact seed-matrix group computations with JSON I/O"
     )
     parser.add_argument("--output", help="also write the document to this path")
@@ -135,6 +144,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 def _run(args: argparse.Namespace) -> tuple[dict, object, list[bytes], int]:
     """Returns (flags document, result value, input file bytes, exit code)."""
+    if not math.isfinite(args.tolerance):
+        raise ParseError(f"--tolerance must be finite, got {args.tolerance}")
     flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
     exit_code = EXIT_OK
     raw_inputs: list[bytes] = []
@@ -228,7 +239,7 @@ def _input_hash(flags: dict, raw_inputs: list[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _error_document(command: str, seed: int, exc: CartanlimError) -> dict:
+def _error_document(command: Optional[str], seed: Optional[int], exc: CartanlimError) -> dict:
     return {
         "tool": TOOL,
         "version": __version__,
@@ -242,8 +253,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+    except ParseError as exc:
+        # The flags did not parse, so neither the command nor the seed is known.
+        print(jsonio.dumps(_error_document(None, None, exc)))
+        return exc.exit_code
+    except SystemExit:  # --help
+        return EXIT_OK
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"

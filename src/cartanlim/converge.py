@@ -23,7 +23,7 @@ from .errors import (
     ScheduleError,
     ZeroFirstColumnError,
 )
-from .exactq import QMatrix, rational
+from .exactq import ONE, ZERO, QMatrix, rational
 from .limits import GroupElementParams, SeedMatrix, rho
 
 #: Relative width at which bisection stops; a Newton polish follows.
@@ -40,13 +40,10 @@ def build_Pr(seed: SeedMatrix, r: int | str | Fraction) -> QMatrix:
 
 
 def _inverse_Pr(pr: QMatrix) -> QMatrix:
-    # P_r = I + N with N^2 = 0, so the inverse is I - N = 2I - P_r.
-    k = pr.nrows
+    # P_r = I + N with N^2 = 0 and a zero diagonal, so the inverse is I - N.
     return QMatrix(
-        [
-            [2 * Fraction(i == j) - pr.rows[i][j] for j in range(k)]
-            for i in range(k)
-        ]
+        [ONE if i == j else -x if x else ZERO for j, x in enumerate(row)]
+        for i, row in enumerate(pr.rows)
     )
 
 

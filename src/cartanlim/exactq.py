@@ -2,7 +2,8 @@
 
 Scalars are `fractions.Fraction` (canonical by construction: reduced, positive
 denominator), matrices are immutable row-major grids of them.  Elimination is
-fraction-free in the Bareiss style, so nothing in this module ever touches
+fraction-free in the Bareiss style, and products run on integers after one
+denominator clearing per factor, so nothing in this module ever touches
 floating point and every equality test downstream is a structural comparison.
 """
 
@@ -21,6 +22,10 @@ from .errors import (
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+
+#: Shared 0 and 1 entries for sparse constructions (Fractions are immutable).
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -85,13 +90,13 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence[int | str | Fraction]) -> "QMatrix":
         vals = [rational(v) for v in values]
         n = len(vals)
-        return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def transpose(self) -> "QMatrix":
         return QMatrix(zip(*self.rows))
@@ -121,11 +126,7 @@ class QMatrix:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.shape} by {other.shape}"
                 )
-            cols = other.transpose().rows
-            return QMatrix(
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            )
+            return _product(self, other)
         scalar = rational(other)
         return QMatrix([x * scalar for x in row] for row in self.rows)
 
@@ -153,7 +154,7 @@ def block_diag(*mats: QMatrix) -> QMatrix:
             raise NonSquareError("block_diag expects square blocks")
         sizes.append(m.nrows)
     total = sum(sizes)
-    grid = [[Fraction(0)] * total for _ in range(total)]
+    grid = [[ZERO] * total for _ in range(total)]
     offset = 0
     for m in mats:
         for i, row in enumerate(m.rows):
@@ -163,16 +164,39 @@ def block_diag(*mats: QMatrix) -> QMatrix:
     return QMatrix(grid)
 
 
-def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    # Per-row denominator clearing: preserves rank, scales det by the product.
-    scaled, factors = [], []
-    for row in rows:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        scaled.append([int(x * d) for x in row])
-        factors.append(d)
-    return scaled, factors
+def _cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d·x]) for d the lcm of the denominators of the values."""
+    values = list(values)
+    scale = lcm(*{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _product(left: QMatrix, right: QMatrix) -> QMatrix:
+    """left·right: each factor is scaled to integers once, zero entries of
+    either factor are skipped, and each entry becomes a Fraction only at the
+    end."""
+    inner, width = left.ncols, right.ncols
+    da, a = _cleared(x for row in left.rows for x in row)
+    db, b = _cleared(x for row in right.rows for x in row)
+    b_rows = [
+        [(j, v) for j, v in enumerate(b[k * width : (k + 1) * width]) if v]
+        for k in range(inner)
+    ]
+    den = da * db
+    grid = []
+    for i in range(left.nrows):
+        acc = [0] * width
+        for x, b_row in zip(a[i * inner : (i + 1) * inner], b_rows):
+            if x:
+                for j, v in b_row:
+                    acc[j] += x * v
+        grid.append([Fraction(v, den) if v else ZERO for v in acc])
+    return QMatrix(grid)
+
+
+def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
+    # Per-row denominator clearing preserves rank and row dependencies.
+    return [_cleared(row)[1] for row in rows]
 
 
 def _fraction_free_echelon(
@@ -215,8 +239,7 @@ def _fraction_free_echelon(
 
 def rank(matrix: QMatrix) -> int:
     """Exact row rank over the rationals."""
-    scaled, _ = _scaled_integer_rows(matrix.rows)
-    r, _, _, _ = _fraction_free_echelon(scaled)
+    r, _, _, _ = _fraction_free_echelon(_integer_rows(matrix.rows))
     return r
 
 
@@ -224,10 +247,10 @@ def det(matrix: QMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"determinant of a {matrix.shape} matrix")
-    scaled, factors = _scaled_integer_rows(matrix.rows)
-    r, sign, last, _ = _fraction_free_echelon(scaled)
+    factors, scaled = zip(*map(_cleared, matrix.rows))
+    r, sign, last, _ = _fraction_free_echelon(list(scaled))
     if r < matrix.nrows:
-        return Fraction(0)
+        return ZERO
     return Fraction(sign * last, prod(factors))
 
 
@@ -259,9 +282,7 @@ def _echelon_solve(
     so each entry of X becomes a Fraction only once.
     """
     ncols = matrix.ncols
-    scaled, _ = _scaled_integer_rows(
-        [list(row) + list(b) for row, b in zip(matrix.rows, rhs)]
-    )
+    scaled = _integer_rows(list(row) + list(b) for row, b in zip(matrix.rows, rhs))
     r, _, d, pivot_cols = _fraction_free_echelon(scaled, pivot_limit=ncols)
     if any(x for row in scaled[r:] for x in row[ncols:]):
         return r, None
@@ -319,8 +340,7 @@ def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:
     """
     if not rows or not rows[0]:
         return []
-    scaled, _ = _scaled_integer_rows(list(zip(*rows)))
-    return _fraction_free_echelon(scaled)[3]
+    return _fraction_free_echelon(_integer_rows(zip(*rows)))[3]
 
 
 def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
@@ -338,6 +358,5 @@ def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
         return 0
     base = pts[0]
     diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    scaled, _ = _scaled_integer_rows(diffs)
-    r, _, _, _ = _fraction_free_echelon(scaled)
+    r, _, _, _ = _fraction_free_echelon(_integer_rows(diffs))
     return r

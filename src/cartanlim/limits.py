@@ -28,7 +28,7 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, block_diag, rational
+from .exactq import ONE, ZERO, QMatrix, block_diag, rational
 from .projgeo import AugmentedBasis, ProjPoint, dualize, projectively_equivalent
 
 
@@ -128,7 +128,7 @@ def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
     _check_params(seed, params)
     m, n = seed.m, seed.n
     k = m + n + 1
-    grid = [[Fraction(i == j) for j in range(k)] for i in range(k)]
+    grid = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
     for j in range(m):
         aj = params.a[j]
         for i in range(n):
@@ -306,11 +306,11 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
     sigma = [targets[ProjPoint(row)] for row in moved.rows]
     m, n = left.m, left.n
     k = m + n + 1
-    perm = [[Fraction(0)] * k for _ in range(k)]
+    perm = [[ZERO] * k for _ in range(k)]
     for j in range(m):
-        perm[sigma[j]][j] = Fraction(1)
+        perm[sigma[j]][j] = ONE
     for i in range(m, k):
-        perm[i][i] = Fraction(1)
+        perm[i][i] = ONE
     witness = QMatrix(perm) * seed_conjugator(left, p)
     witness_inv = exactq.inverse(witness)
     for params in _verification_params(left):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -30,16 +30,10 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .exactq import QMatrix, _format_ratio, rational
+from .exactq import QMatrix, _cleared, _format_ratio, rational
 
 #: Largest m for which unordered_cross_ratio will enumerate all m! orderings.
 DEFAULT_PERMUTATION_CAP = 8
-
-
-def _cleared(values: Sequence[Fraction]) -> list[int]:
-    """The values times the lcm of their denominators."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _primitive(values: Sequence[int]) -> tuple[int, ...]:
@@ -73,7 +67,7 @@ class ProjPoint:
         raw = [rational(c) for c in coords]
         if not raw:
             raise ZeroVectorError("empty coordinate vector")
-        ints = _cleared(raw)
+        _, ints = _cleared(raw)
         if not any(ints):
             raise ZeroVectorError("all homogeneous coordinates are zero")
         object.__setattr__(self, "ints", _primitive(ints))
@@ -132,7 +126,7 @@ class ProjTransform:
         if exactq.det(matrix) == 0:
             raise SingularError("projective transform matrix must be invertible")
         n = matrix.nrows
-        flat = _cleared([x for row in matrix.rows for x in row])
+        _, flat = _cleared(x for row in matrix.rows for x in row)
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         object.__setattr__(self, "ints", _primitive_matrix(rows))
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from cartanlim.bounds import (
+    MAX_K_VALUES,
     BoundsReport,
     best_integer_split,
     bounds_report,
@@ -12,7 +13,8 @@ from cartanlim.bounds import (
     upper_bound,
     verify_bounds,
 )
-from cartanlim.errors import InvalidShapeError, KTooSmallError
+from cartanlim.errors import CapExceededError, InvalidShapeError, KTooSmallError
+from util import best_integer_split_oracle
 
 
 def test_dim_T_examples():
@@ -66,6 +68,11 @@ def test_best_integer_split_tie_break():
     assert best[1] == min(n for n, v in values.items() if v == top)
 
 
+def test_best_integer_split_matches_scan():
+    for k in range(7, 3001):
+        assert best_integer_split(k) == best_integer_split_oracle(k), k
+
+
 def test_bounds_values():
     assert lower_bound(7) == F(5, 8) and upper_bound(7) == 42
     assert lower_bound(8) == F(3, 2) and upper_bound(8) == 56
@@ -97,6 +104,14 @@ def test_verify_bounds_range():
     k100 = bounds_report(100)
     assert k100.lower_bound == F(10000 - 800 + 12, 8) == F(9212, 8)
     assert k100.best_n in (24, 25, 26)
+
+
+def test_verify_bounds_range_cap():
+    assert len(verify_bounds(7, 6 + MAX_K_VALUES)) == MAX_K_VALUES
+    with pytest.raises(CapExceededError):
+        verify_bounds(7, 7 + MAX_K_VALUES)
+    with pytest.raises(CapExceededError):
+        verify_bounds(7, 100_000_000)
 
 
 def test_report_shape_invariants():

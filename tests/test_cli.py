@@ -163,12 +163,25 @@ def test_explicit_family_schema(tmp_path):
 
 
 def test_bad_flags_exit_2():
-    code, _ = run_cli(["bounds", "--k-range", "banana"])
-    assert code == 2
-    code, _ = run_cli(["alpha-orbit", "--alpha", "1.5"])
-    assert code == 2
-    code, _ = run_cli(["no-such-verb"])
-    assert code == 2
+    for argv in (
+        ["bounds", "--k-range", "banana"],
+        ["alpha-orbit", "--alpha", "1.5"],
+        ["no-such-verb"],
+        ["bounds"],
+        ["obstruct"],
+        ["bounds", "--k-range", "7:8", "--cap", "x"],
+    ):
+        code, out = run_cli(argv)
+        assert code == 2, argv
+        lines = out.splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["error"]["type"] == "ParseError", argv
+
+
+def test_help_exits_0():
+    code, out = run_cli(["--help"])
+    assert code == 0
+    assert out.startswith("usage:")
 
 
 def test_degenerate_alpha_exits_2():

@@ -38,6 +38,21 @@ def test_zero_r_exits_2():
     assert error["type"] == "NonpositiveRError"
 
 
+def test_non_finite_tolerance_exits_2():
+    for value in ("nan", "inf", "-inf"):
+        code, out = run_cli(["converge", SEED, PARAMS, "--tolerance", value])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ParseError"
+
+
+def test_bounds_range_over_the_limit_exits_3():
+    code, error = error_of(["bounds", "--k-range", "7:100000000"])
+    assert code == 3
+    assert error["type"] == "CapExceededError"
+
+
 def test_flat_on_redundant_parameters_exits_2(tmp_path):
     # [[1, v0 + v1], [0, 1]]: two parameters with a one-dimensional image
     group = write(

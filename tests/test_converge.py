@@ -5,6 +5,7 @@ import pytest
 
 from cartanlim.converge import (
     ConvergenceTrace,
+    _inverse_Pr,
     build_Pr,
     conjugated_element,
     convergence_report,
@@ -40,6 +41,14 @@ def test_build_pr_unipotent():
     pr = build_Pr(t, F(7, 2))
     assert det(pr) == 1
     assert pr * inverse(pr) == QMatrix.identity(7)
+
+
+def test_inverse_pr_matches_fraction_construction():
+    for r in (F(1), F(7, 2), F(10)):
+        pr = build_Pr(alpha_seed(3), r)
+        k = pr.nrows
+        old = QMatrix([[2 * F(i == j) - pr.rows[i][j] for j in range(k)] for i in range(k)])
+        assert _inverse_Pr(pr) == old == inverse(pr)
 
 
 def test_build_pr_requires_positive_r():

@@ -24,7 +24,7 @@ from cartanlim.exactq import (
     rank,
     solve,
 )
-from util import incremental_basis_oracle
+from util import incremental_basis_oracle, matmul_oracle
 
 
 def gauss_rank_oracle(matrix: QMatrix) -> int:
@@ -280,6 +280,91 @@ def test_qmatrix_validation():
         QMatrix([])
     with pytest.raises(DimensionMismatchError):
         QMatrix([[1, 2], [3]])
+
+
+# --- matrix product --------------------------------------------------------------------
+
+product_entry = st.one_of(
+    st.just(F(0)),
+    st.just(F(1)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+def sparse_matrices(nrows, ncols):
+    """Matrices whose entries are often 0 or 1, with some rows and columns
+    forced to zero."""
+    grids = st.lists(
+        st.lists(product_entry, min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    )
+    zero_rows = st.sets(st.integers(0, nrows - 1))
+    zero_cols = st.sets(st.integers(0, ncols - 1))
+    return st.tuples(grids, zero_rows, zero_cols).map(
+        lambda t: QMatrix(
+            [F(0) if i in t[1] or j in t[2] else x for j, x in enumerate(row)]
+            for i, row in enumerate(t[0])
+        )
+    )
+
+
+dims = st.integers(1, 6)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_fraction_oracle(data):
+    n, k, p = data.draw(dims), data.draw(dims), data.draw(dims)
+    a = data.draw(sparse_matrices(n, k))
+    b = data.draw(sparse_matrices(k, p))
+    got = a * b
+    want = matmul_oracle(a, b)
+    assert got.shape == (n, p)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert all(type(x) is F for row in got.rows for x in row)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_product_shape_mismatch(data):
+    n, k, p = data.draw(dims), data.draw(dims), data.draw(dims)
+    other = data.draw(dims.filter(lambda j: j != k))
+    a = data.draw(sparse_matrices(n, k))
+    b = data.draw(sparse_matrices(other, p))
+    with pytest.raises(DimensionMismatchError):
+        a * b
+
+
+@given(st.data(), product_entry | st.integers(-5, 5))
+@settings(max_examples=50, deadline=None)
+def test_scalar_product_unchanged(data, scalar):
+    a = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+    want = QMatrix([x * scalar for x in row] for row in a.rows)
+    assert a * scalar == want
+    assert scalar * a == want
+    assert all(type(x) is F for row in (a * scalar).rows for x in row)
+
+
+def test_shared_constants_match_fraction_constructions():
+    for n in range(1, 6):
+        assert QMatrix.identity(n).rows == tuple(
+            tuple(F(i == j) for j in range(n)) for i in range(n)
+        )
+    blocks = (QMatrix([[2, 3], [0, -1]]), QMatrix([[F(1, 2)]]), QMatrix.identity(2))
+    total = 5
+    old = [[F(0)] * total for _ in range(total)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block.rows):
+            for j, x in enumerate(row):
+                old[offset + i][offset + j] = x
+        offset += block.nrows
+    assert block_diag(*blocks) == QMatrix(old)
+    assert QMatrix.diagonal([3, 0, F(-1, 2)]) == QMatrix(
+        [[3, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]]
+    )
 
 
 def test_block_diag():

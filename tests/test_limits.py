@@ -85,6 +85,23 @@ def test_rho_block_entries():
     assert det(got) == 1
 
 
+def test_rho_matches_fraction_construction():
+    # the grid built entry by entry from Fraction(i == j), as before the
+    # shared 0/1 constants
+    rng = random.Random(5)
+    for m, n in ((4, 2), (5, 3), (7, 3)):
+        t = random_generic_seed(rng, m, n)
+        params = random_params(rng, t)
+        k = m + n + 1
+        grid = [[F(i == j) for j in range(k)] for i in range(k)]
+        for j in range(m):
+            for i in range(n):
+                grid[j][m + 1 + i] = t.matrix.rows[j][i] * params.a[j]
+        for i in range(n):
+            grid[m][m + 1 + i] = params.b[i]
+        assert rho(t, params) == QMatrix(grid)
+
+
 def test_rho_homomorphism():
     rng = random.Random(2)
     t = random_generic_seed(rng, 4, 2)

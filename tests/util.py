@@ -116,6 +116,24 @@ def incremental_basis_oracle(rows) -> list[int]:
     return kept
 
 
+def matmul_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Independent oracle for the matrix product: the entry-by-entry sum of
+    Fraction products, with no denominator clearing and no zero skipping."""
+    cols = list(zip(*b.rows))
+    return QMatrix([sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows)
+
+
+def best_integer_split_oracle(k: int) -> tuple[int, int, int]:
+    """Independent oracle for `best_integer_split`: scan every admissible n,
+    keeping the first (smallest) n of the largest g."""
+    best = None
+    for n in range(2, (k - 3) // 2 + 1):
+        value = k * n - 2 * n * n - k + 2
+        if best is None or value > best[2]:
+            best = (k - n - 1, n, value)
+    return best
+
+
 def canonical_coords_oracle(coords) -> tuple[Fraction, ...]:
     """Independent oracle for `ProjPoint.coords`: the Fraction form that
     divides every coordinate by the first nonzero one."""
