@@ -2,19 +2,22 @@
 
 Every invocation prints one JSON document embedding the tool version, the
 seed, and a hash of the inputs.  Negative mathematical verdicts are data and
-exit 0; malformed input exits 2; capped or undecided outcomes exit 3; a
-failed internal self-check exits 4.  Library results go into the document as
-returned: `jsonio` knows how each value looks on the wire.
+exit 0; malformed input and a closed stdout exit 2; capped or undecided
+outcomes exit 3; a failed internal self-check exits 4.  Library results go
+into the document as returned: `jsonio` knows how each value looks on the
+wire.  One table, `_COMMANDS`, declares every (sub)command, and the parser
+is built from it once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -48,231 +51,228 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog=TOOL, description="exact seed-matrix group computations with JSON I/O"
-    )
-    parser.add_argument("--output", help="also write the document to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Call:
+    """One run of a command: its `flags`, its input files' bytes, its exit code."""
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cap", type=int, default=8, help="ordering-enumeration cap (default 8)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
-        p.add_argument("--tolerance", type=float, default=1e-12, help="numeric tolerance (default 1e-12)")
+    def __init__(self, args: argparse.Namespace):
+        self.flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
+        self.raw_inputs: list[bytes] = []
+        self.exit_code = EXIT_OK
 
-    p = sub.add_parser("cross-ratio", help="ordered and unordered cross ratio of a configuration")
-    p.add_argument("basis", help="augmented basis JSON file")
-    common(p)
-
-    p = sub.add_parser("equivalent", help="decide projective equivalence of two configurations")
-    p.add_argument("left", help="augmented basis JSON file")
-    p.add_argument("right", help="augmented basis JSON file")
-    common(p)
-
-    p = sub.add_parser("seed-conjugate", help="decide conjugacy of two seed groups")
-    p.add_argument("left", help="seed JSON file")
-    p.add_argument("right", help="seed JSON file")
-    common(p)
-
-    p = sub.add_parser("orbit-dim", help="classify a point under the seed group action")
-    p.add_argument("seed_file", help="seed JSON file")
-    p.add_argument("point", help="point JSON file")
-    common(p)
-
-    p = sub.add_parser("alpha-orbit", help="parameters conjugate to a given one-parameter seed")
-    p.add_argument("--alpha", required=True, help="rational parameter, e.g. 3 or -7/2")
-    common(p)
-
-    p = sub.add_parser("converge", help="trace the diagonal-group degeneration onto a target")
-    p.add_argument("seed_file", help="seed JSON file")
-    p.add_argument("params", help="parameters JSON file")
-    p.add_argument(
-        "--r-schedule",
-        default="10,100,1000",
-        help="comma-separated increasing r values (default 10,100,1000)",
-    )
-    common(p)
-
-    p = sub.add_parser("obstruct", help="flatness, tier, and rank-one obstructions")
-    ob = p.add_subparsers(dest="subcommand", required=True)
-    for name, arg, desc in (
-        ("flat", "group", "flatness of a polynomial family"),
-        ("tier", "group", "max rank of rho(v) - I over a generic sample"),
-        ("tier-one", "family", "existence of a rank-one direction in a linear block"),
-        ("flag", "seed_file", "tier profile of the nested coordinate subgroups"),
-    ):
-        q = ob.add_parser(name, help=desc)
-        q.add_argument(arg)
-        q.add_argument("--sample-cap", type=int, default=2000, help="certifying-sample cap (default 2000)")
-        common(q)
-
-    p = sub.add_parser("bounds", help="verify the closed-form dimension bounds")
-    p.add_argument("--k-range", required=True, help="inclusive range lo:hi, e.g. 7:200")
-    common(p)
-
-    return parser
+    def load(self, path: str, reader, *reader_args):
+        try:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        self.raw_inputs.append(raw)
+        return reader(obj, *reader_args)
 
 
-def _load_json(path: str) -> tuple[object, bytes]:
+def _cross_ratio(args, call: _Call):
+    basis = call.load(args.basis, jsonio.read_basis)
+    ordered, uc = ordered_cross_ratio(basis), unordered_cross_ratio(basis, cap=args.cap)
+    return {"m": basis.m, "n": basis.n, "ordered": ordered, "unordered": uc}
+
+
+def _conjugacy(args, left, right, witness) -> dict:
+    """The result of `equivalent` and `seed-conjugate`."""
+    within_cap = left.m <= args.cap
+    result = {"conjugate": witness is not None, "witness": witness}
+    for key, basis in (("uc_left", left), ("uc_right", right)):
+        result[key] = unordered_cross_ratio(basis, cap=args.cap) if within_cap else None
+    return result
+
+
+def _equivalent(args, call: _Call):
+    left, right = call.load(args.left, jsonio.read_basis), call.load(args.right, jsonio.read_basis)
+    found = projectively_equivalent(left, right)
+    return _conjugacy(args, left, right, found.matrix if found is not None else None)
+
+
+def _seed_conjugate(args, call: _Call):
+    seeds = call.load(args.left, jsonio.read_seed), call.load(args.right, jsonio.read_seed)
+    witness = are_conjugate(*seeds)
+    left, right = (exceptional_dual_basis(s) for s in seeds)
+    return _conjugacy(args, left, right, witness)
+
+
+def _orbit_dim(args, call: _Call):
+    seed = call.load(args.seed_file, jsonio.read_seed)
+    return orbit_dimension(seed, call.load(args.point, jsonio.read_point))
+
+
+def _alpha_orbit(args, call: _Call):
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _parse_schedule(text: str) -> list[Fraction]:
-    try:
-        return [parse_rational(part.strip()) for part in text.split(",") if part.strip()]
+        alpha = parse_rational(args.alpha)
     except ValueError as exc:
-        raise ParseError(f"bad r schedule {text!r}: {exc}") from exc
+        raise ParseError(f"bad alpha {args.alpha!r}: {exc}") from exc
+    call.flags["alpha"] = alpha
+    points = alpha_orbit(alpha)
+    affine_values = [p.affine_value() for p in points]
+    return {"alpha": alpha, "points": points, "affine_values": affine_values,
+            "conjugate_params": alpha_conjugacy_class(alpha)}
 
 
-def _parse_k_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
+def _converge(args, call: _Call):
+    seed = call.load(args.seed_file, jsonio.read_seed)
+    params = call.load(args.params, jsonio.read_params, seed)
+    try:
+        schedule = [parse_rational(part.strip()) for part in args.r_schedule.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ParseError(f"bad r schedule {args.r_schedule!r}: {exc}") from exc
+    call.flags["r_schedule"] = schedule
+    trace = convergence_report(seed, params, schedule, tolerance=args.tolerance)
+    return {"r": trace.r_values, "distance": trace.distances, "diag": trace.diag_entries}
+
+
+def _flat(args, call: _Call):
+    call.flags["sample_cap"] = args.sample_cap
+    return flatness_check(call.load(args.group, jsonio.read_group), cap=args.sample_cap)
+
+
+def _tier(args, call: _Call):
+    call.flags["sample_cap"] = args.sample_cap
+    return tier(call.load(args.group, jsonio.read_group), seed=args.seed)
+
+
+def _tier_one(args, call: _Call):
+    call.flags["sample_cap"] = args.sample_cap
+    verdict = has_tier_one_element(call.load(args.family, jsonio.read_family), seed=args.seed)
+    if verdict.kind == "Undecided":
+        call.exit_code = EXIT_UNRESOLVED
+    return {"verdict": verdict.kind, "witness": verdict.witness, "certificate": verdict.certificate}
+
+
+def _flag(args, call: _Call):
+    call.flags["sample_cap"] = args.sample_cap
+    profile = flag_tier_profile(call.load(args.seed_file, jsonio.read_seed), seed=args.seed)
+    return {"profile": profile, "tier": profile[-1]}
+
+
+def _bounds(args, call: _Call):
+    parts = args.k_range.split(":")
     if len(parts) != 2:
-        raise ParseError(f"bad k range {text!r}; expected lo:hi")
+        raise ParseError(f"bad k range {args.k_range!r}; expected lo:hi")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ParseError(f"bad k range {text!r}: {exc}") from exc
-    return lo, hi
+        raise ParseError(f"bad k range {args.k_range!r}: {exc}") from exc
+    call.flags["k_range"] = f"{lo}:{hi}"
+    reports = verify_bounds(lo, hi)
+    return {"reports": reports, "all_ok": all(r.ok for r in reports)}
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, object, list[bytes], int]:
-    """Returns (flags document, result value, input file bytes, exit code)."""
-    if not math.isfinite(args.tolerance):
-        raise ParseError(f"--tolerance must be finite, got {args.tolerance}")
-    flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
-    exit_code = EXIT_OK
-    raw_inputs: list[bytes] = []
+_BASIS, _SEED = "augmented basis JSON file", "seed JSON file"
+_SAMPLE_CAP = ("--sample-cap", {"type": int, "default": 2000, "help": "certifying-sample cap (default 2000)"})
 
-    def load(path: str, reader, *reader_args):
-        obj, raw = _load_json(path)
-        raw_inputs.append(raw)
-        return reader(obj, *reader_args) if reader_args else reader(obj)
-
-    if args.command == "cross-ratio":
-        basis = load(args.basis, jsonio.read_basis)
-        ordered = ordered_cross_ratio(basis)
-        uc = unordered_cross_ratio(basis, cap=args.cap)
-        result = {"m": basis.m, "n": basis.n, "ordered": ordered, "unordered": uc}
-    elif args.command in ("equivalent", "seed-conjugate"):
-        if args.command == "equivalent":
-            left = load(args.left, jsonio.read_basis)
-            right = load(args.right, jsonio.read_basis)
-            found = projectively_equivalent(left, right)
-            witness = found.matrix if found is not None else None
-        else:
-            seeds = load(args.left, jsonio.read_seed), load(args.right, jsonio.read_seed)
-            witness = are_conjugate(*seeds)
-            left, right = (exceptional_dual_basis(s) for s in seeds)
-        within_cap = left.m <= args.cap
-        result = {"conjugate": witness is not None, "witness": witness}
-        for key, basis in (("uc_left", left), ("uc_right", right)):
-            result[key] = unordered_cross_ratio(basis, cap=args.cap) if within_cap else None
-    elif args.command == "orbit-dim":
-        seed = load(args.seed_file, jsonio.read_seed)
-        point = load(args.point, jsonio.read_point)
-        result = orbit_dimension(seed, point)
-    elif args.command == "alpha-orbit":
-        try:
-            alpha = parse_rational(args.alpha)
-        except ValueError as exc:
-            raise ParseError(f"bad alpha {args.alpha!r}: {exc}") from exc
-        flags["alpha"] = alpha
-        points = alpha_orbit(alpha)
-        result = {
-            "alpha": alpha,
-            "points": points,
-            "affine_values": [p.affine_value() for p in points],
-            "conjugate_params": alpha_conjugacy_class(alpha),
-        }
-    elif args.command == "converge":
-        seed = load(args.seed_file, jsonio.read_seed)
-        params = load(args.params, jsonio.read_params, seed)
-        schedule = _parse_schedule(args.r_schedule)
-        flags["r_schedule"] = schedule
-        trace = convergence_report(seed, params, schedule, tolerance=args.tolerance)
-        result = {"r": trace.r_values, "distance": trace.distances, "diag": trace.diag_entries}
-    elif args.command == "obstruct":
-        flags["sample_cap"] = args.sample_cap
-        if args.subcommand == "flat":
-            group = load(args.group, jsonio.read_group)
-            result = flatness_check(group, cap=args.sample_cap)
-        elif args.subcommand == "tier":
-            group = load(args.group, jsonio.read_group)
-            result = tier(group, seed=args.seed)
-        elif args.subcommand == "tier-one":
-            family = load(args.family, jsonio.read_family)
-            verdict = has_tier_one_element(family, seed=args.seed)
-            result = {
-                "verdict": verdict.kind,
-                "witness": verdict.witness,
-                "certificate": verdict.certificate,
-            }
-            if verdict.kind == "Undecided":
-                exit_code = EXIT_UNRESOLVED
-        else:
-            seed = load(args.seed_file, jsonio.read_seed)
-            profile = flag_tier_profile(seed, seed=args.seed)
-            result = {"profile": profile, "tier": profile[-1]}
-    elif args.command == "bounds":
-        lo, hi = _parse_k_range(args.k_range)
-        flags["k_range"] = f"{lo}:{hi}"
-        reports = verify_bounds(lo, hi)
-        result = {"reports": reports, "all_ok": all(r.ok for r in reports)}
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ParseError(f"unknown command {args.command!r}")
-    return flags, result, raw_inputs, exit_code
+# (name, help, handler, positional (name, help) pairs, extra option) of each
+# (sub)command, in help-page order.  A handler loads the inputs, adds its keys
+# to `call.flags` and returns the result; `obstruct` has a table in its place.
+# Handlers find library functions in this module's globals when they run, so
+# that a function replaced there (as the benchmark's tracer does) is called.
+_COMMANDS = (
+    ("cross-ratio", "ordered and unordered cross ratio of a configuration", _cross_ratio,
+     [("basis", _BASIS)], None),
+    ("equivalent", "decide projective equivalence of two configurations", _equivalent,
+     [("left", _BASIS), ("right", _BASIS)], None),
+    ("seed-conjugate", "decide conjugacy of two seed groups", _seed_conjugate,
+     [("left", _SEED), ("right", _SEED)], None),
+    ("orbit-dim", "classify a point under the seed group action", _orbit_dim,
+     [("seed_file", _SEED), ("point", "point JSON file")], None),
+    ("alpha-orbit", "parameters conjugate to a given one-parameter seed", _alpha_orbit,
+     [], ("--alpha", {"required": True, "help": "rational parameter, e.g. 3 or -7/2"})),
+    ("converge", "trace the diagonal-group degeneration onto a target", _converge,
+     [("seed_file", _SEED), ("params", "parameters JSON file")],
+     ("--r-schedule", {"default": "10,100,1000",
+                       "help": "comma-separated increasing r values (default 10,100,1000)"})),
+    ("obstruct", "flatness, tier, and rank-one obstructions", (
+        ("flat", "flatness of a polynomial family", _flat, [("group", None)], _SAMPLE_CAP),
+        ("tier", "max rank of rho(v) - I over a generic sample", _tier, [("group", None)], _SAMPLE_CAP),
+        ("tier-one", "existence of a rank-one direction in a linear block", _tier_one,
+         [("family", None)], _SAMPLE_CAP),
+        ("flag", "tier profile of the nested coordinate subgroups", _flag, [("seed_file", None)], _SAMPLE_CAP),
+    ), [], None),
+    ("bounds", "verify the closed-form dimension bounds", _bounds,
+     [], ("--k-range", {"required": True, "help": "inclusive range lo:hi, e.g. 7:200"})),
+)
 
 
-def _input_hash(flags: dict, raw_inputs: list[bytes]) -> str:
-    digest = hashlib.sha256()
-    digest.update(jsonio.dumps(flags).encode("utf-8"))
-    for raw in raw_inputs:
-        digest.update(b"\x00")
-        digest.update(raw)
-    return digest.hexdigest()
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: tuple) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, run, files, option in commands:
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(run, tuple):
+            _add_commands(p, "subcommand", run)
+            continue
+        for file_name, file_help in files:
+            p.add_argument(file_name, help=file_help)
+        if option is not None:
+            p.add_argument(option[0], **option[1])
+        p.add_argument("--cap", type=int, default=8, help="ordering-enumeration cap (default 8)")
+        p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
+        p.add_argument("--tolerance", type=float, default=1e-12, help="numeric tolerance (default 1e-12)")
+        p.set_defaults(run=run)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog=TOOL, description="exact seed-matrix group computations with JSON I/O")
+    parser.add_argument("--output", help="also write the document to this path")
+    _add_commands(parser, "command", _COMMANDS)
+    return parser
+
+
+def _document(command: Optional[str], seed: Optional[int], **fields) -> dict:
+    return {"tool": TOOL, "version": __version__, "command": command, "seed": seed, **fields}
 
 
 def _error_document(command: Optional[str], seed: Optional[int], exc: CartanlimError) -> dict:
-    return {
-        "tool": TOOL,
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
+    return _document(command, seed, error={"type": type(exc).__name__, "message": str(exc)})
+
+
+def _run(args: argparse.Namespace, command: str) -> tuple[dict, int]:
+    """Returns the document of the parsed command and its exit code."""
+    if not math.isfinite(args.tolerance):
+        raise ParseError(f"--tolerance must be finite, got {args.tolerance}")
+    if args.tolerance < 0:
+        raise ParseError(f"--tolerance must not be negative, got {args.tolerance}")
+    call = _Call(args)
+    result = args.run(args, call)
+    digest = hashlib.sha256(jsonio.dumps(call.flags).encode("utf-8"))
+    for raw in call.raw_inputs:
+        digest.update(b"\x00" + raw)
+    document = _document(command, args.seed, flags=call.flags, input_hash=digest.hexdigest(), result=result)
+    return document, call.exit_code
+
+
+def _emit(text: str, exit_code: int) -> int:
+    try:
+        # Flushed here, or a closed stdout fails only at the exit flush.
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull so that the exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OutputError.exit_code
+    return exit_code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except ParseError as exc:
         # The flags did not parse, so neither the command nor the seed is known.
-        print(jsonio.dumps(_error_document(None, None, exc)))
-        return exc.exit_code
+        return _emit(jsonio.dumps(_error_document(None, None, exc)), exc.exit_code)
     except SystemExit:  # --help
         return EXIT_OK
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
     try:
-        flags, result, raw_inputs, exit_code = _run(args)
-        document = {
-            "tool": TOOL,
-            "version": __version__,
-            "command": command,
-            "seed": flags["seed"],
-            "flags": flags,
-            "input_hash": _input_hash(flags, raw_inputs),
-            "result": result,
-        }
+        document, exit_code = _run(args, command)
     except CartanlimError as exc:
         document, exit_code = _error_document(command, args.seed, exc), exc.exit_code
     text = jsonio.dumps(document)
@@ -285,8 +285,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             error = OutputError(f"cannot write {args.output}: {exc}")
             text = jsonio.dumps(_error_document(command, args.seed, error))
             exit_code = error.exit_code
-    print(text)
-    return exit_code
+    return _emit(text, exit_code)
 
 
 if __name__ == "__main__":

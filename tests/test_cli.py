@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -178,10 +179,67 @@ def test_bad_flags_exit_2():
         assert json.loads(lines[0])["error"]["type"] == "ParseError", argv
 
 
+# Each (sub)command, with the positional arguments and the extra option its
+# usage must name.
+HELP_PAGES = {
+    (): ["--output", "{cross-ratio,equivalent,seed-conjugate,orbit-dim,alpha-orbit,converge,obstruct,bounds}"],
+    ("cross-ratio",): ["basis"],
+    ("equivalent",): ["left right"],
+    ("seed-conjugate",): ["left right"],
+    ("orbit-dim",): ["seed_file point"],
+    ("alpha-orbit",): ["--alpha ALPHA"],
+    ("converge",): ["seed_file params", "--r-schedule R_SCHEDULE"],
+    ("obstruct",): ["{flat,tier,tier-one,flag}"],
+    ("obstruct", "flat"): ["group", "--sample-cap SAMPLE_CAP"],
+    ("obstruct", "tier"): ["group", "--sample-cap SAMPLE_CAP"],
+    ("obstruct", "tier-one"): ["family", "--sample-cap SAMPLE_CAP"],
+    ("obstruct", "flag"): ["seed_file", "--sample-cap SAMPLE_CAP"],
+    ("bounds",): ["--k-range K_RANGE"],
+}
+
+
 def test_help_exits_0():
-    code, out = run_cli(["--help"])
-    assert code == 0
-    assert out.startswith("usage:")
+    for command, names in HELP_PAGES.items():
+        code, out = run_cli([*command, "--help"])
+        assert code == 0, command
+        usage = " ".join(out.split("\n\n", 1)[0].split())
+        assert usage.startswith(" ".join(["usage: cartanlim", *command])), command
+        for name in names:
+            assert name in usage, (command, name)
+        own = [name for name in names if name.startswith("--")]
+        if command and own:
+            # the command's own option comes before the shared ones
+            assert usage.index(own[0]) < usage.index("--cap"), command
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    run_cli(["bounds", "--k-range", "7:12"])  # builds the parser unless an earlier test did
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        resolve_argv(["orbit-dim", "seed_a3.json", "point_typical.json"]),
+        ["bounds"],
+        ["--help"],
+        ["--output", str(tmp_path / "doc.json"), "bounds", "--k-range", "7:12"],
+    ):
+        run_cli(argv)
+    assert (tmp_path / "doc.json").exists()
+    assert built == []
+
+
+def test_calls_do_not_leak_state():
+    first = run_cli(["alpha-orbit", "--alpha", "3"])
+    assert first[0] == 0
+    assert run_cli(["bounds"])[0] == 2
+    converge = resolve_argv(["converge", "seed_a3.json", "params_ones.json", "--r-schedule", "5,50"])
+    assert run_cli(converge)[0] == 0
+    assert run_cli(["alpha-orbit", "--alpha", "3"]) == first
 
 
 def test_degenerate_alpha_exits_2():

@@ -1,6 +1,10 @@
 """Runs that must end in one JSON error document and the documented exit code."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cartanlim.limits
 from util import FIXTURES, run_cli
@@ -45,6 +49,15 @@ def test_non_finite_tolerance_exits_2():
         lines = out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "ParseError"
+
+
+def test_negative_tolerance_exits_2():
+    # a ParseError on the flag, not a failure of the root finder downstream
+    for argv in (["--tolerance", "-1"], ["--tolerance=-0.5"]):
+        code, error = error_of(["converge", SEED, PARAMS, *argv])
+        assert code == 2
+        assert error["type"] == "ParseError"
+        assert "--tolerance" in error["message"]
 
 
 def test_bounds_range_over_the_limit_exits_3():
@@ -133,3 +146,26 @@ def test_unwritable_output_exits_2_with_one_document(tmp_path):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "OutputError"
     assert not out_path.exists()
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # The read end is closed before the child starts, so its first write fails.
+    # Stdout stays block-buffered (no PYTHONUNBUFFERED), so that without a flush
+    # inside `main` the small document would fail only at the exit flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cartanlim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartanlim.cli", "bounds", "--k-range", "7:12"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
