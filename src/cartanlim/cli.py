@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,11 +45,20 @@ EXIT_UNRESOLVED = 3
 
 class _Parser(argparse.ArgumentParser):
     """Prints usage to stderr, then raises a ParseError in place of exiting,
-    so that flag errors also end in one JSON document."""
+    so that flag errors also end in one JSON document; prints help pages
+    through `_emit`; and reads a value such as -7/2 or -1e-30 as a value,
+    not as an option (as argparse itself does from Python 3.13 on)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         raise ParseError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise SystemExit(_emit(self.format_help().removesuffix("\n"), EXIT_OK))
 
 
 class _Call:
@@ -266,8 +276,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         # The flags did not parse, so neither the command nor the seed is known.
         return _emit(jsonio.dumps(_error_document(None, None, exc)), exc.exit_code)
-    except SystemExit:  # --help
-        return EXIT_OK
+    except SystemExit as exc:  # --help
+        return exc.code
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -305,6 +306,17 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     # back-substitution yields d·A⁻¹ = sign·adj(A).
     y = _back_substitute(work, r, d, pivot_cols, n)
     return y if sign > 0 else [[-x for x in row] for row in y]
+
+
+def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Every n x n minor of an m x n integer matrix, its rows in increasing
+    order, keyed by the bitmask of their indices (bit i for row i)."""
+    n = len(rows[0])
+    minors = {}
+    for subset in combinations(range(len(rows)), n):
+        r, sign, last, _ = _fraction_free_echelon([list(rows[i]) for i in subset])
+        minors[sum(1 << i for i in subset)] = sign * last if r == n else 0
+    return minors
 
 
 def inverse(matrix: QMatrix) -> QMatrix:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -57,13 +56,10 @@ class SeedMatrix:
 
     @cached_property
     def generic(self) -> bool:
-        """True iff every choice of n rows is linearly independent."""
+        """True iff every n x n minor is nonzero: every n rows are independent."""
         if self.m < self.n:
             return False
-        for subset in combinations(self.matrix.rows, self.n):
-            if exactq.det(QMatrix(subset)) == 0:
-                return False
-        return True
+        return all(exactq.maximal_minors(exactq._integer_rows(self.matrix.rows)).values())
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         """Row j, 1-based."""

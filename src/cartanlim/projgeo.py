@@ -1,24 +1,25 @@
 """Projective points, transformations, and the generalized cross-ratio invariant.
 
-A point of RP^{n-1} is stored as its primitive integer vector: the unique
-integer representative with gcd 1 whose first nonzero coordinate is positive.
-A transform is stored the same way, as its primitive integer matrix.  So
-equality of points, tuples and invariant sets is plain structural equality on
-integers, and the enumerations never create a Fraction.  The rational
-`coords` and `matrix` (first nonzero entry scaled to 1) are derived only when
-read.  The unordered cross ratio of an augmented basis is a complete
-invariant of the configuration up to projective equivalence, and
-`projectively_equivalent` decides that equivalence directly, with a search
-over ordered (n+1)-point assignments instead of the full permutation group.
+A point of RP^{n-1} is stored as its primitive integer vector (gcd 1, first
+nonzero coordinate positive) and a transform as its primitive integer matrix,
+so equality of points, tuples and invariant sets is structural equality on
+integers; the rational `coords` and `matrix` are derived only when read.
+
+An augmented basis carries its bracket table: the C(m, n) n x n minors
+[p_i1 ... p_in] of its points (their Plücker coordinates), computed once, and
+general position means that none of them is zero.  Every frame is a ratio of
+brackets, so the unordered cross ratio (a complete invariant up to projective
+equivalence) and `projectively_equivalent`, which searches ordered (n+1)-point
+assignments instead of the full permutation group, run on table lookups.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import exactq
 from .errors import (
@@ -40,7 +41,7 @@ def _primitive(values: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by its gcd, signed so the first
     nonzero entry is positive."""
     g = gcd(*values)
-    if next(x for x in values if x) < 0:
+    if next(filter(None, values)) < 0:
         g = -g
     if g == 1:
         return tuple(values)
@@ -183,26 +184,22 @@ def _common_dimension(points: Sequence[ProjPoint]) -> int:
 
 
 def general_position(points: Sequence[ProjPoint]) -> bool:
-    """True iff every n of the homogeneous coordinate vectors are independent.
-
-    Equivalently, every (n+1)-subset of the points is a projective basis.
-    """
+    """True iff every bracket is nonzero: every n of the homogeneous coordinate
+    vectors are independent, so every n+1 of the points are a projective basis."""
     pts = list(points)
     if not pts:
         raise DimensionMismatchError("no points given")
     n = _common_dimension(pts)
     if len(pts) < n + 1:
         raise DimensionMismatchError(f"need at least {n + 1} points in RP^{n - 1}")
-    for subset in combinations(pts, n):
-        if len(exactq.independent_rows([p.ints for p in subset])) < n:
-            return False
-    return True
+    return all(exactq.maximal_minors([p.ints for p in pts]).values())
 
 
 class AugmentedBasis:
-    """m >= n+2 points of RP^{n-1} in general position."""
+    """m >= n+2 points of RP^{n-1} in general position, with their brackets:
+    `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
 
-    __slots__ = ("points", "n")
+    __slots__ = ("points", "n", "brackets")
 
     def __init__(self, points: Iterable[ProjPoint]):
         pts = tuple(points)
@@ -213,10 +210,13 @@ class AugmentedBasis:
             raise NotAugmentedBasisError(
                 f"augmented basis in RP^{n - 1} needs at least {n + 2} points, got {len(pts)}"
             )
-        if not general_position(pts):
+        _common_dimension(pts)
+        brackets = exactq.maximal_minors([p.ints for p in pts])
+        if not all(brackets.values()):
             raise NotAugmentedBasisError("points are not in general position")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "brackets", brackets)
 
     def __setattr__(self, name, value):
         raise AttributeError("AugmentedBasis is immutable")
@@ -249,9 +249,6 @@ class CrossRatioTuple:
     def __setattr__(self, name, value):
         raise AttributeError("CrossRatioTuple is immutable")
 
-    def sort_key(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(p.serialized() for p in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -278,14 +275,23 @@ class UnorderedCrossRatio:
     __slots__ = ("tuples",)
 
     def __init__(self, tuples: Iterable[CrossRatioTuple | tuple[ProjPoint, ...]]):
-        normalized = {
-            t if isinstance(t, CrossRatioTuple) else CrossRatioTuple(t)
-            for t in tuples
-        }
-        if not normalized:
+        keys = {tuple(p.ints for p in t) for t in tuples}
+        object.__setattr__(self, "tuples", self._from_keys(keys).tuples)
+
+    @classmethod
+    def _from_keys(cls, keys: set[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
+        """The set of the tuples of these point keys (`ProjPoint.ints`).  Each
+        distinct point is serialized once, and its rank is its sort key."""
+        if not keys:
             raise ZeroVectorError("unordered cross ratio cannot be empty")
-        ordered = tuple(sorted(normalized, key=CrossRatioTuple.sort_key))
-        object.__setattr__(self, "tuples", ordered)
+        points = {key: ProjPoint._from_ints(key) for key in set().union(*keys)}
+        order = sorted(points, key=lambda key: points[key].serialized())
+        rank = {key: r for r, key in enumerate(order)}
+        ordered = sorted(keys, key=lambda tail: [rank[key] for key in tail])
+        uc = object.__new__(cls)
+        tuples = tuple(CrossRatioTuple(map(points.__getitem__, t)) for t in ordered)
+        object.__setattr__(uc, "tuples", tuples)
+        return uc
 
     def __setattr__(self, name, value):
         raise AttributeError("UnorderedCrossRatio is immutable")
@@ -342,13 +348,28 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     )
 
 
+def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
+    """q -> the key of basis_transform(head)(p_q), by bracket lookups alone, for
+    a head (h_1..h_n, h_{n+1}) of point indices and q outside it.  By Cramer's
+    rule coordinate k of the image of p is [h_1..p..h_n], p in slot k, times
+    the product over j != k of λ_j = [h_1..h_{n+1}..h_n].  Sorting the slots
+    changes the sign by a factor that depends on p, and on k only through
+    whether h_k > p; a factor common to a whole image leaves its key alone."""
+    *base, last = head
+    full = sum(1 << i for i in base)
+    lam = [brackets[full ^ 1 << i | 1 << last] * (-1 if i > last else 1) for i in base]
+    scaled = [(full ^ 1 << i, i, prod(lam[:k] + lam[k + 1 :])) for k, i in enumerate(base)]
+    return lambda q: _primitive(
+        [brackets[rest | 1 << q] * (-scale if i > q else scale) for rest, i, scale in scaled]
+    )
+
+
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     """Images of the trailing points under the transform normalizing the
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
-    head = basis.points[: basis.n + 1]
-    q = basis_transform(head)
-    return CrossRatioTuple(q(p) for p in basis.points[basis.n + 1 :])
+    image = _frame(basis.brackets, range(basis.n + 1))
+    return CrossRatioTuple(ProjPoint._from_ints(image(q)) for q in range(basis.n + 1, basis.m))
 
 
 def unordered_cross_ratio(
@@ -356,8 +377,9 @@ def unordered_cross_ratio(
 ) -> UnorderedCrossRatio:
     """The set of ordered cross ratios over all m! orderings, deduplicated.
 
-    Permutations factor through (ordered head) x (ordered tail), so only
-    m!/(m-n-1)! normalizing transforms are actually computed.
+    Permutations factor through (ordered head) x (ordered tail), so only the
+    m!/(m-n-1)! frames of the ordered heads are needed, each read off the
+    bracket table with no transform built and no elimination run.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -365,14 +387,11 @@ def unordered_cross_ratio(
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
-    pts = basis.points
-    seen: set[CrossRatioTuple] = set()
+    seen: set[tuple[tuple[int, ...], ...]] = set()
     for head in permutations(range(m), n + 1):
-        q = basis_transform([pts[i] for i in head])
-        images = tuple(q(pts[i]) for i in range(m) if i not in head)
-        for tail in permutations(images):
-            seen.add(CrossRatioTuple(tail))
-    return UnorderedCrossRatio(seen)
+        image = _frame(basis.brackets, head)
+        seen.update(permutations([image(q) for q in range(m) if q not in head]))
+    return UnorderedCrossRatio._from_keys(seen)
 
 
 def projectively_equivalent(
@@ -383,11 +402,12 @@ def projectively_equivalent(
     The search runs right to left: any witness W has an inverse sending
     some ordered (n+1)-subset of the right points to the first n+1 left
     points, and each of the m(m-1)...(m-n) assignments determines a unique
-    candidate for that inverse.  The left frame is inverted once, each
-    candidate costs one frame normalization, and it is tested by mapping
-    the right points into the left set.  The inverse of the first hit is
-    returned; the search order is deterministic, so identical inputs yield
-    the identity.
+    candidate for that inverse.  The left points are mapped once under the
+    frame of the first left head; each right head maps the right points, by
+    bracket lookups, until the first image outside that set.  At the first
+    hit the two frames are built as transforms, and W is the inverse of the
+    right frame after the left one.  The search order is deterministic, so
+    identical inputs yield the identity.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -396,12 +416,15 @@ def projectively_equivalent(
             f"configurations of shape (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
         )
     n, m = a.n, a.m
-    from_std = basis_transform(a.points[: n + 1]).inverse()
-    target = set(a.points)
+    # Head points land on the standard basis on both sides; for n > 1 no other
+    # point does, and for n = 1 every point lands on [1].
+    image = _frame(a.brackets, range(n + 1))
+    target = {image(q) for q in range(n + 1, m)}
     for head in permutations(range(m), n + 1):
-        candidate = from_std.compose(basis_transform([b.points[i] for i in head]))
-        if all(candidate(p) in target for p in b.points):
-            return candidate.inverse()
+        image = _frame(b.brackets, head)
+        if all(image(q) in target for q in range(m) if q not in head):
+            to_right = basis_transform([b.points[i] for i in head]).inverse()
+            return to_right.compose(basis_transform(a.points[: n + 1]))
     return None
 
 

@@ -53,11 +53,19 @@ def test_non_finite_tolerance_exits_2():
 
 def test_negative_tolerance_exits_2():
     # a ParseError on the flag, not a failure of the root finder downstream
-    for argv in (["--tolerance", "-1"], ["--tolerance=-0.5"]):
+    for argv in (["--tolerance", "-1"], ["--tolerance=-0.5"], ["--tolerance", "-1e-30"]):
         code, error = error_of(["converge", SEED, PARAMS, *argv])
         assert code == 2
         assert error["type"] == "ParseError"
-        assert "--tolerance" in error["message"]
+        assert "--tolerance must not be negative" in error["message"]
+
+
+def test_negative_rational_after_a_space_is_a_value():
+    # argparse reads "-7/2" as an unknown option unless told otherwise
+    spaced = run_cli(["alpha-orbit", "--alpha", "-7/2"])
+    assert spaced == run_cli(["alpha-orbit", "--alpha=-7/2"])
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["result"]["alpha"] == "-7/2"
 
 
 def test_bounds_range_over_the_limit_exits_3():
@@ -151,21 +159,23 @@ def test_unwritable_output_exits_2_with_one_document(tmp_path):
 def test_closed_stdout_exits_2_without_traceback():
     # The read end is closed before the child starts, so its first write fails.
     # Stdout stays block-buffered (no PYTHONUNBUFFERED), so that without a flush
-    # inside `main` the small document would fail only at the exit flush.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    # inside `main` the small document would fail only at the exit flush.  A
+    # help page is written the same way.
     src = str(Path(cartanlim.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cartanlim.cli", "bounds", "--k-range", "7:12"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2
-    assert proc.stderr == b""
+    for argv in (["bounds", "--k-range", "7:12"], ["--help"], ["obstruct", "tier", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cartanlim.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, argv
+        assert proc.stderr == b"", argv

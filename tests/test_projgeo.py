@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
-from itertools import permutations
-from math import gcd, perm
+from itertools import combinations, permutations
+from math import comb, gcd, perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,8 +35,10 @@ from util import (
     basis_transform_oracle,
     canonical_coords_oracle,
     canonical_matrix_oracle,
+    equivalence_oracle,
     random_augmented_basis,
     random_invertible,
+    uc_oracle,
 )
 
 
@@ -337,40 +339,130 @@ def test_equivalent_size_mismatch():
         )
 
 
+# --- oracles ----------------------------------------------------------------------
+
+
+SHAPES = ((2, 4), (2, 5), (2, 6), (3, 5), (3, 6))
+
+
+@st.composite
+def configurations(draw, n: int, m: int) -> AugmentedBasis:
+    vectors = st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any)
+    points = draw(st.lists(vectors.map(ProjPoint), min_size=m, max_size=m))
+    assume(general_position(points))
+    return AugmentedBasis(points)
+
+
+@st.composite
+def configuration_pairs(draw):
+    """(left, right) of one shape: right is left moved by a random transform
+    and shuffled, or an independent draw."""
+    n, m = draw(st.sampled_from(SHAPES))
+    left = draw(configurations(n, m))
+    if draw(st.booleans()):
+        q = ProjTransform(draw(invertible(n)))
+        return left, AugmentedBasis(q(p) for p in draw(st.permutations(left.points)))
+    return left, draw(configurations(n, m))
+
+
+def assert_matches_oracles(left, right):
+    for basis in (left, right):
+        assert [t.entries for t in unordered_cross_ratio(basis)] == uc_oracle(basis)
+    got, want = projectively_equivalent(left, right), equivalence_oracle(left, right)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.ints == want.ints
+    return got
+
+
+@settings(max_examples=25, deadline=None)
+@given(configuration_pairs())
+def test_enumerations_match_per_head_oracles(pair):
+    assert_matches_oracles(*pair)
+
+
+def test_enumerations_match_oracles_on_larger_shapes():
+    rng = random.Random(37)
+    for n, m in ((3, 7), (4, 6)):
+        left = random_augmented_basis(rng, n, m)
+        q = ProjTransform(random_invertible(rng, n))
+        shuffled = list(left.points)
+        rng.shuffle(shuffled)
+        witness = assert_matches_oracles(left, AugmentedBasis(q(p) for p in shuffled))
+        assert witness is not None
+    a, b = random_augmented_basis(rng, 4, 7), random_augmented_basis(rng, 4, 7)
+    assert projectively_equivalent(a, b) is None
+    assert equivalence_oracle(a, b) is None
+
+
+# --- brackets ----------------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(coordinates(n), min_size=n + 1, max_size=n + 3)))
+def test_brackets_are_minors_and_decide_general_position(coords):
+    points = [ProjPoint(c) for c in coords]
+    n = points[0].n
+    minors = {
+        sum(1 << i for i in subset): exactq.det(QMatrix([points[i].ints for i in subset]))
+        for subset in combinations(range(len(points)), n)
+    }
+    assert exactq.maximal_minors([p.ints for p in points]) == minors
+    assert general_position(points) == all(minors.values())
+
+
 # --- work counters -------------------------------------------------------------------
 
 
 @pytest.fixture
-def frames(monkeypatch):
-    """One entry per call to `projgeo.basis_transform`, that is per head tried."""
+def work(monkeypatch):
+    """One entry per unit of work, in call order: "frame" per call to
+    `projgeo.basis_transform`, "head" per head mapped by bracket lookups
+    (`projgeo._frame`), "elim" per fraction-free elimination."""
     calls = []
-    original = projgeo.basis_transform
+    for module, name, label in (
+        (projgeo, "basis_transform", "frame"),
+        (projgeo, "_frame", "head"),
+        (exactq, "_fraction_free_echelon", "elim"),
+    ):
+        def counting(*args, _original=getattr(module, name), _label=label, **kwargs):
+            calls.append(_label)
+            return _original(*args, **kwargs)
 
-    def counting(points):
-        calls.append(len(points))
-        return original(points)
-
-    monkeypatch.setattr(projgeo, "basis_transform", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 6), (3, 5), (3, 7), (4, 7)])
+def test_basis_computes_each_bracket_once(work, n, m):
+    points = random_augmented_basis(random.Random(n * 10 + m), n, m).points
+    work.clear()
+    basis = AugmentedBasis(points)
+    assert work == ["elim"] * comb(m, n)
+    assert len(basis.brackets) == comb(m, n)
+
+
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
-def test_uc_tries_every_ordered_head_once(frames, n, m):
+def test_uc_tries_every_ordered_head_once(work, n, m):
     basis = random_augmented_basis(random.Random(n * 10 + m), n, m)
+    work.clear()
     unordered_cross_ratio(basis)
-    assert len(frames) == perm(m, n + 1)
+    # by lookups alone: no frame is built and no elimination runs
+    assert work == ["head"] * perm(m, n + 1)
 
 
-def test_equivalent_negative_tries_every_head(frames):
-    # one frame for the left head, then all 4·3·2 ordered right heads
-    got = projectively_equivalent(
-        AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
-    )
-    assert got is None
-    assert len(frames) == 1 + perm(4, 3)
+def test_equivalent_negative_tries_every_head(work):
+    # the first left head, then all 4·3·2 ordered right heads
+    left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
+    work.clear()
+    assert projectively_equivalent(left, right) is None
+    assert work == ["head"] * (1 + perm(4, 3))
 
 
-def test_equivalent_identity_stops_at_first_head(frames):
+def test_equivalent_identity_stops_at_first_head(work):
     basis = AugmentedBasis(alpha_points(3))
+    work.clear()
     assert projectively_equivalent(basis, basis) is not None
-    assert len(frames) == 2
+    # two heads by lookups; the two frames of the witness are built at the hit
+    assert work[:2] == ["head", "head"]
+    assert work[2:].count("frame") == 2 and "head" not in work[2:]

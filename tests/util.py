@@ -7,6 +7,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 from cartanlim import (
@@ -16,6 +17,7 @@ from cartanlim import (
     QMatrix,
     SeedMatrix,
     affine_hull_dim,
+    basis_transform,
     det,
     general_position,
     group_action,
@@ -159,6 +161,33 @@ def basis_transform_oracle(points) -> QMatrix:
     return canonical_matrix_oracle(
         QMatrix([x / li for x in row] for row, li in zip(inv.rows, lam))
     )
+
+
+def uc_oracle(basis: AugmentedBasis) -> list[tuple[ProjPoint, ...]]:
+    """Independent oracle for the tuples of `unordered_cross_ratio`, in order:
+    one `basis_transform` per ordered head, its images of the other points in
+    every tail order, sorted by their serialized coordinates."""
+    m, n, pts = basis.m, basis.n, basis.points
+    seen = set()
+    for head in permutations(range(m), n + 1):
+        q = basis_transform([pts[i] for i in head])
+        seen.update(permutations([q(pts[i]) for i in range(m) if i not in head]))
+    return sorted(seen, key=lambda tail: [p.serialized() for p in tail])
+
+
+def equivalence_oracle(left: AugmentedBasis, right: AugmentedBasis):
+    """Independent oracle for `projectively_equivalent`: per ordered right
+    head, the candidate from_std ∘ basis_transform(head), checked on every
+    right point; the inverse of the first candidate that maps the right set
+    into the left one, or None."""
+    n, m = left.n, left.m
+    from_std = basis_transform(left.points[: n + 1]).inverse()
+    target = set(left.points)
+    for head in permutations(range(m), n + 1):
+        candidate = from_std.compose(basis_transform([right.points[i] for i in head]))
+        if all(candidate(p) in target for p in right.points):
+            return candidate.inverse()
+    return None
 
 
 def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> int:
