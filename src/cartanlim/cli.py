@@ -28,6 +28,7 @@ from .converge import convergence_report
 from .errors import CartanlimError, OutputError, ParseError
 from .exactq import parse_rational
 from .limits import (
+    _sharing_dual_bases,
     alpha_conjugacy_class,
     alpha_orbit,
     are_conjugate,
@@ -105,8 +106,9 @@ def _equivalent(args, call: _Call):
 
 def _seed_conjugate(args, call: _Call):
     seeds = call.load(args.left, jsonio.read_seed), call.load(args.right, jsonio.read_seed)
-    witness = are_conjugate(*seeds)
-    left, right = (exceptional_dual_basis(s) for s in seeds)
+    with _sharing_dual_bases():
+        witness = are_conjugate(*seeds)
+        left, right = (exceptional_dual_basis(s) for s in seeds)
     return _conjugacy(args, left, right, witness)
 
 
@@ -159,7 +161,7 @@ def _tier_one(args, call: _Call):
 
 def _flag(args, call: _Call):
     call.flags["sample_cap"] = args.sample_cap
-    profile = flag_tier_profile(call.load(args.seed_file, jsonio.read_seed), seed=args.seed)
+    profile = flag_tier_profile(call.load(args.seed_file, jsonio.read_seed))
     return {"profile": profile, "tier": profile[-1]}
 
 

@@ -9,6 +9,8 @@ their dual exceptional-hyperplane configurations.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -204,6 +206,20 @@ def orbit_dimension(seed: SeedMatrix, point: ProjPoint) -> OrbitClass:
     return OrbitClass(kind, dim, vanishing)
 
 
+# The dual bases built inside a `_sharing_dual_bases()` block, by seed.
+_SHARED_DUAL_BASES: ContextVar[dict[SeedMatrix, AugmentedBasis]] = ContextVar("shared_dual_bases")
+
+
+@contextmanager
+def _sharing_dual_bases():
+    """Within the block, `exceptional_dual_basis` builds each seed's basis once."""
+    token = _SHARED_DUAL_BASES.set({})
+    try:
+        yield
+    finally:
+        _SHARED_DUAL_BASES.reset(token)
+
+
 def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
     """Dual points of the m exceptional hyperplanes: the projectivized rows.
 
@@ -215,7 +231,10 @@ def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
         )
     if not seed.generic:
         raise NotGenericError("seed matrix is not generic")
-    return AugmentedBasis(dualize(row) for row in seed.matrix.rows)
+    shared = _SHARED_DUAL_BASES.get({})  # outside a block: a dict for this call only
+    if seed not in shared:
+        shared[seed] = AugmentedBasis(dualize(row) for row in seed.matrix.rows)
+    return shared[seed]
 
 
 def conjugate_seed(seed: SeedMatrix, p: QMatrix) -> SeedMatrix:

@@ -121,7 +121,9 @@ def _deterministic_pairs(nvars: int, count: int = 10) -> list[tuple[tuple[Fracti
 class PolyParamGroup:
     """A matrix family v -> rho(v) with polynomial entries and rho(0) = I.
 
-    Construction checks the additivity rho(u)rho(v) = rho(u+v) on a fixed
+    Construction checks, in this order, that every entry has total degree
+    below `ambient` (an additive family is exp(sum v_i N_i) with commuting
+    nilpotent N_i) and the additivity rho(u)rho(v) = rho(u+v) on a fixed
     sample of ten parameter pairs; pass check=False for families that are
     deliberately not groups (the flatness machinery does not need the law).
     """
@@ -150,6 +152,9 @@ class PolyParamGroup:
         if constants != QMatrix.identity(ambient):
             raise ValueError("family does not pass through the identity")
         if check:
+            degree = max((sum(exps) for row in grid for p in row for exps in p.terms), default=0)
+            if degree >= ambient:
+                raise ValueError(f"an entry has total degree {degree}, not below the size {ambient}")
             for u, v in _deterministic_pairs(dim_params):
                 uv = tuple(x + y for x, y in zip(u, v))
                 if self.evaluate(u) * self.evaluate(v) != self.evaluate(uv):
@@ -371,40 +376,53 @@ class TierReport:
     witness: tuple[Fraction, ...]
 
 
-def _random_rational_vector(rng: random.Random, d: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+_TIER_GRID_CAP = 200  # grid points at the head of `tier`'s sample stream
+_TIER_RANDOM_COUNT = 50  # seeded random points at its tail
 
 
-def _tier_sample(group: PolyParamGroup, seed: int, random_count: int, grid_cap: int):
+def _tier_sample(group: PolyParamGroup, seed: int):
+    """The grid of degree+1 values per variable, the unit vectors, the
+    all-ones vector, then seeded random rational vectors."""
     d = group.dim_params
     sizes = tuple(deg + 1 for deg in group.max_degrees())
     grid = product(*(range(s) for s in sizes))
-    for combo in islice(grid, grid_cap):
+    for combo in islice(grid, _TIER_GRID_CAP):
         yield tuple(Fraction(x) for x in combo)
     for i in range(d):
         yield tuple(Fraction(int(j == i)) for j in range(d))
     yield tuple(Fraction(1) for _ in range(d))
     rng = random.Random(seed)
-    for _ in range(random_count):
-        yield _random_rational_vector(rng, d)
+    for _ in range(_TIER_RANDOM_COUNT):
+        yield tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
 
 
-def tier(
-    group: PolyParamGroup, *, seed: int = 0, random_count: int = 50, grid_cap: int = 200
-) -> TierReport:
-    """Max of rank(rho(v) - I) over a deterministic generic sample.
+def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
+    """Max of rank(rho(v) - I) over a deterministic sample, with its first witness.
 
-    For polynomial families the maximum is attained on generic points, so the
-    seeded rational sample reaches it; the maximizing parameter is returned.
+    No rank exceeds the bound min(rows, columns) over the rows and columns of
+    rho(v) - I that are not identically zero, so the walk stops at the first
+    point that reaches it: the witness is the one a full walk returns, and a
+    tier equal to the bound is exact.  Below the bound the tier is the
+    largest sampled rank, a lower bound with its witness.
     """
+    # rho(0) = I, so an entry of rho(v) - I is zero iff it has no nonconstant term
+    moving = [
+        (i, j)
+        for i, row in enumerate(group.entries)
+        for j, p in enumerate(row)
+        if any(any(exps) for exps in p.terms)
+    ]
+    bound = min(len({i for i, _ in moving}), len({j for _, j in moving}))
     ident = QMatrix.identity(group.ambient)
     best = -1
     best_point: Optional[tuple[Fraction, ...]] = None
-    for point in _tier_sample(group, seed, random_count, grid_cap):
+    for point in _tier_sample(group, seed):
         r = exactq.rank(group.evaluate(point) - ident)
         if r > best:
             best = r
             best_point = point
+            if best == bound:
+                break
     assert best_point is not None
     return TierReport(best, best_point)
 
@@ -591,33 +609,24 @@ def replay_certificate(
 # --- tier flags -------------------------------------------------------------------
 
 
-def flag_tier_profile(
-    seed_matrix: SeedMatrix, *, seed: int = 0, random_per_level: int = 10
-) -> tuple[int, ...]:
-    """Tiers of the nested coordinate subgroups of a seed-matrix group.
+def flag_tier_profile(seed_matrix: SeedMatrix) -> tuple[int, ...]:
+    """Tiers of the nested coordinate subgroups of a seed-matrix group, exactly.
 
-    Level i frees the first i of the m+n parameters.  Samples nest across
-    levels, so the computed profile is nondecreasing by construction; the
-    bounds tier(H_i) <= i and tier(H_1) = 1 are asserted.
+    Level i frees the first i of the m+n parameters (a_1..a_m, b_1..b_n).
+    rho(v) - I is the (m+1) x n block with rows a_j T_j and b, so the tier is
+    rank(T[:i]) at a level i <= m, and at level m+k it is rank(T), plus one
+    when e_1..e_k do not all lie in the row space of T.  One elimination of T
+    stacked on I_n gives both: the rows independent of the rows before them.
+    The bounds tier(H_i) <= i and tier(H_1) = 1 are asserted.
     """
-    group = builtin_group("LT", seed_matrix)
-    d = group.dim_params
-    ident = QMatrix.identity(group.ambient)
-    rng = random.Random(seed)
-    profile: list[int] = []
-    best = 0
-    for level in range(1, d + 1):
-        points = [
-            tuple(Fraction(int(j == level - 1)) for j in range(d)),
-            tuple(Fraction(int(j < level)) for j in range(d)),
-        ]
-        for _ in range(random_per_level):
-            points.append(_random_rational_vector(rng, level) + (Fraction(0),) * (d - level))
-        for point in points:
-            best = max(best, exactq.rank(group.evaluate(point) - ident))
-        if best > level:
-            raise InternalError(f"tier {best} above level {level}; this is a bug")
-        profile.append(best)
+    m, n = seed_matrix.m, seed_matrix.n
+    kept = exactq.independent_rows(list(seed_matrix.matrix.rows) + list(QMatrix.identity(n).rows))
+    rank_t = sum(1 for i in kept if i < m)
+    profile = tuple(
+        min(sum(1 for i in kept if i < level), rank_t + 1) for level in range(1, m + n + 1)
+    )
+    if any(value > level for level, value in enumerate(profile, 1)):
+        raise InternalError(f"tier profile {profile} exceeds its levels; this is a bug")
     if profile[0] != 1:
         raise InternalError("level-one subgroup must have tier exactly 1")
-    return tuple(profile)
+    return profile

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from cartanlim import exactq
 from util import FIXTURES, manifest_cases, resolve_argv, run_cli
 
 REGEN = os.environ.get("REGEN_FIXTURES") == "1"
@@ -231,6 +232,17 @@ def test_parser_is_built_once(monkeypatch, tmp_path):
         run_cli(argv)
     assert (tmp_path / "doc.json").exists()
     assert built == []
+
+
+def test_seed_conjugate_computes_each_table_once(monkeypatch):
+    # per seed: the minors of `SeedMatrix.generic`, then the bracket table of
+    # the dual basis, which `are_conjugate` and the UC fields share
+    calls = []
+    original = exactq.maximal_minors
+    monkeypatch.setattr(exactq, "maximal_minors", lambda rows: calls.append(rows) or original(rows))
+    code, _ = run_cli(resolve_argv(["seed-conjugate", "seed_a3.json", "seed_a3_colscaled.json"]))
+    assert code == 0
+    assert len(calls) == 4
 
 
 def test_calls_do_not_leak_state():

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import cartanlim.limits
-from util import FIXTURES, run_cli
+from cartanlim.obstruct import Poly
+from util import FIXTURES, HUGE_DEGREE_GROUP, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
 PARAMS = str(FIXTURES / "params_ones.json")
@@ -91,6 +92,23 @@ def test_flat_on_redundant_parameters_exits_2(tmp_path):
     code, error = error_of(["obstruct", "flat", group])
     assert code == 2
     assert error["type"] == "RedundantParametersError"
+
+
+def test_group_degree_above_the_limit_exits_2_before_any_evaluation(tmp_path, monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("an entry was evaluated before the degree check")
+
+    monkeypatch.setattr(Poly, "evaluate", refuse)
+    path = tmp_path / "group.json"
+    path.write_bytes(HUGE_DEGREE_GROUP)
+    for subcommand in ("flat", "tier"):
+        code, out = run_cli(["obstruct", subcommand, str(path)])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ParseError"
+        assert "total degree 1000000000" in error["message"]
 
 
 def test_non_integer_basis_n_names_the_key(tmp_path):

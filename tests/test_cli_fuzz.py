@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from util import FIXTURES, manifest_cases, resolve_argv, run_cli
+from util import FIXTURES, HUGE_DEGREE_GROUP, manifest_cases, resolve_argv, run_cli
 
 # manifest cases that read at least one JSON file, with the indices of those files
 CASES = [
@@ -93,6 +93,17 @@ def test_mutated_fixture_json_ends_in_one_document(data):
         run_argv = resolve_argv(argv)
         run_argv[victim] = str(path)
         code, out = run_cli(run_argv)
+    assert_one_document(code, out)
+
+
+def test_huge_degree_group_ends_in_one_document(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_bytes(HUGE_DEGREE_GROUP)
+    for subcommand in ("flat", "tier"):
+        assert_one_document(*run_cli(["obstruct", subcommand, str(path)]))
+
+
+def assert_one_document(code: int, out: str) -> None:
     assert code in (0, 2, 3), out
     lines = out.splitlines()
     assert len(lines) == 1, out

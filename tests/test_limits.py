@@ -17,6 +17,7 @@ from cartanlim.limits import (
     GroupElementParams,
     OrbitKind,
     SeedMatrix,
+    _sharing_dual_bases,
     alpha_conjugacy_class,
     alpha_orbit,
     alpha_seed,
@@ -235,6 +236,14 @@ def test_dual_basis_rows():
         ProjPoint([1, 2]),
         ProjPoint([1, 3]),
     )
+
+
+def test_dual_basis_is_shared_only_inside_a_block():
+    t = alpha_seed(3)
+    assert exceptional_dual_basis(t) is not exceptional_dual_basis(t)
+    with _sharing_dual_bases():
+        assert exceptional_dual_basis(t) is exceptional_dual_basis(SeedMatrix(t.matrix.rows))
+    assert exceptional_dual_basis(t) is not exceptional_dual_basis(t)
 
 
 def test_dual_basis_requires_generic():

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlim.errors import SampleCapExceededError, UnknownNameError
 from cartanlim.exactq import QMatrix, rank
-from cartanlim.limits import SeedMatrix, alpha_seed
+from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
 from cartanlim.obstruct import (
     LinearBlockFamily,
     Poly,
     PolyParamGroup,
+    _unipotent_group_from_block,
     builtin_block_family,
     builtin_group,
     flag_tier_profile,
@@ -18,6 +21,7 @@ from cartanlim.obstruct import (
     replay_certificate,
     tier,
 )
+from util import flag_tier_profile_oracle, tier_oracle
 
 E_VARS = "abcdefg"
 
@@ -82,6 +86,20 @@ def test_nonadditive_family_rejected():
     with pytest.raises(ValueError):
         PolyParamGroup(1, 2, bad)
     PolyParamGroup(1, 2, bad, check=False)  # flatness machinery may still use it
+
+
+def test_degree_limit_and_additivity_sample_both_reject():
+    x = Poly.variable(0, 1)
+    zero, one = Poly.constant(0, 1), Poly.constant(1, 1)
+    # x^3 in a 3 x 3 family: exp of a nilpotent 3 x 3 matrix has degree at most 2
+    with pytest.raises(ValueError, match="total degree 3"):
+        PolyParamGroup(1, 3, [[one, zero, Poly.monomial(1, (3,), 1)], [zero, one, zero], [zero, zero, one]])
+    # degree 1 but not additive: rho(u)rho(v) has the entry uv in the corner
+    with pytest.raises(ValueError, match="not additive"):
+        PolyParamGroup(1, 3, [[one, x, zero], [zero, one, x], [zero, zero, one]])
+    # the additive family exp(xN) with N the 3 x 3 shift reaches degree 2
+    half_square = Poly.monomial(F(1, 2), (2,), 1)
+    PolyParamGroup(1, 3, [[one, x, half_square], [zero, one, x], [zero, zero, one]])
 
 
 def test_lt_group_matches_rho():
@@ -162,6 +180,37 @@ def test_tier_monotone_on_coordinate_flags():
     assert tiers[-1] <= tier(g).tier
 
 
+@pytest.mark.parametrize(
+    "name, seed, count",
+    [("M5", None, 10), ("M6", None, 18), ("E", None, 24), ("LT", alpha_seed(3), 6), ("LT", SeedMatrix([[1]]), 2)],
+    ids=["M5", "M6", "E", "LT3", "LT1"],
+)
+def test_tier_stops_at_the_rank_bound_with_the_full_walk_report(monkeypatch, name, seed, count):
+    group = builtin_group(name, seed)
+    expected = tier_oracle(group)
+    calls = []
+    evaluate = PolyParamGroup.evaluate
+    monkeypatch.setattr(PolyParamGroup, "evaluate", lambda self, point: calls.append(point) or evaluate(self, point))
+    assert tier(group) == expected
+    assert len(calls) == count
+
+
+@st.composite
+def block_groups(draw):
+    p, q, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.integers(-1, 1)
+    mats = draw(st.lists(
+        st.lists(st.lists(entry, min_size=q, max_size=q), min_size=p, max_size=p), min_size=d, max_size=d
+    ))
+    return _unipotent_group_from_block(LinearBlockFamily([QMatrix(m) for m in mats]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_groups())
+def test_tier_equals_the_full_walk_on_linear_blocks(group):
+    assert tier(group) == tier_oracle(group)
+
+
 # --- rank-one directions -------------------------------------------------------------
 
 
@@ -238,3 +287,49 @@ def test_flag_tier_profile_wider_seed():
     assert profile[0] == 1
     assert profile[-1] == 3
     assert all(profile[i] <= i + 1 for i in range(len(profile)))
+
+
+def test_flag_tier_profile_evaluates_nothing(monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("flag_tier_profile evaluated a group element")
+
+    monkeypatch.setattr(PolyParamGroup, "evaluate", refuse)
+    assert flag_tier_profile(alpha_seed(3)) == (1, 2, 2, 2, 2, 2)
+
+
+@st.composite
+def seed_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-2, 2))
+    row = st.lists(entry, min_size=n, max_size=n).filter(any)
+    return SeedMatrix(draw(st.lists(row, min_size=m, max_size=m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_matrices(), st.data())
+def test_flag_tier_profile_bounds_every_sampled_rank(seed_matrix, data):
+    m, n = seed_matrix.m, seed_matrix.n
+    profile = flag_tier_profile(seed_matrix)
+    assert len(profile) == m + n
+    assert all(e >= s for e, s in zip(profile, flag_tier_profile_oracle(seed_matrix)))
+    level = data.draw(st.integers(1, m + n))
+    v = data.draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level)) + [0] * (m + n - level)
+    element = rho(seed_matrix, GroupElementParams.make(v[:m], v[m:]))
+    assert rank(element - QMatrix.identity(seed_matrix.ambient)) <= profile[level - 1]
+
+
+def fixed_random_seeds(count: int = 20) -> list[SeedMatrix]:
+    rng = random.Random(20260418)
+    seeds = []
+    while len(seeds) < count:
+        m, n = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(m)]
+        if all(any(row) for row in rows):
+            seeds.append(SeedMatrix(rows))
+    return seeds
+
+
+def test_flag_tier_profile_equals_the_sampled_profile():
+    wider = SeedMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]])
+    for seed_matrix in [alpha_seed(3), wider, *fixed_random_seeds()]:
+        assert flag_tier_profile(seed_matrix) == flag_tier_profile_oracle(seed_matrix)

@@ -7,7 +7,7 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, product
 from pathlib import Path
 
 from cartanlim import (
@@ -15,17 +15,27 @@ from cartanlim import (
     GroupElementParams,
     ProjPoint,
     QMatrix,
+    PolyParamGroup,
     SeedMatrix,
+    TierReport,
     affine_hull_dim,
     basis_transform,
+    builtin_group,
     det,
     general_position,
     group_action,
     inverse,
+    rank,
 )
 from cartanlim.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# A 2 x 2 group with one entry x^1000000000: about 100 bytes, whose additivity
+# check would evaluate (±2)^(10^9) if the degree limit did not stop it first.
+HUGE_DEGREE_GROUP = (
+    b'{"dim_params": 1, "ambient": 2, "entries": [[[["1", [0]]], [["1", [1000000000]]]], [[], [["1", [0]]]]]}'
+)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -228,3 +238,51 @@ def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> in
         scale = image.coords[chart_index]
         vectors.append(tuple(x / scale for x in image.coords))
     return affine_hull_dim(vectors)
+
+
+def _random_rational_vector(rng: random.Random, d: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+
+
+def tier_oracle(group: PolyParamGroup) -> TierReport:
+    """Independent oracle for `tier` at seed 0: the full walk of its sample
+    stream (the first 200 points of the grid of degree+1 values per variable,
+    the unit vectors, the all-ones vector, then 50 seeded random rationals),
+    keeping the first point of the largest rank of rho(v) - I."""
+    d = group.dim_params
+    sizes = tuple(deg + 1 for deg in group.max_degrees())
+    points = [tuple(Fraction(x) for x in combo) for combo in islice(product(*(range(s) for s in sizes)), 200)]
+    points += [tuple(Fraction(int(j == i)) for j in range(d)) for i in range(d)]
+    points.append(tuple(Fraction(1) for _ in range(d)))
+    rng = random.Random(0)
+    points += [_random_rational_vector(rng, d) for _ in range(50)]
+    ident = QMatrix.identity(group.ambient)
+    best, best_point = -1, None
+    for point in points:
+        r = rank(group.evaluate(point) - ident)
+        if r > best:
+            best, best_point = r, point
+    return TierReport(best, best_point)
+
+
+def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
+    """Independent oracle for `flag_tier_profile`, a lower bound: the largest
+    rank of rho(v) - I over sampled points of each level (its unit vector, the
+    all-ones prefix and 10 seeded random rationals), carried up the levels."""
+    group = builtin_group("LT", seed_matrix)
+    d = group.dim_params
+    ident = QMatrix.identity(group.ambient)
+    rng = random.Random(0)
+    profile: list[int] = []
+    best = 0
+    for level in range(1, d + 1):
+        points = [
+            tuple(Fraction(int(j == level - 1)) for j in range(d)),
+            tuple(Fraction(int(j < level)) for j in range(d)),
+        ]
+        for _ in range(10):
+            points.append(_random_rational_vector(rng, level) + (Fraction(0),) * (d - level))
+        for point in points:
+            best = max(best, rank(group.evaluate(point) - ident))
+        profile.append(best)
+    return tuple(profile)
