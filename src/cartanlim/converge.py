@@ -23,7 +23,7 @@ from .errors import (
     ScheduleError,
     ZeroFirstColumnError,
 )
-from .exactq import ONE, ZERO, QMatrix, rational
+from .exactq import QMatrix, rational
 from .limits import GroupElementParams, SeedMatrix, rho
 
 #: Relative width at which bisection stops; a Newton polish follows.
@@ -40,11 +40,8 @@ def build_Pr(seed: SeedMatrix, r: int | str | Fraction) -> QMatrix:
 
 
 def _inverse_Pr(pr: QMatrix) -> QMatrix:
-    # P_r = I + N with N^2 = 0 and a zero diagonal, so the inverse is I - N.
-    return QMatrix(
-        [ONE if i == j else -x if x else ZERO for j, x in enumerate(row)]
-        for i, row in enumerate(pr.rows)
-    )
+    # P_r = I + N with N^2 = 0 and a zero diagonal, so the inverse is I - N = 2I - P_r.
+    return QMatrix.identity(pr.nrows) * 2 - pr
 
 
 def _offsets(

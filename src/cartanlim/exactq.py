@@ -1,10 +1,12 @@
 """Exact rational scalars and dense exact linear algebra.
 
 Scalars are `fractions.Fraction` (canonical by construction: reduced, positive
-denominator), matrices are immutable row-major grids of them.  Elimination is
-fraction-free in the Bareiss style, and products run on integers after one
-denominator clearing per factor, so nothing in this module ever touches
-floating point and every equality test downstream is a structural comparison.
+denominator).  A matrix is immutable and kept in one canonical integer form, a
+common denominator and the row-major integer entries over it; products,
+inverses, sums and equality run on that form, and the Fraction rows are
+derived only when read.  Elimination is fraction-free in the Bareiss style,
+so nothing in this module ever touches floating point and every equality test
+downstream is a structural comparison.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -24,9 +26,8 @@ from .errors import (
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
-#: Shared 0 and 1 entries for sparse constructions (Fractions are immutable).
+#: Shared 0 entry of derived rows (Fractions are immutable).
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -61,9 +62,15 @@ def _format_ratio(num: int, den: int) -> str:
 
 
 class QMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix of Fractions.
 
-    __slots__ = ("rows",)
+    The matrix is kept in one canonical integer form: `_den`, the lcm of the
+    entry denominators, and `_ints`, the row-major entries times `_den`, so
+    gcd(_den, *_ints) = 1.  Equality and hashing read that form; the Fraction
+    `rows` of a matrix built from integers are derived on first read.
+    """
+
+    __slots__ = ("_den", "_ints", "_ncols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
         grid = tuple(tuple(rational(x) for x in row) for row in rows)
@@ -72,18 +79,54 @@ class QMatrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionMismatchError("ragged rows")
-        object.__setattr__(self, "rows", grid)
+        den, ints = _cleared(x for row in grid for x in row)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_ncols", width)
+        object.__setattr__(self, "_rows", grid)
+
+    @classmethod
+    def _from_ints(cls, den: int, ints: Sequence[int], ncols: int) -> "QMatrix":
+        """The matrix with row-major entries ints[i] / den (den > 0), `ncols`
+        wide; one gcd brings the pair to the canonical form."""
+        if not ints:
+            raise EmptyInputError("matrix needs at least one row and one column")
+        g = gcd(den, *ints)
+        if g != 1:
+            den, ints = den // g, [x // g for x in ints]
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "_den", den)
+        object.__setattr__(matrix, "_ints", tuple(ints))
+        object.__setattr__(matrix, "_ncols", ncols)
+        object.__setattr__(matrix, "_rows", None)
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, derived from the integer form on first read."""
+        rows = self._rows
+        if rows is None:
+            den, width = self._den, self._ncols
+            vals = [Fraction(x, den) if x else ZERO for x in self._ints]
+            rows = tuple(tuple(vals[i : i + width]) for i in range(0, len(vals), width))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def _int_rows(self) -> list[list[int]]:
+        """The rows of `_den` times the matrix, as fresh integer lists."""
+        ints, width = self._ints, self._ncols
+        return [list(ints[i : i + width]) for i in range(0, len(ints), width)]
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._ints) // self._ncols
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return self._ncols
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -91,35 +134,45 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._from_ints(1, [int(i == j) for i in range(n) for j in range(n)], n)
 
     @classmethod
     def diagonal(cls, values: Sequence[int | str | Fraction]) -> "QMatrix":
-        vals = [rational(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        den, ints = _cleared(rational(v) for v in values)
+        n = len(ints)
+        return cls._from_ints(den, [ints[i] if i == j else 0 for i in range(n) for j in range(n)], n)
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.rows))
+        width = self._ncols
+        return QMatrix._from_ints(
+            self._den, [x for j in range(width) for x in self._ints[j::width]], self.nrows
+        )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, QMatrix)
+            and self._ncols == other._ncols
+            and self._den == other._den
+            and self._ints == other._ints
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self._ncols, self._den, self._ints))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:
             raise DimensionMismatchError(f"cannot add {self.shape} and {other.shape}")
-        return QMatrix(
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return QMatrix._from_ints(
+            den, [a * sa + b * sb for a, b in zip(self._ints, other._ints)], self._ncols
         )
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self + (-other)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([-x for x in row] for row in self.rows)
+        return QMatrix._from_ints(self._den, [-x for x in self._ints], self._ncols)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -129,7 +182,11 @@ class QMatrix:
                 )
             return _product(self, other)
         scalar = rational(other)
-        return QMatrix([x * scalar for x in row] for row in self.rows)
+        return QMatrix._from_ints(
+            self._den * scalar.denominator,
+            [x * scalar.numerator for x in self._ints],
+            self._ncols,
+        )
 
     def __rmul__(self, other):
         return self * other
@@ -149,20 +206,20 @@ class QMatrix:
 
 def block_diag(*mats: QMatrix) -> QMatrix:
     """Direct sum of square matrices."""
-    sizes = []
     for m in mats:
         if m.nrows != m.ncols:
             raise NonSquareError("block_diag expects square blocks")
-        sizes.append(m.nrows)
-    total = sum(sizes)
-    grid = [[ZERO] * total for _ in range(total)]
+    total = sum(m.nrows for m in mats)
+    den = lcm(*(m._den for m in mats))
+    ints = [0] * (total * total)
     offset = 0
     for m in mats:
-        for i, row in enumerate(m.rows):
-            for j, x in enumerate(row):
-                grid[offset + i][offset + j] = x
+        scale = den // m._den
+        for i, row in enumerate(m._int_rows()):
+            start = (offset + i) * total + offset
+            ints[start : start + len(row)] = [x * scale for x in row]
         offset += m.nrows
-    return QMatrix(grid)
+    return QMatrix._from_ints(den, ints, total)
 
 
 def _cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:
@@ -173,26 +230,19 @@ def _cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:
 
 
 def _product(left: QMatrix, right: QMatrix) -> QMatrix:
-    """left·right: each factor is scaled to integers once, zero entries of
-    either factor are skipped, and each entry becomes a Fraction only at the
-    end."""
-    inner, width = left.ncols, right.ncols
-    da, a = _cleared(x for row in left.rows for x in row)
-    db, b = _cleared(x for row in right.rows for x in row)
-    b_rows = [
-        [(j, v) for j, v in enumerate(b[k * width : (k + 1) * width]) if v]
-        for k in range(inner)
-    ]
-    den = da * db
-    grid = []
-    for i in range(left.nrows):
+    """left·right on the integer forms: zero entries of either factor are
+    skipped, and one gcd brings the result to its canonical form."""
+    width = right.ncols
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in right._int_rows()]
+    ints = []
+    for a_row in left._int_rows():
         acc = [0] * width
-        for x, b_row in zip(a[i * inner : (i + 1) * inner], b_rows):
+        for x, b_row in zip(a_row, b_rows):
             if x:
                 for j, v in b_row:
                     acc[j] += x * v
-        grid.append([Fraction(v, den) if v else ZERO for v in acc])
-    return QMatrix(grid)
+        ints += acc
+    return QMatrix._from_ints(left._den * right._den, ints, width)
 
 
 def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
@@ -240,7 +290,7 @@ def _fraction_free_echelon(
 
 def rank(matrix: QMatrix) -> int:
     """Exact row rank over the rationals."""
-    r, _, _, _ = _fraction_free_echelon(_integer_rows(matrix.rows))
+    r, _, _, _ = _fraction_free_echelon(matrix._int_rows())
     return r
 
 
@@ -248,11 +298,10 @@ def det(matrix: QMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"determinant of a {matrix.shape} matrix")
-    factors, scaled = zip(*map(_cleared, matrix.rows))
-    r, sign, last, _ = _fraction_free_echelon(list(scaled))
+    r, sign, last, _ = _fraction_free_echelon(matrix._int_rows())
     if r < matrix.nrows:
         return ZERO
-    return Fraction(sign * last, prod(factors))
+    return Fraction(sign * last, matrix._den ** matrix.nrows)
 
 
 def _back_substitute(
@@ -272,23 +321,6 @@ def _back_substitute(
             acc = d * row[ncols + t] - sum(row[j] * y[j][t] for j in later)
             y[pivot_cols[i]][t] = acc // row[pivot_cols[i]]
     return y
-
-
-def _echelon_solve(
-    matrix: QMatrix, rhs: Sequence[Sequence[int | Fraction]]
-) -> tuple[int, Optional[list[list[Fraction]]]]:
-    """Rank of A and some X with A·X = B, or None for X when inconsistent.
-
-    One fraction-free echelon of [A | B], then one integer back-substitution,
-    so each entry of X becomes a Fraction only once.
-    """
-    ncols = matrix.ncols
-    scaled = _integer_rows(list(row) + list(b) for row, b in zip(matrix.rows, rhs))
-    r, _, d, pivot_cols = _fraction_free_echelon(scaled, pivot_limit=ncols)
-    if any(x for row in scaled[r:] for x in row[ncols:]):
-        return r, None
-    y = _back_substitute(scaled, r, d, pivot_cols, ncols)
-    return r, [[Fraction(v, d) for v in yrow] for yrow in y]
 
 
 def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -320,14 +352,16 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
-    """Exact inverse: one fraction-free elimination of [A | I]."""
+    """Exact inverse from the adjugate of the integer form A' = den·A:
+    A⁻¹ = den·adj(A') / det(A')."""
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"inverse of a {matrix.shape} matrix")
-    n = matrix.nrows
-    r, x = _echelon_solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
-    if r < n:
-        raise SingularError("matrix is not invertible")
-    return QMatrix(x)
+    rows = matrix._int_rows()
+    adj = integer_adjugate(rows)
+    # det(A') is entry (0, 0) of A'·adj(A') = det(A')·I.
+    d = sum(x * row[0] for x, row in zip(rows[0], adj))
+    den = matrix._den if d > 0 else -matrix._den
+    return QMatrix._from_ints(abs(d), [den * x for row in adj for x in row], matrix.nrows)
 
 
 def solve(
@@ -341,8 +375,15 @@ def solve(
     b = [rational(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise DimensionMismatchError("right-hand side length does not match rows")
-    _, x = _echelon_solve(matrix, [[bi] for bi in b])
-    return None if x is None else tuple(row[0] for row in x)
+    # A·x = b  ⟺  (bden·den·A)·x = den·bints: one fraction-free echelon of
+    # that integer [A | b], then one integer back-substitution.
+    bden, bints = _cleared(b)
+    ncols = matrix.ncols
+    work = [[bden * x for x in row] + [matrix._den * bi] for row, bi in zip(matrix._int_rows(), bints)]
+    r, _, d, pivot_cols = _fraction_free_echelon(work, pivot_limit=ncols)
+    if any(row[ncols] for row in work[r:]):
+        return None
+    return tuple(Fraction(row[0], d) for row in _back_substitute(work, r, d, pivot_cols, ncols))
 
 
 def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -29,7 +30,7 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import ONE, ZERO, QMatrix, block_diag, rational
+from .exactq import QMatrix, block_diag, rational
 from .projgeo import AugmentedBasis, ProjPoint, dualize, projectively_equivalent
 
 
@@ -38,8 +39,8 @@ class SeedMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]] | QMatrix):
         matrix = rows if isinstance(rows, QMatrix) else QMatrix(rows)
-        for idx, row in enumerate(matrix.rows):
-            if all(x == 0 for x in row):
+        for idx, row in enumerate(matrix._int_rows()):
+            if not any(row):
                 raise ZeroRowError(f"row {idx + 1} of the seed matrix is zero")
         self.matrix = matrix
 
@@ -61,7 +62,7 @@ class SeedMatrix:
         """True iff every n x n minor is nonzero: every n rows are independent."""
         if self.m < self.n:
             return False
-        return all(exactq.maximal_minors(exactq._integer_rows(self.matrix.rows)).values())
+        return all(exactq.maximal_minors(self.matrix._int_rows()).values())
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         """Row j, 1-based."""
@@ -126,14 +127,20 @@ def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
     _check_params(seed, params)
     m, n = seed.m, seed.n
     k = m + n + 1
-    grid = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-    for j in range(m):
-        aj = params.a[j]
-        for i in range(n):
-            grid[j][m + 1 + i] = seed.matrix.rows[j][i] * aj
-    for i in range(n):
-        grid[m][m + 1 + i] = params.b[i]
-    return QMatrix(grid)
+    # Built on the integer form: den = den(T)·scale, with scale the lcm of
+    # the parameter denominators.
+    seed_den = seed.matrix._den
+    scale = lcm(*(x.denominator for x in (*params.a, *params.b)))
+    den = seed_den * scale
+    ints = [0] * (k * k)
+    ints[:: k + 1] = [den] * k
+    for j, (row, aj) in enumerate(zip(seed.matrix._int_rows(), params.a)):
+        factor = aj.numerator * (scale // aj.denominator)
+        ints[j * k + m + 1 : (j + 1) * k] = [t * factor for t in row]
+    ints[m * k + m + 1 : (m + 1) * k] = [
+        seed_den * bi.numerator * (scale // bi.denominator) for bi in params.b
+    ]
+    return QMatrix._from_ints(den, ints, k)
 
 
 def phi(seed: SeedMatrix, j: int, w: Sequence[int | str | Fraction]) -> Fraction:
@@ -233,7 +240,7 @@ def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
         raise NotGenericError("seed matrix is not generic")
     shared = _SHARED_DUAL_BASES.get({})  # outside a block: a dict for this call only
     if seed not in shared:
-        shared[seed] = AugmentedBasis(dualize(row) for row in seed.matrix.rows)
+        shared[seed] = AugmentedBasis(dualize(row) for row in seed.matrix._int_rows())
     return shared[seed]
 
 
@@ -264,12 +271,14 @@ def element_params(seed: SeedMatrix, matrix: QMatrix) -> Optional[GroupElementPa
     k = m + n + 1
     if matrix.shape != (k, k):
         return None
+    # Entries are read off the integer forms: x = ints/den.
+    den, ints = matrix._den, matrix._ints
+    seed_den = seed.matrix._den
     a = []
-    for j in range(m):
-        row = seed.matrix.rows[j]
+    for j, row in enumerate(seed.matrix._int_rows()):
         i0 = next(i for i, t in enumerate(row) if t != 0)
-        a.append(matrix.rows[j][m + 1 + i0] / row[i0])
-    b = [matrix.rows[m][m + 1 + i] for i in range(n)]
+        a.append(Fraction(ints[j * k + m + 1 + i0] * seed_den, den * row[i0]))
+    b = [Fraction(x, den) for x in ints[m * k + m + 1 : (m + 1) * k]]
     params = GroupElementParams(tuple(a), tuple(b))
     if rho(seed, params) == matrix:
         return params
@@ -317,16 +326,16 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
         return None
     p = dual_witness.matrix.transpose()
     moved = left.matrix * p
-    targets = {ProjPoint(row): i for i, row in enumerate(right.matrix.rows)}
-    sigma = [targets[ProjPoint(row)] for row in moved.rows]
+    targets = {ProjPoint._from_ints(row): i for i, row in enumerate(right.matrix._int_rows())}
+    sigma = [targets[ProjPoint._from_ints(row)] for row in moved._int_rows()]
     m, n = left.m, left.n
     k = m + n + 1
-    perm = [[ZERO] * k for _ in range(k)]
+    perm = [0] * (k * k)
     for j in range(m):
-        perm[sigma[j]][j] = ONE
+        perm[sigma[j] * k + j] = 1
     for i in range(m, k):
-        perm[i][i] = ONE
-    witness = QMatrix(perm) * seed_conjugator(left, p)
+        perm[i * k + i] = 1
+    witness = QMatrix._from_ints(1, perm, k) * seed_conjugator(left, p)
     witness_inv = exactq.inverse(witness)
     for params in _verification_params(left):
         conjugated = witness * rho(left, params) * witness_inv

@@ -15,6 +15,7 @@ assignments instead of the full permutation group, run on table lookups.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
@@ -126,10 +127,7 @@ class ProjTransform:
             raise DimensionMismatchError("projective transform matrix must be square")
         if exactq.det(matrix) == 0:
             raise SingularError("projective transform matrix must be invertible")
-        n = matrix.nrows
-        _, flat = _cleared(x for row in matrix.rows for x in row)
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        object.__setattr__(self, "ints", _primitive_matrix(rows))
+        object.__setattr__(self, "ints", _primitive_matrix(matrix._int_rows()))
 
     @classmethod
     def _from_ints(cls, rows: Sequence[Sequence[int]]) -> "ProjTransform":
@@ -144,8 +142,8 @@ class ProjTransform:
     @property
     def matrix(self) -> QMatrix:
         """The rational matrix with first nonzero entry (row-major) equal to 1."""
-        pivot = next(x for row in self.ints for x in row if x)
-        return QMatrix([Fraction(x, pivot) for x in row] for row in self.ints)
+        flat = [x for row in self.ints for x in row]
+        return QMatrix._from_ints(next(filter(None, flat)), flat, self.n)
 
     @property
     def n(self) -> int:
@@ -265,6 +263,10 @@ class CrossRatioTuple:
         return f"CrossRatioTuple({list(self.entries)!r})"
 
 
+def _serialized_points(t: CrossRatioTuple) -> list[tuple[str, ...]]:
+    return [p.serialized() for p in t]
+
+
 class UnorderedCrossRatio:
     """Deduplicated set of cross-ratio tuples over all orderings.
 
@@ -305,7 +307,12 @@ class UnorderedCrossRatio:
     def __contains__(self, item) -> bool:
         if not isinstance(item, CrossRatioTuple):
             item = CrossRatioTuple(item)
-        return item in set(self.tuples)
+        if not all(isinstance(p, ProjPoint) for p in item):
+            return False
+        # The point ranks that order the tuples follow `serialized`, so the
+        # tuples are sorted by their serialized points too: bisect on those.
+        i = bisect_left(self.tuples, _serialized_points(item), key=_serialized_points)
+        return i < len(self.tuples) and self.tuples[i] == item
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnorderedCrossRatio) and self.tuples == other.tuples

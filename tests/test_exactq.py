@@ -24,6 +24,7 @@ from cartanlim.exactq import (
     rank,
     solve,
 )
+from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
 from util import incremental_basis_oracle, matmul_oracle
 
 
@@ -280,6 +281,9 @@ def test_qmatrix_validation():
         QMatrix([])
     with pytest.raises(DimensionMismatchError):
         QMatrix([[1, 2], [3]])
+    for empty in (lambda: QMatrix.identity(0), lambda: QMatrix.diagonal([]), block_diag):
+        with pytest.raises(EmptyInputError):
+            empty()
 
 
 # --- matrix product --------------------------------------------------------------------
@@ -376,3 +380,100 @@ def test_matvec_and_transpose():
     m = QMatrix([[1, 2], [3, 4]])
     assert m.matvec([1, 1]) == (F(3), F(7))
     assert m.transpose() == QMatrix([[1, 3], [2, 4]])
+
+
+# --- integer form -----------------------------------------------------------------------
+
+
+def assert_same_matrix(got: QMatrix, want_rows) -> None:
+    """`got` equals, hashes like and reads like `QMatrix(want_rows)`."""
+    want = QMatrix(want_rows)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.rows == want.rows
+    assert all(type(x) is F for row in got.rows for x in row)
+
+
+def gauss_jordan_inverse_oracle(rows):
+    """Plain rational Gauss-Jordan elimination of [A | I]."""
+    n = len(rows)
+    work = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if work[i][c] != 0)
+        work[c], work[piv] = work[piv], work[c]
+        work[c] = [x / work[c][c] for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return [row[n:] for row in work]
+
+
+def rho_oracle(seed: SeedMatrix, params: GroupElementParams):
+    """The rows of ρ(v), built entry by entry in Fractions."""
+    m, n = seed.m, seed.n
+    k = m + n + 1
+    grid = [[F(int(i == j)) for j in range(k)] for i in range(k)]
+    for j in range(m):
+        for i in range(n):
+            grid[j][m + 1 + i] = seed.matrix.rows[j][i] * params.a[j]
+    for i in range(n):
+        grid[m][m + 1 + i] = params.b[i]
+    return grid
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_derived_matrices_match_fraction_built_ones(data):
+    n, k = data.draw(dims), data.draw(dims)
+    a = data.draw(sparse_matrices(n, k))
+    b = data.draw(sparse_matrices(k, n))
+    c = data.draw(sparse_matrices(n, n))
+    zero = QMatrix([[0] * k] * n)
+    assert_same_matrix(a * b, matmul_oracle(a, b).rows)
+    assert_same_matrix(zero * b, [[0] * n] * n)
+    assert_same_matrix(a * 0, zero.rows)
+    assert_same_matrix(a.transpose(), list(zip(*a.rows)))
+    assert_same_matrix(-a, [[-x for x in row] for row in a.rows])
+    assert_same_matrix(a - a, zero.rows)
+    assert_same_matrix(b.transpose() + a, [[x + y for x, y in zip(r, s)] for r, s in zip(zip(*b.rows), a.rows)])
+    assert_same_matrix(
+        block_diag(c, QMatrix.identity(1), QMatrix([[0]])),
+        [list(row) + [0, 0] for row in c.rows] + [[0] * n + [1, 0], [0] * (n + 2)],
+    )
+    if det(c) != 0:
+        assert_same_matrix(inverse(c), gauss_jordan_inverse_oracle(c.rows))
+
+
+nonzero_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(small_fraction, min_size=n, max_size=n).filter(any), min_size=1, max_size=5
+    )
+)
+
+
+@given(nonzero_rows, st.data())
+@settings(max_examples=60, deadline=None)
+def test_rho_matches_fraction_oracle(rows, data):
+    seed = SeedMatrix(rows)
+    params = GroupElementParams(
+        tuple(data.draw(st.lists(small_fraction, min_size=seed.m, max_size=seed.m))),
+        tuple(data.draw(st.lists(small_fraction, min_size=seed.n, max_size=seed.n))),
+    )
+    got = rho(seed, params)
+    assert_same_matrix(got, rho_oracle(seed, params))
+    assert element_params(seed, got) == params
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_rows_and_integer_form_cannot_be_set(data):
+    a = data.draw(sparse_matrices(data.draw(dims), 3))
+    for matrix in (a, a * QMatrix.identity(3)):
+        before = (matrix.rows, matrix._den, matrix._ints, matrix._ncols)
+        for name in ("rows", "_den", "_ints", "_ncols"):
+            with pytest.raises(AttributeError):
+                setattr(matrix, name, getattr(matrix, name))
+        assert isinstance(matrix._ints, tuple)
+        assert all(isinstance(row, tuple) for row in matrix.rows)
+        assert (matrix.rows, matrix._den, matrix._ints, matrix._ncols) == before

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, and every
-module-level private function or class is used somewhere in the package."""
+private function, class or method is used somewhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,34 +23,58 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Names and attribute names used in the tree outside the subtree `skip`."""
-    names, stack = set(), [tree]
+def references(tree: ast.AST, cls: str | None = None) -> Counter:
+    """Count of (owner, name) over each name and attribute used in the tree.
+    The owner of `x.name` is `x` when it is a plain name, with `self` and
+    `cls` read as the enclosing class (`cls` at the root); it is None
+    otherwise and for a bare name."""
+    found, stack = Counter(), [(tree, cls)]
     while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            found[None, node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            found[cls if owner in ("self", "cls") else owner, node.attr] += 1
+        stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_defs(tree: ast.Module):
+    """(qualified name, class or None, node) of each module-level private
+    function or class and each private method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and is_private(node.name):
+            yield node.name, None, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and is_private(item.name):
+                    yield f"{node.name}.{item.name}", node.name, item
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """`module:name` of each module-level private function or class whose
-    name is used nowhere in the sources outside its own definition."""
+    """`module:name` of each private def whose name is used nowhere in the
+    sources outside its own definition.  A method counts as used through
+    `x._name` unless `x` names another class of the sources, so two classes
+    with a method of the same name are checked apart."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") or node.name.endswith("__"):
-                continue
-            if not any(node.name in referenced_names(other, node) for other in trees.values()):
-                found.append(f"{module}:{node.name}")
+        for qualname, cls, node in private_defs(tree):
+            outside = everywhere - references(node, cls)
+            owners = {owner for owner, name in outside if name == node.name}
+            if cls is not None:
+                owners = {owner for owner in owners if owner == cls or owner not in classes}
+            if not owners:
+                found.append(f"{module}:{qualname}")
     return found
 
 
@@ -63,6 +88,23 @@ def test_checker_finds_an_unreferenced_private_def():
         "b": "from .a import _Kept\n\ndef f(x):\n    return x._used() or _Kept\n",
     }
     assert unreferenced_private_defs(sources) == ["a:_loop"]
+
+
+def test_checker_finds_an_unreferenced_private_method():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    @classmethod\n"
+            "    def _make(cls):\n        return cls._make()\n"
+            "    def _dead(self):\n        return self._dead()\n"
+            "    def _helper(self):\n        pass\n"
+            "class B:\n"
+            "    @classmethod\n"
+            "    def _make(cls):\n        pass\n"
+        ),
+        "b": "from .a import A, B\n\ndef f(x):\n    return A._make() or x._helper() or B\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a:A._dead", "a:B._make"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

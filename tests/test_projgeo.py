@@ -268,6 +268,16 @@ def test_uc_equals_brute_force_enumeration():
     assert unordered_cross_ratio(basis) == brute_force_uc(basis.points)
 
 
+def test_uc_membership():
+    uc = unordered_cross_ratio(random_augmented_basis(random.Random(11), 3, 6))
+    assert all(t in uc for t in uc.tuples)
+    member = uc.tuples[len(uc) // 2]
+    assert tuple(member) in uc
+    near_miss = CrossRatioTuple([*member.entries[:-1], P(1, 1, 1)])
+    assert near_miss != member and near_miss not in uc
+    assert ("not", "points") not in uc
+
+
 def test_uc_size_divides_six_on_line():
     for alpha in (F(3), F(2, 3), F(-5), F(9, 4)):
         uc = unordered_cross_ratio(alpha_points(alpha))
