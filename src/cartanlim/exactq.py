@@ -61,7 +61,20 @@ def _format_ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-class QMatrix:
+class _Frozen:
+    """Base of the immutable values: no attribute can be set or deleted, so
+    each subclass copies and pickles through its own `__reduce__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QMatrix(_Frozen):
     """Immutable dense matrix of Fractions.
 
     The matrix is kept in one canonical integer form: `_den`, the lcm of the
@@ -101,8 +114,8 @@ class QMatrix:
         object.__setattr__(matrix, "_rows", None)
         return matrix
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
+    def __reduce__(self):
+        return QMatrix._from_ints, (self._den, self._ints, self._ncols)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -24,13 +24,13 @@ from .errors import (
     SampleCapExceededError,
     UnknownNameError,
 )
-from .exactq import QMatrix, rational
+from .exactq import QMatrix, _Frozen, rational
 from .limits import SeedMatrix
 
 BUILTIN_GROUP_NAMES = ("M5", "M6", "E", "LT")
 
 
-class Poly:
+class Poly(_Frozen):
     """Multivariate polynomial with rational coefficients.
 
     Just enough arithmetic to state matrix entries and evaluate them exactly:
@@ -51,8 +51,8 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def __reduce__(self):
+        return Poly, (self.nvars, self.terms)
 
     @classmethod
     def constant(cls, value: int | str | Fraction, nvars: int) -> "Poly":

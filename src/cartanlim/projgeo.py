@@ -10,14 +10,16 @@ An augmented basis carries its bracket table: the C(m, n) n x n minors
 general position means that none of them is zero.  Every frame is a ratio of
 brackets, so the unordered cross ratio (a complete invariant up to projective
 equivalence) and `projectively_equivalent`, which searches ordered (n+1)-point
-assignments instead of the full permutation group, run on table lookups.
+assignments instead of the full permutation group, run on table lookups.  The
+unordered cross ratio maps one frame per unordered head, since reordering the
+base only permutes image coordinates, and is kept as the frozenset of its
+tuples' point keys: its sorted `tuples` are derived only when read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, prod
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -32,7 +34,7 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .exactq import QMatrix, _cleared, _format_ratio, rational
+from .exactq import QMatrix, _cleared, _format_ratio, _Frozen, rational
 
 #: Largest m for which unordered_cross_ratio will enumerate all m! orderings.
 DEFAULT_PERMUTATION_CAP = 8
@@ -60,7 +62,7 @@ def _matvec(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, vec)) for row in rows]
 
 
-class ProjPoint:
+class ProjPoint(_Frozen):
     """A point of RP^{n-1}, keyed by its primitive integer vector `ints`."""
 
     __slots__ = ("ints",)
@@ -81,8 +83,8 @@ class ProjPoint:
         object.__setattr__(point, "ints", _primitive(ints))
         return point
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
+    def __reduce__(self):
+        return ProjPoint._from_ints, (self.ints,)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -114,7 +116,7 @@ class ProjPoint:
         return "[" + " : ".join(self.serialized()) + "]"
 
 
-class ProjTransform:
+class ProjTransform(_Frozen):
     """An invertible transformation of RP^{n-1}, keyed by its primitive
     integer matrix `ints` (gcd of all entries 1, first nonzero entry in
     row-major order positive); equality of transforms is equality of keys.
@@ -136,8 +138,8 @@ class ProjTransform:
         object.__setattr__(transform, "ints", _primitive_matrix(rows))
         return transform
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjTransform is immutable")
+    def __reduce__(self):
+        return ProjTransform._from_ints, (self.ints,)
 
     @property
     def matrix(self) -> QMatrix:
@@ -193,7 +195,7 @@ def general_position(points: Sequence[ProjPoint]) -> bool:
     return all(exactq.maximal_minors([p.ints for p in pts]).values())
 
 
-class AugmentedBasis:
+class AugmentedBasis(_Frozen):
     """m >= n+2 points of RP^{n-1} in general position, with their brackets:
     `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
 
@@ -216,8 +218,8 @@ class AugmentedBasis:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "brackets", brackets)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AugmentedBasis is immutable")
+    def __reduce__(self):
+        return AugmentedBasis, (self.points,)
 
     @property
     def m(self) -> int:
@@ -236,7 +238,7 @@ class AugmentedBasis:
         return f"AugmentedBasis({list(self.points)!r})"
 
 
-class CrossRatioTuple:
+class CrossRatioTuple(_Frozen):
     """Ordered tuple of m-(n+1) points: one ordered cross-ratio value."""
 
     __slots__ = ("entries",)
@@ -244,8 +246,8 @@ class CrossRatioTuple:
     def __init__(self, entries: Iterable[ProjPoint]):
         object.__setattr__(self, "entries", tuple(entries))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CrossRatioTuple is immutable")
+    def __reduce__(self):
+        return CrossRatioTuple, (self.entries,)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -263,62 +265,65 @@ class CrossRatioTuple:
         return f"CrossRatioTuple({list(self.entries)!r})"
 
 
-def _serialized_points(t: CrossRatioTuple) -> list[tuple[str, ...]]:
-    return [p.serialized() for p in t]
-
-
-class UnorderedCrossRatio:
+class UnorderedCrossRatio(_Frozen):
     """Deduplicated set of cross-ratio tuples over all orderings.
 
-    Stored sorted by the lexicographic order on serialized rationals, so
-    equality, hashing and serialization are deterministic.
+    Kept as the frozenset of the tuples' point keys (`ProjPoint.ints`), which
+    equality, hashing, `len` and `in` read directly.  `tuples`, sorted by the
+    lexicographic order on serialized rationals, is derived on first read.
     """
 
-    __slots__ = ("tuples",)
+    __slots__ = ("_keys", "_tuples")
 
     def __init__(self, tuples: Iterable[CrossRatioTuple | tuple[ProjPoint, ...]]):
-        keys = {tuple(p.ints for p in t) for t in tuples}
-        object.__setattr__(self, "tuples", self._from_keys(keys).tuples)
-
-    @classmethod
-    def _from_keys(cls, keys: set[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
-        """The set of the tuples of these point keys (`ProjPoint.ints`).  Each
-        distinct point is serialized once, and its rank is its sort key."""
+        keys = frozenset(tuple(p.ints for p in t) for t in tuples)
         if not keys:
             raise ZeroVectorError("unordered cross ratio cannot be empty")
-        points = {key: ProjPoint._from_ints(key) for key in set().union(*keys)}
-        order = sorted(points, key=lambda key: points[key].serialized())
-        rank = {key: r for r, key in enumerate(order)}
-        ordered = sorted(keys, key=lambda tail: [rank[key] for key in tail])
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_tuples", None)
+
+    @classmethod
+    def _from_keys(cls, keys: Iterable[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
+        """The set of the tuples of these point keys, given at least one."""
         uc = object.__new__(cls)
-        tuples = tuple(CrossRatioTuple(map(points.__getitem__, t)) for t in ordered)
-        object.__setattr__(uc, "tuples", tuples)
+        object.__setattr__(uc, "_keys", frozenset(keys))
+        object.__setattr__(uc, "_tuples", None)
         return uc
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnorderedCrossRatio is immutable")
+    def __reduce__(self):
+        return UnorderedCrossRatio._from_keys, (self._keys,)
+
+    @property
+    def tuples(self) -> tuple[CrossRatioTuple, ...]:
+        """The tuples in order.  Each distinct point is serialized once, and
+        its rank is its sort key."""
+        tuples = self._tuples
+        if tuples is None:
+            points = map(ProjPoint._from_ints, set().union(*self._keys))
+            ordered = sorted(points, key=ProjPoint.serialized)
+            rank = {p.ints: r for r, p in enumerate(ordered)}
+            ranked = sorted([tuple(map(rank.__getitem__, t)) for t in self._keys])
+            tuples = tuple([CrossRatioTuple(map(ordered.__getitem__, r)) for r in ranked])
+            object.__setattr__(self, "_tuples", tuples)
+        return tuples
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self._keys)
 
     def __iter__(self):
         return iter(self.tuples)
 
     def __contains__(self, item) -> bool:
-        if not isinstance(item, CrossRatioTuple):
-            item = CrossRatioTuple(item)
-        if not all(isinstance(p, ProjPoint) for p in item):
+        points = tuple(item)
+        if not all(isinstance(p, ProjPoint) for p in points):
             return False
-        # The point ranks that order the tuples follow `serialized`, so the
-        # tuples are sorted by their serialized points too: bisect on those.
-        i = bisect_left(self.tuples, _serialized_points(item), key=_serialized_points)
-        return i < len(self.tuples) and self.tuples[i] == item
+        return tuple(p.ints for p in points) in self._keys
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UnorderedCrossRatio) and self.tuples == other.tuples
+        return isinstance(other, UnorderedCrossRatio) and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash(self.tuples)
+        return hash(self._keys)
 
     def __repr__(self) -> str:
         return f"UnorderedCrossRatio({list(self.tuples)!r})"
@@ -355,6 +360,13 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     )
 
 
+def _reordered(key: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
+    """The key whose coordinate i is coordinate order[i] of `key`, re-signed;
+    a permutation leaves the gcd at 1."""
+    moved = tuple(key[i] for i in order)
+    return moved if next(filter(None, moved)) > 0 else tuple(-x for x in moved)
+
+
 def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
     """q -> the key of basis_transform(head)(p_q), by bracket lookups alone, for
     a head (h_1..h_n, h_{n+1}) of point indices and q outside it.  By Cramer's
@@ -384,9 +396,12 @@ def unordered_cross_ratio(
 ) -> UnorderedCrossRatio:
     """The set of ordered cross ratios over all m! orderings, deduplicated.
 
-    Permutations factor through (ordered head) x (ordered tail), so only the
-    m!/(m-n-1)! frames of the ordered heads are needed, each read off the
-    bracket table with no transform built and no elimination run.
+    Permutations factor through (ordered head) x (ordered tail), and
+    reordering the base of a head by σ only sends each image to the point
+    whose coordinate i is its coordinate σ(i).  So only the C(m, n)·(m-n)
+    frames of the heads (sorted base, last point) are needed, each read off
+    the bracket table with no transform built and no elimination run; the
+    result keeps its key set, and sorts nothing until `tuples` is read.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -394,10 +409,15 @@ def unordered_cross_ratio(
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
+    orders = list(permutations(range(n)))
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for head in permutations(range(m), n + 1):
-        image = _frame(basis.brackets, head)
-        seen.update(permutations([image(q) for q in range(m) if q not in head]))
+    for base in combinations(range(m), n):
+        for last in range(m):
+            if last not in base:
+                image = _frame(basis.brackets, (*base, last))
+                tail = [image(q) for q in range(m) if q != last and q not in base]
+                for order in orders:
+                    seen.update(permutations([_reordered(key, order) for key in tail]))
     return UnorderedCrossRatio._from_keys(seen)
 
 

@@ -391,6 +391,39 @@ def test_enumerations_match_per_head_oracles(pair):
     assert_matches_oracles(*pair)
 
 
+@settings(max_examples=25, deadline=None)
+@given(configuration_pairs())
+def test_uc_key_set_form(pair):
+    ucs = [unordered_cross_ratio(basis) for basis in pair]
+    same = ucs[0] == ucs[1]  # before `tuples` is read
+    assert same == (projectively_equivalent(*pair) is not None)
+    for basis, uc in zip(pair, ucs):
+        assert [tuple(t) for t in uc] == uc_oracle(basis)
+        rebuilt = UnorderedCrossRatio(uc.tuples)
+        assert rebuilt == uc and hash(rebuilt) == hash(uc) and len(rebuilt) == len(uc)
+        assert all(t in uc for t in uc.tuples)
+        # the standard point [1 : ... : 1] is the image of the head's last
+        # point, so it is never a tail image
+        member = uc.tuples[len(uc) // 2]
+        near_miss = CrossRatioTuple([*member.entries[:-1], ProjPoint([1] * basis.n)])
+        assert near_miss not in uc
+    assert (ucs[0] == ucs[1]) == same
+
+
+def test_uc_equality_serializes_nothing(monkeypatch):
+    calls = []
+    serialized = ProjPoint.serialized
+    monkeypatch.setattr(ProjPoint, "serialized", lambda p: calls.append(p) or serialized(p))
+    rng = random.Random(17)
+    left = random_augmented_basis(rng, 3, 6)
+    q = ProjTransform(random_invertible(rng, 3))
+    right = AugmentedBasis(q(p) for p in reversed(left.points))
+    ucs = [unordered_cross_ratio(left), unordered_cross_ratio(right)]
+    assert ucs[0] == ucs[1] and hash(ucs[0]) == hash(ucs[1])
+    assert calls == []
+    assert ucs[0].tuples == ucs[1].tuples and calls
+
+
 def test_enumerations_match_oracles_on_larger_shapes():
     rng = random.Random(37)
     for n, m in ((3, 7), (4, 6)):
@@ -452,13 +485,15 @@ def test_basis_computes_each_bracket_once(work, n, m):
     assert len(basis.brackets) == comb(m, n)
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)])
 def test_uc_tries_every_ordered_head_once(work, n, m):
     basis = random_augmented_basis(random.Random(n * 10 + m), n, m)
     work.clear()
-    unordered_cross_ratio(basis)
-    # by lookups alone: no frame is built and no elimination runs
-    assert work == ["head"] * perm(m, n + 1)
+    uc = unordered_cross_ratio(basis)
+    # one head per (sorted base, last point), by lookups alone: no frame is
+    # built and no elimination runs; the n! base orders permute coordinates
+    assert work == ["head"] * (comb(m, n) * (m - n))
+    assert [t.entries for t in uc] == uc_oracle(basis)
 
 
 def test_equivalent_negative_tries_every_head(work):
