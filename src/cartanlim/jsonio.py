@@ -192,7 +192,7 @@ def _read_poly(obj: Any, nvars: int, context: str) -> Poly:
             raise ParseError(f"{context}: term must be [coeff, [exponents]]")
         coeff = read_rational(term[0], context)
         exps = term[1]
-        if len(exps) != nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
+        if len(exps) != nvars or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
             raise ParseError(f"{context}: bad exponent tuple {exps}")
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     return Poly(nvars, terms)

@@ -6,6 +6,10 @@ parameter count) and the existence of a rank-one direction in its linear
 block.  The built-in groups are the two quadratic families in dimensions 5
 and 6, the 8-dimensional linear family E whose block admits no rank-one
 direction, and the seed-matrix groups, which pass both tests.
+
+A group is compiled once into integers, rho(v) = I + sum_mu mu(v) C_mu / D;
+the exact group law, flatness (the rank of the C_mu) and the table of 2x2
+minor forms of the rank-one search all run on that form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import prod as int_prod
+from math import comb, lcm, prod as int_prod
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -109,23 +113,16 @@ class Poly(_Frozen):
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
-def _deterministic_pairs(nvars: int, count: int = 10) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-    pairs = []
-    for t in range(count):
-        u = tuple(Fraction(((3 * t + 2 * i) % 5) - 2) for i in range(nvars))
-        v = tuple(Fraction(((7 * t + 3 * i) % 5) - 2) for i in range(nvars))
-        pairs.append((u, v))
-    return pairs
-
-
 class PolyParamGroup:
     """A matrix family v -> rho(v) with polynomial entries and rho(0) = I.
 
-    Construction checks, in this order, that every entry has total degree
-    below `ambient` (an additive family is exp(sum v_i N_i) with commuting
-    nilpotent N_i) and the additivity rho(u)rho(v) = rho(u+v) on a fixed
-    sample of ten parameter pairs; pass check=False for families that are
-    deliberately not groups (the flatness machinery does not need the law).
+    The entries are compiled once into rho(v) = I + sum_mu mu(v) C_mu / D, with
+    one integer vector C_mu of the k*k entries per nonconstant monomial mu.
+    With check=True construction then checks, in this order, that every entry
+    has total degree below `ambient` (an additive family is exp(sum v_i N_i)
+    with commuting nilpotent N_i) and that rho(u)rho(v) = rho(u+v) holds as a
+    polynomial identity; pass check=False for families that are deliberately
+    not groups (the flatness machinery does not need the law).
     """
 
     def __init__(
@@ -139,42 +136,72 @@ class PolyParamGroup:
         grid = tuple(tuple(row) for row in entries)
         if len(grid) != ambient or any(len(row) != ambient for row in grid):
             raise ValueError(f"entries must form an {ambient} x {ambient} grid")
-        for row in grid:
-            for p in row:
-                if p.nvars != dim_params:
-                    raise ValueError("entry polynomial has the wrong variable count")
+        cells = [p for row in grid for p in row]
+        if any(p.nvars != dim_params for p in cells):
+            raise ValueError("entry polynomial has the wrong variable count")
         self.dim_params = dim_params
         self.ambient = ambient
         self.entries = grid
-        constants = QMatrix(
-            [[p.constant_term() for p in row] for row in grid]
-        )
-        if constants != QMatrix.identity(ambient):
+        if any(p.constant_term() != int(pos // ambient == pos % ambient) for pos, p in enumerate(cells)):
             raise ValueError("family does not pass through the identity")
+        self._den = lcm(*(c.denominator for p in cells for c in p.terms.values()))
+        self._coeffs: dict[tuple[int, ...], dict[int, int]] = {}  # mu -> {k*i + j: C_mu[i, j]}
+        for pos, p in enumerate(cells):
+            for exps, c in p.terms.items():
+                if any(exps):
+                    self._coeffs.setdefault(exps, {})[pos] = c.numerator * (self._den // c.denominator)
+        self._degree = max(map(sum, self._coeffs), default=0)
         if check:
-            degree = max((sum(exps) for row in grid for p in row for exps in p.terms), default=0)
-            if degree >= ambient:
-                raise ValueError(f"an entry has total degree {degree}, not below the size {ambient}")
-            for u, v in _deterministic_pairs(dim_params):
-                uv = tuple(x + y for x, y in zip(u, v))
-                if self.evaluate(u) * self.evaluate(v) != self.evaluate(uv):
-                    raise ValueError("family is not additive on the check sample")
+            if self._degree >= ambient:
+                raise ValueError(f"an entry has total degree {self._degree}, not below the size {ambient}")
+            if not self._is_additive():
+                raise ValueError("family is not additive: rho(u)rho(v) != rho(u+v)")
+
+    def _is_additive(self) -> bool:
+        """The coefficients of u^a v^b (a, b != 0) agree on both sides:
+        C_a C_b = D binom(a+b, a) C_{a+b} for monomials a and b (C is zero off
+        the monomials), and every split c = a + b of a monomial c is a pair of them."""
+        k, coeffs = self.ambient, self._coeffs
+        # a monomial lowered in one exponent is 1 or a monomial: then so is every part of it
+        for c in coeffs:
+            for i, e in enumerate(c):
+                lower = c[:i] + (e - 1,) + c[i + 1 :]
+                if e and any(lower) and lower not in coeffs:
+                    return False
+        for a, vec_a in coeffs.items():
+            for b, vec_b in coeffs.items():
+                left: dict[int, int] = {}
+                for pos_a, x in vec_a.items():
+                    for pos_b, y in vec_b.items():
+                        if pos_a % k == pos_b // k:
+                            pos = pos_a - pos_a % k + pos_b % k
+                            left[pos] = left.get(pos, 0) + x * y
+                scale = self._den * int_prod(comb(x + y, x) for x, y in zip(a, b))
+                right = coeffs.get(tuple(x + y for x, y in zip(a, b)), {})
+                if {pos: x for pos, x in left.items() if x} != {pos: scale * x for pos, x in right.items()}:
+                    return False
+        return True
 
     def evaluate(self, point: Sequence[int | str | Fraction]) -> QMatrix:
         vals = [rational(x) for x in point]
         if len(vals) != self.dim_params:
             raise ValueError(f"expected {self.dim_params} parameters")
-        return QMatrix(
-            [[p.evaluate(vals) for p in row] for row in self.entries]
-        )
+        # rho(w/L) times D L^deg is D L^deg I + sum_mu w^mu L^(deg - |mu|) C_mu
+        scale = lcm(*(x.denominator for x in vals))
+        ws = [x.numerator * (scale // x.denominator) for x in vals]
+        k, deg = self.ambient, self._degree
+        den = self._den * scale**deg
+        ints = [0] * (k * k)
+        ints[:: k + 1] = [den] * k
+        for mu, vec in self._coeffs.items():
+            factor = int_prod(w**e for w, e in zip(ws, mu) if e) * scale ** (deg - sum(mu))
+            if factor:
+                for pos, c in vec.items():
+                    ints[pos] += factor * c
+        return QMatrix._from_ints(den, ints, k)
 
     def max_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.dim_params
-        for row in self.entries:
-            for p in row:
-                for i, e in enumerate(p.max_degrees()):
-                    degs[i] = max(degs[i], e)
-        return tuple(degs)
+        return tuple(max((mu[i] for mu in self._coeffs), default=0) for i in range(self.dim_params))
 
 
 class LinearBlockFamily:
@@ -205,15 +232,8 @@ class LinearBlockFamily:
         vals = [rational(x) for x in point]
         if len(vals) != self.dim_params:
             raise ValueError(f"expected {self.dim_params} parameters")
-        grid = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for v, mat in zip(vals, self.coeff_matrices):
-            if v == 0:
-                continue
-            for i, row in enumerate(mat.rows):
-                for j, x in enumerate(row):
-                    if x:
-                        grid[i][j] += v * x
-        return QMatrix(grid)
+        zero = QMatrix._from_ints(1, [0] * (self.nrows * self.ncols), self.ncols)
+        return sum((v * mat for v, mat in zip(vals, self.coeff_matrices) if v), zero)
 
     def entry_form(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Coefficients of the linear form at block position (i, j)."""
@@ -335,10 +355,11 @@ class FlatnessReport:
 def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     """Compare the affine-hull dimension of the image with the parameter count.
 
-    A grid with degree+1 values per variable determines every entry
-    polynomial, so the hull of the sampled image equals the hull of the whole
-    image: equality with dim_params certifies flatness, excess certifies the
-    opposite.  The parameter vectors that grew the hull are reported.
+    The monomials are linearly independent functions, so the hull of the
+    image is I + span{C_mu} and its dimension is the rank of the compiled
+    coefficients: equality with dim_params certifies flatness, excess
+    certifies the opposite.  A grid with degree+1 values per variable spans
+    the same hull; the parameter vectors that grew it are reported.
     """
     sizes = tuple(d + 1 for d in group.max_degrees())
     total = int_prod(sizes)
@@ -346,12 +367,20 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
         raise SampleCapExceededError(
             f"certifying grid has {total} points, above the cap of {cap}"
         )
-    points = [tuple(Fraction(x) for x in combo) for combo in product(*(range(s) for s in sizes))]
-    images = [[x for row in group.evaluate(p).rows for x in row] for p in points]
-    base = images[0]
-    grew = exactq.independent_rows([[x - y for x, y in zip(v, base)] for v in images[1:]])
-    witnesses = [points[0]] + [points[i + 1] for i in grew]
-    hull_dim = len(grew)
+    coeffs = group._coeffs
+    # the positions where the C_mu are independent carry their span faithfully
+    by_position = [[vec.get(pos, 0) for vec in coeffs.values()] for pos in range(group.ambient**2)]
+    columns = [by_position[pos] for pos in exactq.independent_rows(by_position)]
+    hull_dim = len(columns)
+    points = list(product(*(range(s) for s in sizes)))
+    images = []
+    for p in points[1:]:  # rho(0) - I = 0
+        values = [int_prod(x**e for x, e in zip(p, mu)) for mu in coeffs]
+        images.append([sum(v * c for v, c in zip(values, col)) for col in columns])
+    grew = exactq.independent_rows(images)
+    if len(grew) != hull_dim:
+        raise InternalError(f"the grid spans {len(grew)} dimensions, the coefficients {hull_dim}; this is a bug")
+    witnesses = [tuple(map(Fraction, points[i])) for i in [0, *(i + 1 for i in grew)]]
     if hull_dim < group.dim_params:
         raise RedundantParametersError(
             "image hull is smaller than the parameter count; parameters are redundant"
@@ -405,13 +434,7 @@ def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
     tier equal to the bound is exact.  Below the bound the tier is the
     largest sampled rank, a lower bound with its witness.
     """
-    # rho(0) = I, so an entry of rho(v) - I is zero iff it has no nonconstant term
-    moving = [
-        (i, j)
-        for i, row in enumerate(group.entries)
-        for j, p in enumerate(row)
-        if any(any(exps) for exps in p.terms)
-    ]
+    moving = {divmod(pos, group.ambient) for vec in group._coeffs.values() for pos in vec}
     bound = min(len({i for i, _ in moving}), len({j for _, j in moving}))
     ident = QMatrix.identity(group.ambient)
     best = -1
@@ -468,8 +491,28 @@ def _minor_terms(
     return {key: c for key, c in terms.items() if c != 0}
 
 
-def _propagate(family: LinearBlockFamily, zeroed: set[int]):
-    """Square-monomial forcing to a fixpoint.
+def _minor_table(family: LinearBlockFamily) -> list[tuple[tuple[int, int], tuple[int, int], list]]:
+    """(rows, cols, monomials (k, l), k <= l) of every 2x2 minor's quadratic
+    form, in scan order.  The integer coefficient matrices scale the
+    coefficient of v_k*v_l by den_k*den_l > 0, so the surviving monomials are
+    those of the rational form."""
+    q = family.ncols
+    mats = family.coeff_matrices
+    forms = [[(t, m._ints[pos]) for t, m in enumerate(mats) if m._ints[pos]] for pos in range(family.nrows * q)]
+    table = []
+    for (i1, i2), (j1, j2) in product(combinations(range(family.nrows), 2), combinations(range(q), 2)):
+        terms: dict[tuple[int, int], int] = {}
+        for u, v, sign in ((forms[i1 * q + j1], forms[i2 * q + j2], 1), (forms[i1 * q + j2], forms[i2 * q + j1], -1)):
+            for k, x in u:
+                for l, y in v:
+                    key = (k, l) if k <= l else (l, k)
+                    terms[key] = terms.get(key, 0) + sign * x * y
+        table.append(((i1, i2), (j1, j2), [key for key, c in terms.items() if c]))
+    return table
+
+
+def _propagate(table: list, zeroed: set[int]):
+    """Square-monomial forcing to a fixpoint over the minor table.
 
     A minor that reduces to a single monomial c*v_k^2 forces v_k = 0 outright;
     single product monomials c*v_k*v_l only give a disjunction and are
@@ -477,53 +520,34 @@ def _propagate(family: LinearBlockFamily, zeroed: set[int]):
     """
     zeroed = set(zeroed)
     steps: list[dict] = []
-    row_pairs = list(combinations(range(family.nrows), 2))
-    col_pairs = list(combinations(range(family.ncols), 2))
     while True:
-        forced = False
         products: list[dict] = []
-        for rows in row_pairs:
-            for cols in col_pairs:
-                terms = _minor_terms(family, rows, cols, zeroed)
-                if len(terms) != 1:
-                    continue
-                ((k, l),) = terms.keys()
-                if k == l:
-                    if k not in zeroed:
-                        zeroed.add(k)
-                        steps.append(
-                            {
-                                "kind": "minor",
-                                "rows": list(rows),
-                                "cols": list(cols),
-                                "monomial": [k, l],
-                                "forced": k,
-                            }
-                        )
-                        forced = True
-                        break
-                else:
-                    products.append(
-                        {"rows": list(rows), "cols": list(cols), "monomial": [k, l]}
-                    )
-            if forced:
+        for rows, cols, monomials in table:
+            live = [(k, l) for k, l in monomials if k not in zeroed and l not in zeroed]
+            if len(live) != 1:
+                continue
+            ((k, l),) = live
+            if k == l:
+                zeroed.add(k)
+                steps.append({"kind": "minor", "rows": list(rows), "cols": list(cols), "monomial": [k, l], "forced": k})
                 break
-        if not forced:
+            products.append({"rows": list(rows), "cols": list(cols), "monomial": [k, l]})
+        else:
             return zeroed, steps, products
 
 
-def _certify_zero(family: LinearBlockFamily, zeroed: set[int], depth: int):
-    zeroed, steps, products = _propagate(family, zeroed)
-    if len(zeroed) == family.dim_params:
+def _certify_zero(table: list, dim_params: int, zeroed: set[int], depth: int):
+    zeroed, steps, products = _propagate(table, zeroed)
+    if len(zeroed) == dim_params:
         return steps
     if depth <= 0:
         return None
     for prod_step in products:
         k, l = prod_step["monomial"]
-        case_k = _certify_zero(family, zeroed | {k}, depth - 1)
+        case_k = _certify_zero(table, dim_params, zeroed | {k}, depth - 1)
         if case_k is None:
             continue
-        case_l = _certify_zero(family, zeroed | {l}, depth - 1)
+        case_l = _certify_zero(table, dim_params, zeroed | {l}, depth - 1)
         if case_l is None:
             continue
         branch = dict(prod_step)
@@ -562,7 +586,7 @@ def has_tier_one_element(
     certificate.  Otherwise a seeded search looks for an exact witness.
     Neither resolving yields Undecided, which is a value rather than an error.
     """
-    certificate = _certify_zero(family, set(), family.dim_params)
+    certificate = _certify_zero(_minor_table(family), family.dim_params, set(), family.dim_params)
     if certificate is not None:
         return TierOneResult("No", None, tuple(certificate))
     for point in _witness_candidates(family, seed, random_samples):

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cartanlim.limits
 from cartanlim.obstruct import Poly
-from util import FIXTURES, HUGE_DEGREE_GROUP, run_cli
+from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, group_document, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
 PARAMS = str(FIXTURES / "params_ones.json")
@@ -109,6 +111,29 @@ def test_group_degree_above_the_limit_exits_2_before_any_evaluation(tmp_path, mo
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ParseError"
         assert "total degree 1000000000" in error["message"]
+
+
+@pytest.mark.parametrize("name", sorted(NONGROUPS))
+def test_group_that_is_not_additive_exits_2(tmp_path, name):
+    group = write(tmp_path, "group.json", group_document(NONGROUPS[name]))
+    for subcommand in ("flat", "tier"):
+        code, out = run_cli(["obstruct", subcommand, group])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ParseError"
+        assert "not additive" in error["message"]
+
+
+def test_boolean_exponent_exits_2(tmp_path):
+    # read as the exponent 1, this is the group v -> [[1, v], [0, 1]]
+    entries = [[[["1", [0]]], [["1", [True]]]], [[], [["1", [0]]]]]
+    group = write(tmp_path, "group.json", {"dim_params": 1, "ambient": 2, "entries": entries})
+    code, error = error_of(["obstruct", "flat", group])
+    assert code == 2
+    assert error["type"] == "ParseError"
+    assert "bad exponent tuple [True]" in error["message"]
 
 
 def test_non_integer_basis_n_names_the_key(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlim.errors import SampleCapExceededError, UnknownNameError
+from cartanlim.errors import CartanlimError, InternalError, SampleCapExceededError, UnknownNameError
 from cartanlim.exactq import QMatrix, rank
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
 from cartanlim.obstruct import (
@@ -21,7 +21,16 @@ from cartanlim.obstruct import (
     replay_certificate,
     tier,
 )
-from util import flag_tier_profile_oracle, tier_oracle
+from util import (
+    NONGROUPS,
+    exp_family_terms,
+    flag_tier_profile_oracle,
+    flatness_oracle,
+    group_from_terms,
+    random_generic_seed,
+    tier_one_oracle,
+    tier_oracle,
+)
 
 E_VARS = "abcdefg"
 
@@ -102,6 +111,85 @@ def test_degree_limit_and_additivity_sample_both_reject():
     PolyParamGroup(1, 3, [[one, x, half_square], [zero, one, x], [zero, zero, one]])
 
 
+@pytest.mark.parametrize("name", sorted(NONGROUPS))
+def test_nongroups_below_the_degree_limit_rejected(name):
+    with pytest.raises(ValueError, match="not additive"):
+        group_from_terms(1, NONGROUPS[name])
+    group_from_terms(1, NONGROUPS[name], check=False)
+
+
+@st.composite
+def nilpotents(draw):
+    """A strictly upper-triangular integer matrix with a nonzero superdiagonal,
+    so that its powers up to the size are nonzero."""
+    k = draw(st.integers(2, 5))
+    return [
+        [draw(st.integers(1, 2) | st.integers(-2, -1)) if c == r + 1 else draw(st.integers(-2, 2)) if c > r else 0
+         for c in range(k)]
+        for r in range(k)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotents(), st.integers(1, 2))
+def test_exponential_families_pass_the_law(nilpotent, nvars):
+    group_from_terms(nvars, exp_family_terms(nilpotent, nvars))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotents().filter(lambda n: len(n) > 2), st.integers(1, 2), st.data())
+def test_a_perturbed_exponential_family_fails_the_law(nilpotent, nvars, data):
+    # a term of degree >= 2 is fixed by the lower ones: C_a C_b = D binom(a+b, a) C_{a+b}
+    terms = exp_family_terms(nilpotent, nvars)
+    r, c, e = data.draw(st.sampled_from(
+        [(r, c, e) for r, row in enumerate(terms) for c, cell in enumerate(row) for e in cell if sum(e) >= 2]
+    ))
+    terms[r][c][e] += 1
+    with pytest.raises(ValueError, match="not additive"):
+        group_from_terms(nvars, terms)
+
+
+@st.composite
+def sparse_families(draw):
+    """Families through I with a few upper-triangular terms below the degree
+    limit; some are groups (I + v E_ij, exponentials), most are not."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        return d, exp_family_terms(draw(nilpotents().filter(lambda n: len(n) == k)), d)
+    terms = [[{(0,) * d: F(1)} if r == c else {} for c in range(k)] for r in range(k)]
+    exps = st.lists(st.integers(0, k - 1), min_size=d, max_size=d).map(tuple).filter(lambda e: 0 < sum(e) < k)
+    coeff = st.sampled_from([F(1), F(-1), F(2), F(1, 2)])
+    for r, c in draw(st.lists(st.sampled_from([(r, c) for r in range(k) for c in range(r + 1, k)]), min_size=1, max_size=3)):
+        terms[r][c] = draw(st.dictionaries(exps, coeff, min_size=1, max_size=2))
+    return d, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_families(), st.integers(0, 2**32))
+def test_the_exact_law_agrees_with_random_rational_pairs(family, seed):
+    # Schwartz-Zippel: a nonzero polynomial of degree below 8 in (u, v) vanishes
+    # at a point drawn from a set of about 10^9 values per coordinate with
+    # probability below 10^-8, so three pairs decide the identity
+    d, terms = family
+    group = group_from_terms(d, terms, check=False)
+    rng = random.Random(seed)
+
+    def rho(point):
+        return QMatrix([[p.evaluate(point) for p in row] for row in group.entries])
+
+    def draw():
+        return [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(d)]
+
+    pairs = [(draw(), draw()) for _ in range(3)]
+    holds = all(rho(u) * rho(v) == rho([x + y for x, y in zip(u, v)]) for u, v in pairs)
+    try:
+        group_from_terms(d, terms)
+    except ValueError:
+        assert not holds
+    else:
+        assert holds
+
+
 def test_lt_group_matches_rho():
     from cartanlim.limits import GroupElementParams, rho
 
@@ -141,6 +229,14 @@ def test_quadratic_coordinate_flips_flatness():
     curved[1][2] = Poly.monomial(F(1, 2), (2, 0), 2)
     bent = PolyParamGroup(2, 3, curved, check=False)
     assert flatness_check(bent).verdict == "NotFlat"
+
+
+def test_flatness_grid_that_misses_the_coefficient_rank_is_an_internal_error(monkeypatch):
+    # a grid below the degrees cannot span I + span{C_mu}; the two ranks must agree
+    group = builtin_group("M5")
+    monkeypatch.setattr(group, "max_degrees", lambda: (1, 1, 1, 1))
+    with pytest.raises(InternalError, match="the grid spans 4 dimensions, the coefficients 5"):
+        flatness_check(group)
 
 
 def test_flatness_cap():
@@ -196,13 +292,17 @@ def test_tier_stops_at_the_rank_bound_with_the_full_walk_report(monkeypatch, nam
 
 
 @st.composite
-def block_groups(draw):
+def block_families(draw):
     p, q, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    entry = st.integers(-1, 1)
+    entry = st.sampled_from([0, 1, -1, F(1, 2), F(-2, 3)])
     mats = draw(st.lists(
         st.lists(st.lists(entry, min_size=q, max_size=q), min_size=p, max_size=p), min_size=d, max_size=d
     ))
-    return _unipotent_group_from_block(LinearBlockFamily([QMatrix(m) for m in mats]))
+    return LinearBlockFamily([QMatrix(m) for m in mats])
+
+
+def block_groups():
+    return block_families().map(_unipotent_group_from_block)
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,3 +433,64 @@ def test_flag_tier_profile_equals_the_sampled_profile():
     wider = SeedMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]])
     for seed_matrix in [alpha_seed(3), wider, *fixed_random_seeds()]:
         assert flag_tier_profile(seed_matrix) == flag_tier_profile_oracle(seed_matrix)
+
+
+# --- the integer form against the Fraction oracles ---------------------------------------
+
+
+def outcome(fn, *args):
+    """A function's result, or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except CartanlimError as exc:
+        return type(exc)
+
+
+def generic_lt_seeds() -> list:
+    rng = random.Random(20261018)
+    return [
+        pytest.param("LT", random_generic_seed(rng, m, n), id=f"LT{m}x{n}-{i}")
+        for m, n in ((4, 2), (5, 2), (5, 3))
+        for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize("name, seed", [("M5", None), ("M6", None), ("E", None), *generic_lt_seeds()])
+def test_builtin_reports_equal_the_fraction_oracles(name, seed):
+    group = builtin_group(name, seed)
+    assert flatness_check(group) == flatness_oracle(group)
+    assert tier(group) == tier_oracle(group)
+    # on (5, 3) seeds the branching search of the oracle takes 15-45 s before
+    # its witness, so the rank-one comparison runs on the smaller shapes
+    if name == "E" or name == "LT" and seed.n == 2:
+        family = builtin_block_family(name, seed)
+        assert has_tier_one_element(family) == tier_one_oracle(family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_families())
+def test_block_reports_equal_the_fraction_oracles(family):
+    assert has_tier_one_element(family, random_samples=20) == tier_one_oracle(family, random_samples=20)
+    group = _unipotent_group_from_block(family)
+    assert outcome(flatness_check, group) == outcome(flatness_oracle, group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotents(), st.integers(1, 2))
+def test_exponential_reports_equal_the_fraction_oracles(nilpotent, nvars):
+    group = group_from_terms(nvars, exp_family_terms(nilpotent, nvars))
+    assert outcome(flatness_check, group) == outcome(flatness_oracle, group)
+    assert tier(group) == tier_oracle(group)
+
+
+def test_obstructions_on_the_builtin_groups_evaluate_no_polynomial(monkeypatch):
+    def refuse(self, point):
+        raise AssertionError("an entry polynomial was evaluated")
+
+    monkeypatch.setattr(Poly, "evaluate", refuse)
+    for name, seed in [("M5", None), ("M6", None), ("E", None), ("LT", alpha_seed(3))]:
+        group = builtin_group(name, seed)
+        flatness_check(group)
+        tier(group)
+    for name, seed in [("E", None), ("LT", alpha_seed(3))]:
+        has_tier_one_element(builtin_block_family(name, seed))

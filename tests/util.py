@@ -7,16 +7,21 @@ import io
 import json
 import random
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 from pathlib import Path
 
 from cartanlim import (
     AugmentedBasis,
+    FlatnessReport,
     GroupElementParams,
+    LinearBlockFamily,
+    Poly,
     ProjPoint,
     QMatrix,
     PolyParamGroup,
     SeedMatrix,
+    TierOneResult,
     TierReport,
     affine_hull_dim,
     basis_transform,
@@ -28,11 +33,13 @@ from cartanlim import (
     rank,
 )
 from cartanlim.cli import main
+from cartanlim.errors import RedundantParametersError, SampleCapExceededError
+from cartanlim.obstruct import _minor_terms, _witness_candidates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# A 2 x 2 group with one entry x^1000000000: about 100 bytes, whose additivity
-# check would evaluate (±2)^(10^9) if the degree limit did not stop it first.
+# A 2 x 2 group with one entry x^1000000000: about 100 bytes, and one
+# evaluation at 2 would expand 2^(10^9); the degree limit rejects it first.
 HUGE_DEGREE_GROUP = (
     b'{"dim_params": 1, "ambient": 2, "entries": [[[["1", [0]]], [["1", [1000000000]]]], [[], [["1", [0]]]]]}'
 )
@@ -286,3 +293,157 @@ def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
             best = max(best, rank(group.evaluate(point) - ident))
         profile.append(best)
     return tuple(profile)
+
+
+def flatness_oracle(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
+    """Independent oracle for `flatness_check`: the Fraction images of the
+    grid of degree+1 values per variable, read entry by entry with
+    `Poly.evaluate`, and the points whose difference from the image of 0 is
+    independent of the ones before, by rational elimination."""
+    sizes = tuple(max(degs) + 1 for degs in zip(*(p.max_degrees() for row in group.entries for p in row)))
+    total = prod(sizes)
+    if total > cap:
+        raise SampleCapExceededError(f"certifying grid has {total} points, above the cap of {cap}")
+    points = [tuple(Fraction(x) for x in combo) for combo in product(*(range(s) for s in sizes))]
+    images = [[p.evaluate(point) for row in group.entries for p in row] for point in points]
+    grew = incremental_basis_oracle([[x - y for x, y in zip(image, images[0])] for image in images])
+    if len(grew) < group.dim_params:
+        raise RedundantParametersError("image hull is smaller than the parameter count")
+    return FlatnessReport(
+        verdict="Flat" if len(grew) == group.dim_params else "NotFlat",
+        hull_dim=len(grew),
+        dim_params=group.dim_params,
+        sample_size=len(points),
+        grid_sizes=sizes,
+        witness_params=(points[0], *(points[i] for i in grew)),
+    )
+
+
+def _propagate_oracle(family: LinearBlockFamily, zeroed: set[int]):
+    """The propagation of `has_tier_one_element`, recomputing every minor's
+    Fraction quadratic form with the zeroed variables removed at every step."""
+    zeroed = set(zeroed)
+    steps: list[dict] = []
+    pairs = list(product(combinations(range(family.nrows), 2), combinations(range(family.ncols), 2)))
+    while True:
+        products: list[dict] = []
+        for rows, cols in pairs:
+            terms = _minor_terms(family, rows, cols, zeroed)
+            if len(terms) != 1:
+                continue
+            ((k, l),) = terms
+            if k == l:
+                zeroed.add(k)
+                steps.append({"kind": "minor", "rows": list(rows), "cols": list(cols), "monomial": [k, l], "forced": k})
+                break
+            products.append({"rows": list(rows), "cols": list(cols), "monomial": [k, l]})
+        else:
+            return zeroed, steps, products
+
+
+def _certify_zero_oracle(family: LinearBlockFamily, zeroed: set[int], depth: int):
+    zeroed, steps, products = _propagate_oracle(family, zeroed)
+    if len(zeroed) == family.dim_params:
+        return steps
+    if depth <= 0:
+        return None
+    for step in products:
+        k, l = step["monomial"]
+        case_k = _certify_zero_oracle(family, zeroed | {k}, depth - 1)
+        if case_k is None:
+            continue
+        case_l = _certify_zero_oracle(family, zeroed | {l}, depth - 1)
+        if case_l is None:
+            continue
+        cases = [{"assume": k, "steps": case_k}, {"assume": l, "steps": case_l}]
+        return steps + [{**step, "kind": "branch", "cases": cases}]
+    return None
+
+
+def tier_one_oracle(family: LinearBlockFamily, seed: int = 0, random_samples: int = 200) -> TierOneResult:
+    """Independent oracle for `has_tier_one_element`: the certificate of the
+    per-step Fraction propagation, else the first candidate of the seeded
+    witness stream whose block, summed in Fractions, has rank one."""
+    certificate = _certify_zero_oracle(family, set(), family.dim_params)
+    if certificate is not None:
+        return TierOneResult("No", None, tuple(certificate))
+    mats = [mat.rows for mat in family.coeff_matrices]
+    for point in _witness_candidates(family, seed, random_samples):
+        block = [[sum(v * mat[i][j] for v, mat in zip(point, mats)) for j in range(family.ncols)] for i in range(family.nrows)]
+        if any(point) and rank(QMatrix(block)) == 1:
+            return TierOneResult("Witness", point, None)
+    return TierOneResult("Undecided", None, None)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def exp_family_terms(nilpotent, nvars: int) -> list[list[dict]]:
+    """The entries of exp(v_1 N + v_2 N^2 + ... + v_d N^d) for a nilpotent
+    integer N, as {exponents: Fraction} term maps in d = nvars variables,
+    expanded over the Fractions: the sum of X^j / j! for j below the size."""
+    k = len(nilpotent)
+    power = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+    x = [[{} for _ in range(k)] for _ in range(k)]
+    for i in range(nvars):
+        power = [[sum(power[r][t] * nilpotent[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
+        unit = tuple(int(t == i) for t in range(nvars))
+        for r, c in product(range(k), repeat=2):
+            if power[r][c]:
+                x[r][c][unit] = power[r][c]
+    term = [[{(0,) * nvars: Fraction(1)} if r == c else {} for c in range(k)] for r in range(k)]
+    total = [[dict(cell) for cell in row] for row in term]
+    for j in range(1, k):
+        nxt = [[{} for _ in range(k)] for _ in range(k)]
+        for r, t, c in product(range(k), repeat=3):
+            for e, coeff in _poly_mul(term[r][t], x[t][c]).items():
+                nxt[r][c][e] = nxt[r][c].get(e, 0) + coeff / j
+        term = nxt
+        for r, c in product(range(k), repeat=2):
+            for e, coeff in term[r][c].items():
+                total[r][c][e] = total[r][c].get(e, 0) + coeff
+    return [[{e: c for e, c in cell.items() if c} for cell in row] for row in total]
+
+
+def group_from_terms(nvars: int, terms: list[list[dict]], check: bool = True) -> PolyParamGroup:
+    return PolyParamGroup(nvars, len(terms), [[Poly(nvars, cell) for cell in row] for row in terms], check=check)
+
+
+def _one_entry_family(k: int, cell: tuple[int, int], terms: dict) -> list[list[dict]]:
+    entries = [[{(0,): Fraction(1)} if i == j else {} for j in range(k)] for i in range(k)]
+    entries[cell[0]][cell[1]] = terms
+    return entries
+
+
+def _vanishing_on_small_points() -> dict:
+    poly = {(0,): Fraction(1)}
+    for root in range(-4, 5):
+        poly = _poly_mul(poly, {(1,): Fraction(1), (0,): Fraction(-root)})
+    return {e: c for e, c in poly.items() if c}
+
+
+# One-parameter families that pass through I, stay below the degree limit and
+# are not groups, as {exponents: coefficient} term maps.
+NONGROUPS = {
+    # f(v) = prod_{k=-4..4} (v - k) in entry (1, 10) of a 10 x 10 family: f
+    # vanishes at u, v and u + v for all u, v in {-2..2}, yet rho(1)rho(4) != rho(5)
+    "vanishing": _one_entry_family(10, (0, 9), _vanishing_on_small_points()),
+    # v^2 alone in entry (1, 2) of a 3 x 3 family: E_12 E_12 = 0 and v^4 is no
+    # term, so only the split (u + v)^2 = u^2 + 2uv + v^2 shows the cross term
+    "square": _one_entry_family(3, (0, 1), {(2,): Fraction(1)}),
+}
+
+
+def group_document(terms: list[list[dict]]) -> dict:
+    """The explicit JSON form of a family given as term maps."""
+    return {
+        "dim_params": len(next(iter(terms[0][0]))),
+        "ambient": len(terms),
+        "entries": [[[[str(c), list(e)] for e, c in sorted(cell.items())] for cell in row] for row in terms],
+    }
