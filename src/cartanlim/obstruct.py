@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod as int_prod
 from typing import Iterable, Optional, Sequence
 
@@ -160,26 +160,31 @@ class PolyParamGroup:
     def _is_additive(self) -> bool:
         """The coefficients of u^a v^b (a, b != 0) agree on both sides:
         C_a C_b = D binom(a+b, a) C_{a+b} for monomials a and b (C is zero off
-        the monomials), and every split c = a + b of a monomial c is a pair of them."""
+        the monomials), and every split c = a + b of a monomial c is a pair of them.
+        Only pairs where a column of C_a meets a row of C_b, or a + b is a monomial, can fail."""
         k, coeffs = self.ambient, self._coeffs
         # a monomial lowered in one exponent is 1 or a monomial: then so is every part of it
         for c in coeffs:
-            for i, e in enumerate(c):
-                lower = c[:i] + (e - 1,) + c[i + 1 :]
-                if e and any(lower) and lower not in coeffs:
+            for i in (i for i, e in enumerate(c) if e):
+                lower = c[:i] + (c[i] - 1,) + c[i + 1 :]
+                if any(lower) and lower not in coeffs:
                     return False
-        for a, vec_a in coeffs.items():
-            for b, vec_b in coeffs.items():
-                left: dict[int, int] = {}
-                for pos_a, x in vec_a.items():
-                    for pos_b, y in vec_b.items():
-                        if pos_a % k == pos_b // k:
-                            pos = pos_a - pos_a % k + pos_b % k
-                            left[pos] = left.get(pos, 0) + x * y
-                scale = self._den * int_prod(comb(x + y, x) for x, y in zip(a, b))
-                right = coeffs.get(tuple(x + y for x, y in zip(a, b)), {})
-                if {pos: x for pos, x in left.items() if x} != {pos: scale * x for pos, x in right.items()}:
-                    return False
+        rows = {i: {b for b, vec in coeffs.items() if any(pos // k == i for pos in vec)} for i in range(k)}
+        pairs = {(a, b) for a, vec in coeffs.items() for pos in vec for b in rows[pos % k]}
+        for c in coeffs:
+            parts = product(*(range(e + 1) for e in c))
+            pairs.update((a, tuple(x - y for x, y in zip(c, a))) for a in parts if 0 < sum(a) < sum(c))
+        for a, b in pairs:
+            left: dict[int, int] = {}
+            for pos_a, x in coeffs[a].items():
+                for pos_b, y in coeffs[b].items():
+                    if pos_a % k == pos_b // k:
+                        pos = pos_a - pos_a % k + pos_b % k
+                        left[pos] = left.get(pos, 0) + x * y
+            scale = self._den * int_prod(comb(x + y, x) for x, y in zip(a, b))
+            right = coeffs.get(tuple(x + y for x, y in zip(a, b)), {})
+            if {pos: x for pos, x in left.items() if x} != {pos: scale * x for pos, x in right.items()}:
+                return False
         return True
 
     def evaluate(self, point: Sequence[int | str | Fraction]) -> QMatrix:
@@ -580,19 +585,19 @@ def has_tier_one_element(
 ) -> TierOneResult:
     """Decide whether some nonzero parameter gives a rank-one block.
 
-    First the minor propagation: if it forces every variable to zero (using
-    two-way branching for product monomials, which is the sound reading of a
-    vanishing v_k*v_l), no rank-one direction exists and the chain is the
-    certificate.  Otherwise a seeded search looks for an exact witness.
-    Neither resolving yields Undecided, which is a value rather than an error.
+    The unit vectors first, then the minor propagation: if it forces every
+    variable to zero (using two-way branching for product monomials, which is
+    the sound reading of a vanishing v_k*v_l), no rank-one direction exists
+    and the chain is the certificate.  Otherwise the seeded search goes on
+    for an exact witness.  Neither resolving yields Undecided, a value.
     """
-    certificate = _certify_zero(_minor_table(family), family.dim_params, set(), family.dim_params)
-    if certificate is not None:
-        return TierOneResult("No", None, tuple(certificate))
-    for point in _witness_candidates(family, seed, random_samples):
-        if all(x == 0 for x in point):
-            continue
-        if exactq.rank(family.block(point)) == 1:
+    candidates = _witness_candidates(family, seed, random_samples)
+    for point in chain(islice(candidates, family.dim_params), [None], candidates):
+        if point is None:  # a certificate means that no witness exists
+            certificate = _certify_zero(_minor_table(family), family.dim_params, set(), family.dim_params)
+            if certificate is not None:
+                return TierOneResult("No", None, tuple(certificate))
+        elif any(point) and exactq.rank(family.block(point)) == 1:
             return TierOneResult("Witness", point, None)
     return TierOneResult("Undecided", None, None)
 

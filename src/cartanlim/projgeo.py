@@ -9,19 +9,20 @@ An augmented basis carries its bracket table: the C(m, n) n x n minors
 [p_i1 ... p_in] of its points (their Plücker coordinates), computed once, and
 general position means that none of them is zero.  Every frame is a ratio of
 brackets, so the unordered cross ratio (a complete invariant up to projective
-equivalence) and `projectively_equivalent`, which searches ordered (n+1)-point
-assignments instead of the full permutation group, run on table lookups.  The
-unordered cross ratio maps one frame per unordered head, since reordering the
-base only permutes image coordinates, and is kept as the frozenset of its
-tuples' point keys: its sorted `tuples` are derived only when read.
+equivalence) and `projectively_equivalent` run on table lookups.  Reordering
+a head's base only reorders its image coordinates, by one compiled move per
+order, so both map one frame per unordered head (sorted base, last point).
+The unordered cross ratio is kept as the frozenset of its tuples' point
+keys: its sorted `tuples` are derived only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import exactq
@@ -48,7 +49,7 @@ def _primitive(values: Sequence[int]) -> tuple[int, ...]:
         g = -g
     if g == 1:
         return tuple(values)
-    return tuple(x // g for x in values)
+    return tuple([x // g for x in values])
 
 
 def _primitive_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -355,16 +356,24 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     lam = _matvec(adj, pts[n].ints)
     if not all(lam):
         raise DegenerateBasisError("points do not form a projective basis")
-    return ProjTransform._from_ints(
-        [[x * prod(lam[:i] + lam[i + 1 :]) for x in row] for i, row in enumerate(adj)]
-    )
+    return ProjTransform._from_ints([[x * prod(lam) // li for x in row] for li, row in zip(lam, adj)])
 
 
-def _reordered(key: tuple[int, ...], order: Sequence[int]) -> tuple[int, ...]:
-    """The key whose coordinate i is coordinate order[i] of `key`, re-signed;
-    a permutation leaves the gcd at 1."""
-    moved = tuple(key[i] for i in order)
-    return moved if next(filter(None, moved)) > 0 else tuple(-x for x in moved)
+@cache
+def _moves(n: int) -> list[tuple[Callable, int]]:
+    """Per order σ of n coordinates, a compiled getter of coordinates σ(0), ...,
+    σ(n-1) (`tuple` for n = 1, where `itemgetter` returns a scalar) and σ(0)."""
+    return [(itemgetter(*order) if n > 1 else tuple, order[0]) for order in permutations(range(n))]
+
+
+def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[tuple[int, ...]]:
+    """Keys with no zero coordinate, read by `get` in its order σ and signed by σ(0) = `first`."""
+    return [get(k) if k[first] > 0 else tuple(map(neg, get(k))) for k in keys]
+
+
+def _heads(m: int, n: int) -> Iterable[tuple[int, ...]]:
+    """The unordered heads (sorted base, last point) in lexicographic order."""
+    return ((*base, last) for base in combinations(range(m), n) for last in range(m) if last not in base)
 
 
 def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
@@ -377,7 +386,7 @@ def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tup
     *base, last = head
     full = sum(1 << i for i in base)
     lam = [brackets[full ^ 1 << i | 1 << last] * (-1 if i > last else 1) for i in base]
-    scaled = [(full ^ 1 << i, i, prod(lam[:k] + lam[k + 1 :])) for k, i in enumerate(base)]
+    scaled = [(full ^ 1 << i, i, prod(lam) // x) for i, x in zip(base, lam)]
     return lambda q: _primitive(
         [brackets[rest | 1 << q] * (-scale if i > q else scale) for rest, i, scale in scaled]
     )
@@ -391,17 +400,14 @@ def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     return CrossRatioTuple(ProjPoint._from_ints(image(q)) for q in range(basis.n + 1, basis.m))
 
 
-def unordered_cross_ratio(
-    points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
-) -> UnorderedCrossRatio:
+def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP) -> UnorderedCrossRatio:
     """The set of ordered cross ratios over all m! orderings, deduplicated.
 
     Permutations factor through (ordered head) x (ordered tail), and
-    reordering the base of a head by σ only sends each image to the point
-    whose coordinate i is its coordinate σ(i).  So only the C(m, n)·(m-n)
-    frames of the heads (sorted base, last point) are needed, each read off
-    the bracket table with no transform built and no elimination run; the
-    result keeps its key set, and sorts nothing until `tuples` is read.
+    reordering the base of a head by σ only reorders each image's coordinates
+    by σ, one compiled move.  So only the C(m, n)·(m-n) frames of the heads
+    (sorted base, last point) are read off the bracket table, with no
+    transform built; the result keeps its key set and sorts nothing.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -409,32 +415,27 @@ def unordered_cross_ratio(
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
-    orders = list(permutations(range(n)))
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for base in combinations(range(m), n):
-        for last in range(m):
-            if last not in base:
-                image = _frame(basis.brackets, (*base, last))
-                tail = [image(q) for q in range(m) if q != last and q not in base]
-                for order in orders:
-                    seen.update(permutations([_reordered(key, order) for key in tail]))
+    for head in _heads(m, n):
+        image = _frame(basis.brackets, head)
+        tail = [image(q) for q in range(m) if q not in head]
+        for move in _moves(n):
+            seen.update(permutations(_moved(tail, *move)))
     return UnorderedCrossRatio._from_keys(seen)
 
 
-def projectively_equivalent(
-    left: PointsLike, right: PointsLike
-) -> Optional[ProjTransform]:
+def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[ProjTransform]:
     """A transform mapping the left point set onto the right one, or None.
 
-    The search runs right to left: any witness W has an inverse sending
-    some ordered (n+1)-subset of the right points to the first n+1 left
-    points, and each of the m(m-1)...(m-n) assignments determines a unique
-    candidate for that inverse.  The left points are mapped once under the
-    frame of the first left head; each right head maps the right points, by
-    bracket lookups, until the first image outside that set.  At the first
-    hit the two frames are built as transforms, and W is the inverse of the
-    right frame after the left one.  The search order is deterministic, so
-    identical inputs yield the identity.
+    The search runs right to left: any witness W has an inverse sending some
+    ordered head, n+1 of the right points, to the first n+1 left points, and
+    each head determines a unique candidate for it.  The left points are
+    mapped once, by the first left head, and their keys under every coordinate
+    order are a screen.  Each unordered right head is mapped once, by bracket
+    lookups, and is done when its first image is off the screen; otherwise
+    each base order whose moved images lie in the target is a hit.  Heads run
+    in lexicographic order until one passes the least hit (the first hit of
+    an ordered search), and W is built from that head's two frames.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -443,16 +444,24 @@ def projectively_equivalent(
             f"configurations of shape (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
         )
     n, m = a.n, a.m
-    # Head points land on the standard basis on both sides; for n > 1 no other
-    # point does, and for n = 1 every point lands on [1].
+    # head points land on the standard basis; no other point does unless n = 1
     image = _frame(a.brackets, range(n + 1))
     target = {image(q) for q in range(n + 1, m)}
-    for head in permutations(range(m), n + 1):
+    moves = _moves(n)
+    screen = {key for move in moves for key in _moved(target, *move)}
+    hits: list[tuple[int, ...]] = []  # ordered heads whose candidate maps right onto left
+    for head in _heads(m, n):
+        if hits and head > min(hits):
+            break  # every ordering of its base comes later still
         image = _frame(b.brackets, head)
-        if all(image(q) in target for q in range(m) if q not in head):
-            to_right = basis_transform([b.points[i] for i in head]).inverse()
-            return to_right.compose(basis_transform(a.points[: n + 1]))
-    return None
+        rest = [q for q in range(m) if q not in head]
+        if image(rest[0]) in screen:
+            tail = [image(q) for q in rest]
+            hits += [(*get(head[:n]), head[n]) for get, i in moves if target.issuperset(_moved(tail, get, i))]
+    if not hits:
+        return None
+    to_right = basis_transform([b.points[i] for i in min(hits)]).inverse()
+    return to_right.compose(basis_transform(a.points[: n + 1]))
 
 
 def dualize(hyperplane_coeffs: Sequence[int | str | Fraction]) -> ProjPoint:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartanlim import obstruct
 from cartanlim.errors import CartanlimError, InternalError, SampleCapExceededError, UnknownNameError
 from cartanlim.exactq import QMatrix, rank
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
@@ -12,6 +13,7 @@ from cartanlim.obstruct import (
     LinearBlockFamily,
     Poly,
     PolyParamGroup,
+    TierOneResult,
     _unipotent_group_from_block,
     builtin_block_family,
     builtin_group,
@@ -147,6 +149,41 @@ def test_a_perturbed_exponential_family_fails_the_law(nilpotent, nvars, data):
     terms[r][c][e] += 1
     with pytest.raises(ValueError, match="not additive"):
         group_from_terms(nvars, terms)
+
+
+@pytest.fixture
+def law_pairs(monkeypatch) -> list:
+    """One entry per monomial pair the law check visits: each visit computes
+    its binomial scale with one `int_prod`, and construction evaluates nothing."""
+    pairs = []
+
+    def counting(factors, _prod=obstruct.int_prod):
+        pairs.append(1)
+        return _prod(factors)
+
+    monkeypatch.setattr(obstruct, "int_prod", counting)
+    return pairs
+
+
+def test_the_law_skips_pairs_that_neither_chain_nor_split(law_pairs):
+    # v_1 + ... + v_d in the corner of a 2 x 2 family: C_a C_b = 0 for every
+    # pair and no a + b is a monomial, so no pair can fail
+    for d in (10, 40, 160):
+        one, zero = Poly.constant(1, d), Poly.constant(0, d)
+        corner = Poly(d, {tuple(int(i == j) for j in range(d)): F(1) for i in range(d)})
+        PolyParamGroup(d, 2, [[one, corner], [zero, one]])
+    assert law_pairs == []
+    # exp(vN) for the 3 x 3 shift N: only (v, v) chains, and it splits v^2
+    group_from_terms(1, exp_family_terms([[0, 1, 0], [0, 0, 1], [0, 0, 0]], 1))
+    assert len(law_pairs) == 1
+    # v and v^2 in separate cells of the first row: no pair chains, and only
+    # the split (v, v) of v^2 shows that the family is no group
+    law_pairs.clear()
+    terms = [[{(0,): F(1)} if r == c else {} for c in range(3)] for r in range(3)]
+    terms[0][1], terms[0][2] = {(1,): F(1)}, {(2,): F(1)}
+    with pytest.raises(ValueError, match="not additive"):
+        group_from_terms(1, terms)
+    assert len(law_pairs) == 1
 
 
 @st.composite
@@ -465,6 +502,18 @@ def test_builtin_reports_equal_the_fraction_oracles(name, seed):
     if name == "E" or name == "LT" and seed.n == 2:
         family = builtin_block_family(name, seed)
         assert has_tier_one_element(family) == tier_one_oracle(family)
+
+
+@pytest.mark.parametrize("seed", [param.values[1] for param in generic_lt_seeds() if param.values[1].n == 3])
+def test_tier_one_tries_the_unit_vectors_before_the_certificate(monkeypatch, seed):
+    family = builtin_block_family("LT", seed)
+    # with no certificate, the certificate-first order returns the first
+    # rank-one candidate, and on an LT family that is a unit vector
+    first = next(p for p in obstruct._witness_candidates(family, 0, 200) if any(p) and rank(family.block(p)) == 1)
+    calls = []
+    monkeypatch.setattr(obstruct, "_certify_zero", lambda *args: calls.append(args))
+    assert has_tier_one_element(family) == TierOneResult("Witness", first, None)
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

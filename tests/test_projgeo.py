@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import comb, gcd, perm
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +30,7 @@ from cartanlim.projgeo import (
     unordered_cross_ratio,
 )
 from cartanlim.exactq import QMatrix, format_rational
+from cartanlim.limits import alpha_orbit
 
 from util import (
     basis_transform_oracle,
@@ -438,6 +439,81 @@ def test_enumerations_match_oracles_on_larger_shapes():
     assert equivalence_oracle(a, b) is None
 
 
+# --- coordinate orders -------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: configurations(n, n + 2)), st.randoms(use_true_random=False))
+def test_reordered_base_moves_image_coordinates(basis, rnd):
+    # the invariant both enumerations rest on: reordering a head's base by σ
+    # sends every image to its compiled σ-move
+    n, m = basis.n, basis.m
+    *base, last, q = rnd.sample(range(m), n + 2)
+    image = projgeo._frame(basis.brackets, (*base, last))(q)
+    assert all(image)
+    assert image == basis_transform([basis.points[i] for i in (*base, last)])(basis.points[q]).ints
+    for order, (get, first) in zip(permutations(range(n)), projgeo._moves(n)):
+        reordered = tuple(base[j] for j in order)
+        assert get(tuple(base)) == reordered
+        assert projgeo._frame(basis.brackets, (*reordered, last))(q) == projgeo._moved([image], get, first)[0]
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7)])
+def test_equivalent_witness_matches_oracle(n, m):
+    rng = random.Random(100 * n + m)
+    left = random_augmented_basis(rng, n, m)
+    q = ProjTransform(random_invertible(rng, n))
+    shuffled = list(left.points)
+    rng.shuffle(shuffled)
+    positive, negative = AugmentedBasis(q(p) for p in shuffled), random_augmented_basis(rng, n, m)
+    for right in (positive, negative):
+        for pair in ((left, right), (right, left)):
+            got, want = projectively_equivalent(*pair), equivalence_oracle(*pair)
+            assert (got is None) == (want is None) == (right is negative)
+            assert got is None or got.ints == want.ints
+
+
+def hitting_heads(left: AugmentedBasis, right: AugmentedBasis) -> list[tuple[int, ...]]:
+    """Every ordered right head whose candidate maps the right points onto the left ones."""
+    n, m = left.n, left.m
+    from_std = basis_transform(left.points[: n + 1]).inverse()
+    heads = []
+    for head in permutations(range(m), n + 1):
+        candidate = from_std.compose(basis_transform([right.points[i] for i in head]))
+        if {candidate(p) for p in right.points} == set(left.points):
+            heads.append(head)
+    return heads
+
+
+def test_equivalent_symmetric_configuration_takes_least_head():
+    # the harmonic configuration has 8 projective symmetries, a generic one
+    # the 4 double transpositions: each is a hitting head, and the witness
+    # comes from the least of them
+    assert len(alpha_orbit(F(2, 3))) == 3
+    q = ProjTransform(random_invertible(random.Random(5), 2))
+    for alpha, symmetries in ((F(2, 3), 8), (F(3), 4)):
+        left = AugmentedBasis(alpha_points(alpha))
+        for order in permutations(range(4)):
+            right = AugmentedBasis(q(left.points[i]) for i in order)
+            hits = hitting_heads(left, right)
+            assert len(hits) == symmetries
+            witness = projectively_equivalent(left, right)
+            assert witness.ints == equivalence_oracle(left, right).ints
+            to_right = basis_transform([right.points[i] for i in min(hits)]).inverse()
+            assert witness == to_right.compose(basis_transform(left.points[:3]))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_one_coordinate_points(m):
+    # every point of RP^0 is [1]; the move of one coordinate is `tuple`, since
+    # `itemgetter` of one index returns a scalar
+    basis = AugmentedBasis(P(k) for k in range(1, m + 1))
+    assert [t.entries for t in unordered_cross_ratio(basis)] == [(P(1),) * (m - 2)]
+    identity = ProjTransform(QMatrix([[1]]))
+    assert projectively_equivalent(basis, basis) == identity
+    assert projectively_equivalent(basis, AugmentedBasis(P(-k) for k in range(1, m + 1))) == identity
+
+
 # --- brackets ----------------------------------------------------------------------
 
 
@@ -497,11 +573,12 @@ def test_uc_tries_every_ordered_head_once(work, n, m):
 
 
 def test_equivalent_negative_tries_every_head(work):
-    # the first left head, then all 4·3·2 ordered right heads
+    # the first left head, then each unordered right head (sorted base, last
+    # point) once: its base orders only reorder the image coordinates
     left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
     work.clear()
     assert projectively_equivalent(left, right) is None
-    assert work == ["head"] * (1 + perm(4, 3))
+    assert work == ["head"] * (1 + comb(4, 2) * (4 - 2))
 
 
 def test_equivalent_identity_stops_at_first_head(work):
