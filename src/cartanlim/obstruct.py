@@ -164,17 +164,17 @@ class PolyParamGroup:
         Only pairs where a column of C_a meets a row of C_b, or a + b is a monomial, can fail."""
         k, coeffs = self.ambient, self._coeffs
         # a monomial lowered in one exponent is 1 or a monomial: then so is every part of it
-        for c in coeffs:
-            for i in (i for i, e in enumerate(c) if e):
-                lower = c[:i] + (c[i] - 1,) + c[i + 1 :]
-                if any(lower) and lower not in coeffs:
-                    return False
-        rows = {i: {b for b, vec in coeffs.items() if any(pos // k == i for pos in vec)} for i in range(k)}
-        pairs = {(a, b) for a, vec in coeffs.items() for pos in vec for b in rows[pos % k]}
-        for c in coeffs:
-            parts = product(*(range(e + 1) for e in c))
-            pairs.update((a, tuple(x - y for x, y in zip(c, a))) for a in parts if 0 < sum(a) < sum(c))
-        for a, b in pairs:
+        lowered = (c[:i] + (e - 1,) + c[i + 1 :] for c in coeffs for i, e in enumerate(c) if e)
+        if any(any(lower) and lower not in coeffs for lower in lowered):
+            return False
+        rows: dict[int, set] = {}  # row -> the monomials with an entry in it
+        for b, vec in coeffs.items():
+            for pos in vec:
+                rows.setdefault(pos // k, set()).add(b)
+        parts = ((a, c) for c in coeffs for a in product(*(range(e + 1) for e in c)) if 0 < sum(a) < sum(c))
+        splits = {(a, tuple(x - y for x, y in zip(c, a))) for a, c in parts}
+        chained = ((a, b) for a, vec in coeffs.items() for b in set().union(*(rows.get(p % k, ()) for p in vec)))
+        for a, b in chain(splits, (pair for pair in chained if pair not in splits)):
             left: dict[int, int] = {}
             for pos_a, x in coeffs[a].items():
                 for pos_b, y in coeffs[b].items():

@@ -19,11 +19,10 @@ keys: its sorted `tuples` are derived only when read.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import gcd, prod
 from operator import itemgetter, mul, neg
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import exactq
 from .errors import (
@@ -359,11 +358,11 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
     return ProjTransform._from_ints([[x * prod(lam) // li for x in row] for li, row in zip(lam, adj)])
 
 
-@cache
-def _moves(n: int) -> list[tuple[Callable, int]]:
-    """Per order σ of n coordinates, a compiled getter of coordinates σ(0), ...,
-    σ(n-1) (`tuple` for n = 1, where `itemgetter` returns a scalar) and σ(0)."""
-    return [(itemgetter(*order) if n > 1 else tuple, order[0]) for order in permutations(range(n))]
+def _moves(n: int) -> Iterator[tuple[Callable, int]]:
+    """Per order σ of n coordinates, lexicographic: a compiled getter of
+    coordinates σ(0), ..., σ(n-1) (`tuple` for n = 1, where `itemgetter`
+    returns a scalar) and σ(0), each built as it is read."""
+    return ((itemgetter(*order) if n > 1 else tuple, order[0]) for order in permutations(range(n)))
 
 
 def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[tuple[int, ...]]:
@@ -374,6 +373,11 @@ def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[t
 def _heads(m: int, n: int) -> Iterable[tuple[int, ...]]:
     """The unordered heads (sorted base, last point) in lexicographic order."""
     return ((*base, last) for base in combinations(range(m), n) for last in range(m) if last not in base)
+
+
+def _unsigned(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates of a key as a multiset up to sign: the same for all its moves."""
+    return min(tuple(sorted(key)), tuple(sorted(map(neg, key))))
 
 
 def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
@@ -415,11 +419,12 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
+    moves = list(_moves(n))
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for head in _heads(m, n):
         image = _frame(basis.brackets, head)
         tail = [image(q) for q in range(m) if q not in head]
-        for move in _moves(n):
+        for move in moves:
             seen.update(permutations(_moved(tail, *move)))
     return UnorderedCrossRatio._from_keys(seen)
 
@@ -430,12 +435,12 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
     The search runs right to left: any witness W has an inverse sending some
     ordered head, n+1 of the right points, to the first n+1 left points, and
     each head determines a unique candidate for it.  The left points are
-    mapped once, by the first left head, and their keys under every coordinate
-    order are a screen.  Each unordered right head is mapped once, by bracket
-    lookups, and is done when its first image is off the screen; otherwise
-    each base order whose moved images lie in the target is a hit.  Heads run
-    in lexicographic order until one passes the least hit (the first hit of
-    an ordered search), and W is built from that head's two frames.
+    mapped once, by the first left head, and screened by coordinate multisets
+    up to sign, which no coordinate order changes.  Each unordered right head
+    is mapped once, by bracket lookups; if every image passes the screen, its
+    base orders are tried by compiled moves, lexicographically, up to a hit.
+    Heads run in lexicographic order until one passes the least hit (the
+    first hit of an ordered search); W is built from that head's two frames.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -447,17 +452,17 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
     # head points land on the standard basis; no other point does unless n = 1
     image = _frame(a.brackets, range(n + 1))
     target = {image(q) for q in range(n + 1, m)}
-    moves = _moves(n)
-    screen = {key for move in moves for key in _moved(target, *move)}
-    hits: list[tuple[int, ...]] = []  # ordered heads whose candidate maps right onto left
+    screen = set(map(_unsigned, target))
+    hits: list[tuple[int, ...]] = []  # per head, its least ordering that maps right onto left
     for head in _heads(m, n):
         if hits and head > min(hits):
             break  # every ordering of its base comes later still
         image = _frame(b.brackets, head)
         rest = [q for q in range(m) if q not in head]
-        if image(rest[0]) in screen:
+        if all(_unsigned(image(q)) in screen for q in rest):
             tail = [image(q) for q in rest]
-            hits += [(*get(head[:n]), head[n]) for get, i in moves if target.issuperset(_moved(tail, get, i))]
+            moves = (move for move in _moves(n) if target.issuperset(_moved(tail, *move)))
+            hits += [(*get(head[:n]), head[n]) for get, _ in islice(moves, 1)]
     if not hits:
         return None
     to_right = basis_transform([b.points[i] for i in min(hits)]).inverse()
