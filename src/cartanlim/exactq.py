@@ -1,19 +1,24 @@
-"""Exact rational scalars and dense exact linear algebra.
+"""Exact rational scalars and exact linear algebra.
 
 Scalars are `fractions.Fraction` (canonical by construction: reduced, positive
 denominator).  A matrix is immutable and kept in one canonical integer form, a
 common denominator and the row-major integer entries over it; products,
 inverses, sums and equality run on that form, and the Fraction rows are
-derived only when read.  Elimination is fraction-free in the Bareiss style,
-so nothing in this module ever touches floating point and every equality test
-downstream is a structural comparison.
+derived only when read.  The kernels follow the structure they are given: a
+product copies or scales the right row a unit left row picks, an inverse
+eliminates each connected component of the nonzero pattern on its own (a
+permuted block-diagonal matrix never meets a dense elimination), and the
+maximal minors come from one Laplace pass over column prefixes whenever no
+level of that pass outgrows the answer.  Elimination is fraction-free in the
+Bareiss style, so nothing in this module ever touches floating point and
+every equality test downstream is a structural comparison.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -244,16 +249,30 @@ def _cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:
 
 def _product(left: QMatrix, right: QMatrix) -> QMatrix:
     """left·right on the integer forms: zero entries of either factor are
-    skipped, and one gcd brings the result to its canonical form."""
-    width = right.ncols
-    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in right._int_rows()]
+    skipped, a left row with one nonzero x at t gives x times right row t,
+    and one gcd brings the result to its canonical form.  A right row is made
+    sparse the first time a left row with several nonzeros reads it."""
+    width, depth = right._ncols, left._ncols
+    b, cols = right._ints, range(width)
+    b_rows: list[Optional[list[tuple[int, int]]]] = [None] * depth
+    a = left._ints
     ints = []
-    for a_row in left._int_rows():
+    for s in range(0, len(a), depth):
+        a_row = a[s : s + depth]
+        if a_row.count(0) == depth - 1:
+            x = sum(a_row)
+            t = a_row.index(x) * width
+            ints += b[t : t + width] if x == 1 else [x * v for v in b[t : t + width]]
+            continue
         acc = [0] * width
-        for x, b_row in zip(a_row, b_rows):
-            if x:
-                for j, v in b_row:
-                    acc[j] += x * v
+        for t in compress(range(depth), a_row):
+            b_row = b_rows[t]
+            if b_row is None:
+                u = t * width
+                b_row = b_rows[t] = [(j, b[u + j]) for j in cols if b[u + j]]
+            x = a_row[t]
+            for j, v in b_row:
+                acc[j] += x * v
         ints += acc
     return QMatrix._from_ints(left._den * right._den, ints, width)
 
@@ -355,26 +374,78 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     """Every n x n minor of an m x n integer matrix, its rows in increasing
-    order, keyed by the bitmask of their indices (bit i for row i)."""
-    n = len(rows[0])
-    minors = {}
-    for subset in combinations(range(len(rows)), n):
-        r, sign, last, _ = _fraction_free_echelon([list(rows[i]) for i in subset])
-        minors[sum(1 << i for i in subset)] = sign * last if r == n else 0
+    order, keyed by the bitmask of their indices (bit i for row i).
+
+    For 2n <= m + 1, one division-free Laplace pass over column prefixes: the
+    minor of rows S on the first k + 1 columns expands along column k into
+    the level-k minors of S without one row.  No level then holds more than
+    the C(m, n) minors of the answer; for larger n the middle levels would,
+    so each subset gets one fraction-free elimination instead.  m < n gives
+    no minor.
+    """
+    m, n = len(rows), len(rows[0])
+    if 2 * n > m + 1:
+        minors = {}
+        for subset in combinations(range(m), n):
+            r, sign, last, _ = _fraction_free_echelon([list(rows[i]) for i in subset])
+            minors[sum(1 << i for i in subset)] = sign * last if r == n else 0
+        return minors
+    bits = [1 << i for i in range(m)]
+    minors = {0: 1}
+    for k in range(n):
+        col = [row[k] for row in rows]
+        level = {}
+        for subset in combinations(range(m), k + 1):
+            mask = sum(bits[i] for i in subset)
+            total, sign = 0, 1
+            for i in reversed(subset):  # cofactor sign (-1)^(p + k) at position p
+                if col[i]:
+                    total += sign * col[i] * minors[mask ^ bits[i]]
+                sign = -sign
+            level[mask] = total
+        minors = level
     return minors
 
 
 def inverse(matrix: QMatrix) -> QMatrix:
-    """Exact inverse from the adjugate of the integer form A' = den·A:
-    A⁻¹ = den·adj(A') / det(A')."""
+    """Exact inverse, one connected component of the nonzero pattern at a time.
+
+    A union-find over the nonzero entries joins their rows and columns into
+    components.  Each component B of the integer form A' = den·A must be
+    square and inverts as den·adj(B) / det(B), a 1 x 1 one directly; the
+    blocks are scattered, transposed, over one common denominator.
+    """
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"inverse of a {matrix.shape} matrix")
-    rows = matrix._int_rows()
-    adj = integer_adjugate(rows)
-    # det(A') is entry (0, 0) of A'·adj(A') = det(A')·I.
-    d = sum(x * row[0] for x, row in zip(rows[0], adj))
-    den = matrix._den if d > 0 else -matrix._den
-    return QMatrix._from_ints(abs(d), [den * x for row in adj for x in row], matrix.nrows)
+    n, den, ints = matrix._ncols, matrix._den, matrix._ints
+    parent = list(range(2 * n))  # rows 0..n-1, then columns n..2n-1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for pos in compress(range(n * n), ints):
+        parent[find(pos // n)] = find(n + pos % n)
+    components: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(2 * n):
+        components.setdefault(find(i), ([], []))[i >= n].append(i % n)
+    blocks = []
+    for rs, cs in components.values():
+        if len(rs) != len(cs):
+            raise SingularError("matrix is not invertible")
+        sub = [[ints[r * n + c] for c in cs] for r in rs]
+        adj = integer_adjugate(sub) if len(rs) > 1 else [[1]]
+        # det(B) is entry (0, 0) of B·adj(B) = det(B)·I.
+        blocks.append((rs, cs, sum(x * row[0] for x, row in zip(sub[0], adj)), adj))
+    common = lcm(*(d for _, _, d, _ in blocks))
+    out = [0] * (n * n)
+    for rs, cs, d, adj in blocks:
+        scale = den * (common // d)
+        for c, adj_row in zip(cs, adj):
+            for r, y in zip(rs, adj_row):
+                out[c * n + r] = scale * y
+    return QMatrix._from_ints(common, out, n)
 
 
 def solve(

@@ -264,25 +264,32 @@ def seed_conjugator(seed: SeedMatrix, p: QMatrix) -> QMatrix:
 def element_params(seed: SeedMatrix, matrix: QMatrix) -> Optional[GroupElementParams]:
     """Read the parameters of a group element off its block, or None.
 
-    Membership is decided exactly: the candidate parameters are extracted
-    from the upper-right block and the element is rebuilt and compared.
+    Membership is decided exactly on the integer form (den, ints): off the
+    upper-right (m+1) x n block the matrix is den·I, and block row j < m is
+    proportional to seed row j (integer cross-multiplication); block row m,
+    the b-row, is free.
     """
     m, n = seed.m, seed.n
     k = m + n + 1
     if matrix.shape != (k, k):
         return None
-    # Entries are read off the integer forms: x = ints/den.
     den, ints = matrix._den, matrix._ints
-    seed_den = seed.matrix._den
+    for i in range(k):
+        # Columns 0..m of rows 0..m, whole rows below: one den on the diagonal.
+        row = ints[i * k : i * k + m + 1] if i <= m else ints[i * k : (i + 1) * k]
+        if ints[i * k + i] != den or row.count(0) != len(row) - 1:
+            return None
+    seed_den, seed_ints = seed.matrix._den, seed.matrix._ints
     a = []
-    for j, row in enumerate(seed.matrix._int_rows()):
-        i0 = next(i for i, t in enumerate(row) if t != 0)
-        a.append(Fraction(ints[j * k + m + 1 + i0] * seed_den, den * row[i0]))
+    for j in range(m):
+        t, block = seed_ints[j * n : (j + 1) * n], ints[j * k + m + 1 : (j + 1) * k]
+        q = next(filter(None, t))  # the first nonzero entry of the seed row
+        p = block[t.index(q)]
+        if any(x * q != p * y for x, y in zip(block, t)):
+            return None
+        a.append(Fraction(p * seed_den, den * q))
     b = [Fraction(x, den) for x in ints[m * k + m + 1 : (m + 1) * k]]
-    params = GroupElementParams(tuple(a), tuple(b))
-    if rho(seed, params) == matrix:
-        return params
-    return None
+    return GroupElementParams(tuple(a), tuple(b))
 
 
 _VERIFICATION_PARAMS = (
@@ -326,8 +333,12 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
         return None
     p = dual_witness.matrix.transpose()
     moved = left.matrix * p
-    targets = {ProjPoint._from_ints(row): i for i, row in enumerate(right.matrix._int_rows())}
-    sigma = [targets[ProjPoint._from_ints(row)] for row in moved._int_rows()]
+    # Match the moved rows to the right rows as a bijection: at n = 1 every
+    # row is the same dual point, so each takes the first unused index.
+    targets: dict[ProjPoint, list[int]] = {}
+    for i, row in enumerate(right.matrix._int_rows()):
+        targets.setdefault(ProjPoint._from_ints(row), []).append(i)
+    sigma = [targets[ProjPoint._from_ints(row)].pop(0) for row in moved._int_rows()]
     m, n = left.m, left.n
     k = m + n + 1
     perm = [0] * (k * k)

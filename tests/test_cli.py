@@ -5,6 +5,8 @@ import os
 import pytest
 
 from cartanlim import exactq
+from cartanlim.exactq import QMatrix, inverse
+from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
 from util import FIXTURES, manifest_cases, resolve_argv, run_cli
 
 REGEN = os.environ.get("REGEN_FIXTURES") == "1"
@@ -106,6 +108,26 @@ def test_nongeneric_seed_exits_2(tmp_path):
     code, out = run_cli(["seed-conjugate", str(seed), str(FIXTURES / "seed_a3.json")])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "NotGenericError"
+
+
+def test_seed_conjugate_n1_seeds(tmp_path):
+    # all dual points of an m x 1 seed coincide; its rows still match one to one
+    left, right = [["1"], ["2"], ["3"]], [["1"], ["5"], ["-3"]]
+    paths = []
+    for name, rows in (("left", left), ("right", right)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"m": 3, "n": 1, "rows": rows}))
+        paths.append(str(path))
+    code, out = run_cli(["seed-conjugate", *paths])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["conjugate"] is True
+    witness = QMatrix(result["witness"])
+    w_inv = inverse(witness)
+    for a, b in (((1, -1, 2), (1,)), ((2, 3, -1), (-1,)), (("1/2", 0, 4), (3,))):
+        params = GroupElementParams.make(a, b)
+        conjugated = witness * rho(SeedMatrix(left), params) * w_inv
+        assert element_params(SeedMatrix(right), conjugated) is not None
 
 
 def test_cap_exceeded_exits_3(tmp_path):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,165 @@ def test_integer_adjugate_times_matrix_is_det(rows):
     assert all(isinstance(x, int) for row in adj for x in row)
     assert a * QMatrix(adj) == QMatrix.identity(len(rows)) * d
     assert QMatrix(adj) == inverse(a) * d
+
+
+def dense_inverse_oracle(matrix: QMatrix) -> QMatrix:
+    """The inverse by one adjugate of the whole integer form A' = den·A:
+    den·adj(A') / det(A'), with no split into components."""
+    rows = [list(matrix._ints[i : i + matrix.ncols]) for i in range(0, len(matrix._ints), matrix.ncols)]
+    adj = exactq.integer_adjugate(rows)
+    d = sum(x * row[0] for x, row in zip(rows[0], adj))
+    return QMatrix(adj) * F(matrix._den, d)
+
+
+@st.composite
+def permuted_block_diagonals(draw):
+    """(matrix, block sizes): a block-diagonal sum of rational blocks of sizes
+    1..3, with its rows and columns shuffled independently."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    blocks = [draw(st.lists(st.lists(small_fraction, min_size=s, max_size=s), min_size=s, max_size=s)) for s in sizes]
+    grid = block_diag(*(QMatrix(block) for block in blocks)).rows
+    k = len(grid)
+    row_order = draw(st.permutations(range(k)))
+    col_order = draw(st.permutations(range(k)))
+    return QMatrix([[grid[i][j] for j in col_order] for i in row_order]), sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_block_diagonals())
+def test_block_split_inverse_matches_fraction_oracle(case):
+    a, _ = case
+    if det(a) == 0:
+        with pytest.raises(SingularError):
+            inverse(a)
+        return
+    got = inverse(a)
+    assert_same_matrix(got, gauss_jordan_inverse_oracle(a.rows))
+    assert got * a == QMatrix.identity(a.nrows)
+    assert got == dense_inverse_oracle(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonals())
+def test_block_split_inverse_eliminates_no_more_than_a_block(case):
+    a, sizes = case
+    seen = []
+    original = exactq.integer_adjugate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactq, "integer_adjugate", lambda rows: seen.append(len(rows)) or original(rows))
+        try:
+            inverse(a)
+        except SingularError:
+            pass
+    # components lie inside the blocks, and 1 x 1 ones are inverted directly
+    assert all(1 < s <= max(sizes) for s in seen)
+    assert len(seen) <= sum(s > 1 for s in sizes)
+
+
+def test_block_split_inverse_examples():
+    # a permutation with signs and scales: k 1 x 1 components
+    a = QMatrix([[0, 0, F(1, 2)], [-3, 0, 0], [0, 1, 0]])
+    assert inverse(a) == QMatrix([[0, F(-1, 3), 0], [0, 0, 1], [2, 0, 0]])
+    # a 2 x 2 block on rows {0, 2} and columns {1, 2}, a 1 x 1 block at (1, 0)
+    a = QMatrix([[0, 1, 2], [5, 0, 0], [0, 3, 4]])
+    assert inverse(a) == QMatrix(gauss_jordan_inverse_oracle(a.rows))
+    # a connected matrix is the one-component case: same result as one adjugate
+    a = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, F(4, 3)]])
+    assert inverse(a) == dense_inverse_oracle(a)
+    assert inverse(a) * a == QMatrix.identity(3)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0, 0], [0, 1, 2], [0, 2, 4]],  # a singular 2 x 2 block
+        [[0, 3, 0], [1, 0, 0], [0, 0, 0]],  # a zero row: one row, no column
+        [[1, 0, 0], [1, 0, 0], [0, 1, 1]],  # components of 2 x 1 and 1 x 2
+        [[0, 0], [0, 0]],
+    ],
+)
+def test_block_split_inverse_singular(rows):
+    with pytest.raises(SingularError):
+        inverse(QMatrix(rows))
+
+
+# --- maximal minors ---------------------------------------------------------------------
+
+
+def fraction_det_oracle(rows) -> F:
+    """Leibniz expansion over the Fractions."""
+    total = F(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def maximal_minors_oracle(rows) -> dict[int, F]:
+    """One Fraction determinant per n-subset of rows, in increasing order."""
+    n = len(rows[0])
+    return {
+        sum(1 << i for i in subset): fraction_det_oracle([rows[i] for i in subset])
+        for subset in combinations(range(len(rows)), n)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 7]), min_size=n, max_size=n), min_size=1, max_size=7
+        )
+    ),
+    st.data(),
+)
+def test_maximal_minors_match_fraction_oracle(rows, data):
+    n = len(rows[0])
+    zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=1))
+    rows = [[0 if j in zero_cols else x for j, x in enumerate(row)] for row in rows]
+    got = exactq.maximal_minors(rows)
+    assert got == maximal_minors_oracle(rows)
+    assert all(type(x) is int for x in got.values())
+    assert len(got) == comb(len(rows), n)
+
+
+def test_maximal_minors_examples():
+    # keys are row bitmasks; the minor takes its rows in increasing order
+    assert exactq.maximal_minors([[0, 1], [1, 0]]) == {0b11: -1}
+    assert exactq.maximal_minors([[1, 0], [0, 1], [1, 1]]) == {0b011: 1, 0b101: 1, 0b110: -1}
+    # n = 1: the entries themselves
+    assert exactq.maximal_minors([[3], [0], [-2]]) == {0b001: 3, 0b010: 0, 0b100: -2}
+    # m = n: the determinant alone
+    assert exactq.maximal_minors([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == {0b111: -3}
+    # m < n: no minor
+    assert exactq.maximal_minors([[1, 2, 3]]) == {}
+    assert exactq.maximal_minors([[1, 2, 3], [4, 5, 6]]) == {}
+    # a zero row zeroes every minor through it; a zero column zeroes them all
+    assert exactq.maximal_minors([[1, 2], [0, 0], [3, 5]]) == {0b011: 0, 0b101: -1, 0b110: 0}
+    assert exactq.maximal_minors([[1, 0], [2, 0], [3, 0]]) == {0b011: 0, 0b101: 0, 0b110: 0}
+
+
+@pytest.mark.parametrize("m,n", [(7, 3), (8, 4), (9, 5), (12, 6), (7, 5), (12, 10), (22, 20), (24, 22)])
+def test_maximal_minors_tables_never_outgrow_the_answer(monkeypatch, m, n):
+    # Each combinations() stream is one Laplace level or the subsets of the
+    # per-subset eliminations; none may hold more than the C(m, n) minors
+    # returned, so the (n + 2)-point bases of large n stay small.
+    streams = []
+
+    def counting(pool, r):
+        subsets = list(combinations(pool, r))
+        streams.append(len(subsets))
+        return iter(subsets)
+
+    monkeypatch.setattr(exactq, "combinations", counting)
+    rng = random.Random(m * 100 + n)
+    minors = exactq.maximal_minors([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+    assert len(minors) == comb(m, n)
+    assert max(streams) <= comb(m, n)
+    assert sum(streams) <= n * comb(m, n)
 
 
 # --- solve ---------------------------------------------------------------------------
@@ -328,6 +489,23 @@ def test_product_matches_fraction_oracle(data):
     assert got == want
     assert hash(got) == hash(want)
     assert all(type(x) is F for row in got.rows for x in row)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_unit_row_product_matches_fraction_oracle(data):
+    # left rows with a single nonzero entry, 1 or not, among general rows
+    n, k, p = data.draw(dims), data.draw(dims), data.draw(dims)
+    b = data.draw(sparse_matrices(k, p))
+    rows = []
+    for _ in range(n):
+        if data.draw(st.booleans()):
+            t, x = data.draw(st.integers(0, k - 1)), data.draw(product_entry.filter(bool))
+            rows.append([x if j == t else 0 for j in range(k)])
+        else:
+            rows.append(data.draw(st.lists(product_entry, min_size=k, max_size=k)))
+    a = QMatrix(rows)
+    assert_same_matrix(a * b, matmul_oracle(a, b).rows)
 
 
 @given(st.data())

@@ -12,7 +12,8 @@ from cartanlim.errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from cartanlim.exactq import QMatrix, det, inverse
+from cartanlim import exactq
+from cartanlim.exactq import QMatrix, block_diag, det, inverse
 from cartanlim.limits import (
     GroupElementParams,
     OrbitKind,
@@ -35,7 +36,7 @@ from cartanlim.limits import (
 )
 from cartanlim.projgeo import ProjPoint, projectively_equivalent, unordered_cross_ratio
 
-from util import orbit_hull_dim, random_generic_seed, random_invertible, random_params
+from util import element_params_oracle, orbit_hull_dim, random_generic_seed, random_invertible, random_params
 
 
 # --- seed matrices ----------------------------------------------------------------
@@ -116,6 +117,53 @@ def test_rho_dimension_mismatch():
     t = alpha_seed(3)
     with pytest.raises(DimensionMismatchError):
         rho(t, GroupElementParams.make([1, 2], [3, 4]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1]],
+        [[2], [F(-1, 3)], [5]],
+        [[1, 2], [-3, F(1, 2)], [4, 1]],
+        [[1, 0], [0, 1], [1, 1], [2, -1]],  # zero seed entries: a bump there breaks proportionality
+        [[1, -2, 3], [F(2, 3), 1, 1], [-1, 1, 2], [3, 1, -1], [1, 4, 1]],
+        [[1, 2, 3], [0, 1, -1]],  # m < n
+    ],
+)
+def test_element_params_matches_rebuild_oracle(rows):
+    seed = SeedMatrix(rows)
+    m, n = seed.m, seed.n
+    k = m + n + 1
+    rng = random.Random(k)
+    dense = all(all(row) for row in seed.matrix.rows)
+    for params in (GroupElementParams.zero(seed), random_params(rng, seed), random_params(rng, seed)):
+        grid = [list(row) for row in rho(seed, params).rows]
+        assert element_params(seed, QMatrix(grid)) == element_params_oracle(seed, QMatrix(grid)) == params
+        assert element_params(seed, QMatrix(grid) * 2) is None
+        # one entry bumped at a time: the diagonal, off the block, the bottom
+        # identity rows, the block rows and row m (the b-row)
+        for i in range(k):
+            for j in range(k):
+                for delta in (F(1), F(-1, 2)):
+                    bumped = [row[:] for row in grid]
+                    bumped[i][j] += delta
+                    matrix = QMatrix(bumped)
+                    got = element_params(seed, matrix)
+                    assert got == element_params_oracle(seed, matrix)
+                    if i > m or j <= m:
+                        assert got is None
+                    elif i == m:
+                        assert got.b[j - m - 1] == params.b[j - m - 1] + delta
+                    elif dense:
+                        assert (got is None) == (n > 1)
+
+
+def test_element_params_wrong_shape_is_none():
+    seed = alpha_seed(3)
+    assert element_params(seed, QMatrix.identity(8)) is None
+    assert element_params(seed, QMatrix.identity(6)) is None
+    assert element_params(seed, QMatrix([[0] * 8] * 7)) is None
+    assert element_params(seed, QMatrix([[0] * 7] * 8)) is None
 
 
 # --- the linear functionals -----------------------------------------------------------
@@ -322,6 +370,55 @@ def test_are_conjugate_errors():
             SeedMatrix([[1, 0], [2, 0], [0, 1], [1, 1]]),
             alpha_seed(3),
         )
+
+
+def assert_witness_verifies(left, right, witness, rng, count=5):
+    w_inv = inverse(witness)
+    for _ in range(count):
+        params = random_params(rng, left)
+        assert element_params(right, witness * rho(left, params) * w_inv) is not None
+
+
+@pytest.mark.parametrize(
+    "left_rows,right_rows",
+    [
+        ([[1], [2], [3]], [[1], [5], [-3]]),
+        ([[1], [2], [3]], [[F(1, 2)], [-7], [4]]),
+        ([[2], [-1], [F(3, 4)], [5], [1]], [[1], [1], [1], [1], [1]]),
+    ],
+)
+def test_are_conjugate_n1_seeds(left_rows, right_rows):
+    # every generic m x 1 seed gives the same group, yet all its dual points
+    # coincide: the rows are matched one to one all the same
+    left, right = SeedMatrix(left_rows), SeedMatrix(right_rows)
+    for a, b in ((left, right), (right, left)):
+        witness = are_conjugate(a, b)
+        assert witness is not None
+        assert_witness_verifies(a, b, witness, random.Random(41))
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (6, 3), (7, 3)])
+def test_conjugacy_inverses_eliminate_at_most_n_by_n(monkeypatch, m, n):
+    # the conjugator and the witness are permuted block-diagonal: their
+    # inverses eliminate the n x n block and invert the 1 x 1 blocks directly
+    rng = random.Random(10 * m + n)
+    t = random_generic_seed(rng, m, n)
+    while True:
+        p = random_invertible(rng, n)
+        s = conjugate_seed(t, p)
+        if s.generic:
+            break
+    p_inv = inverse(p)
+    sizes = []
+    original = exactq.integer_adjugate
+    monkeypatch.setattr(exactq, "integer_adjugate", lambda rows: sizes.append(len(rows)) or original(rows))
+    assert inverse(block_diag(QMatrix.identity(m + 1), p_inv)) == block_diag(QMatrix.identity(m + 1), p)
+    assert max(sizes, default=0) <= n
+    sizes.clear()
+    witness = are_conjugate(t, s)
+    assert witness is not None
+    assert sizes and max(sizes) <= n
+    assert_witness_verifies(t, s, witness, rng)
 
 
 def test_alpha_grid_conjugacy_matches_uc_equality():

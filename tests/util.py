@@ -31,6 +31,7 @@ from cartanlim import (
     group_action,
     inverse,
     rank,
+    rho,
 )
 from cartanlim.cli import main
 from cartanlim.errors import RedundantParametersError, SampleCapExceededError
@@ -205,6 +206,20 @@ def equivalence_oracle(left: AugmentedBasis, right: AugmentedBasis):
         if all(candidate(p) in target for p in right.points):
             return candidate.inverse()
     return None
+
+
+def element_params_oracle(seed: SeedMatrix, matrix: QMatrix):
+    """Independent oracle for `element_params`: read candidate parameters off
+    the upper-right block, rebuild the element with `rho` and compare."""
+    m, n = seed.m, seed.n
+    if matrix.shape != (m + n + 1, m + n + 1):
+        return None
+    a = []
+    for j in range(m):
+        i0 = next(i for i, t in enumerate(seed.matrix.rows[j]) if t != 0)
+        a.append(matrix.rows[j][m + 1 + i0] / seed.matrix.rows[j][i0])
+    params = GroupElementParams(tuple(a), tuple(matrix.rows[m][m + 1 :]))
+    return params if rho(seed, params) == matrix else None
 
 
 def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> int:
