@@ -250,8 +250,9 @@ def _run(args: argparse.Namespace, command: str) -> tuple[dict, int]:
     """Returns the document of the parsed command and its exit code."""
     if not math.isfinite(args.tolerance):
         raise ParseError(f"--tolerance must be finite, got {args.tolerance}")
-    if args.tolerance < 0:
-        raise ParseError(f"--tolerance must not be negative, got {args.tolerance}")
+    for flag in ("tolerance", "cap", "sample_cap"):
+        if getattr(args, flag, 0) < 0:
+            raise ParseError(f"--{flag.replace('_', '-')} must not be negative, got {getattr(args, flag)}")
     call = _Call(args)
     result = args.run(args, call)
     digest = hashlib.sha256(jsonio.dumps(call.flags).encode("utf-8"))

@@ -9,11 +9,11 @@ An augmented basis carries its bracket table: the C(m, n) n x n minors
 [p_i1 ... p_in] of its points (their Plücker coordinates), computed once, and
 general position means that none of them is zero.  Every frame is a ratio of
 brackets, so the unordered cross ratio (a complete invariant up to projective
-equivalence) and `projectively_equivalent` run on table lookups.  Reordering
-a head's base only reorders its image coordinates, by one compiled move per
-order, so both map one frame per unordered head (sorted base, last point).
-The unordered cross ratio is kept as the frozenset of its tuples' point
-keys: its sorted `tuples` are derived only when read.
+equivalence) and `projectively_equivalent` run on lookups, one cofactor
+table per sorted base.  Reordering a head's base only reorders its image
+coordinates, by one compiled move per order, so both map only the unordered
+heads (sorted base, last point), and the unordered cross ratio moves whole
+columns of images.  It is kept as the frozenset of its tuples' point keys.
 """
 
 from __future__ import annotations
@@ -370,38 +370,47 @@ def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[t
     return [get(k) if k[first] > 0 else tuple(map(neg, get(k))) for k in keys]
 
 
-def _heads(m: int, n: int) -> Iterable[tuple[int, ...]]:
-    """The unordered heads (sorted base, last point) in lexicographic order."""
-    return ((*base, last) for base in combinations(range(m), n) for last in range(m) if last not in base)
-
-
 def _unsigned(key: tuple[int, ...]) -> tuple[int, ...]:
     """The coordinates of a key as a multiset up to sign: the same for all its moves."""
     return min(tuple(sorted(key)), tuple(sorted(map(neg, key))))
 
 
-def _frame(brackets: dict[int, int], head: Sequence[int]) -> Callable[[int], tuple[int, ...]]:
-    """q -> the key of basis_transform(head)(p_q), by bracket lookups alone, for
-    a head (h_1..h_n, h_{n+1}) of point indices and q outside it.  By Cramer's
-    rule coordinate k of the image of p is [h_1..p..h_n], p in slot k, times
-    the product over j != k of λ_j = [h_1..h_{n+1}..h_n].  Sorting the slots
-    changes the sign by a factor that depends on p, and on k only through
-    whether h_k > p; a factor common to a whole image leaves its key alone."""
-    *base, last = head
+def _cofactors(brackets: dict[int, int], base: Sequence[int], points: Iterable[int]) -> dict[int, list[int]]:
+    """The cofactor table of a base b_1, ..., b_n: q -> c(q) for each q of
+    `points`, c(q)_k = ±[b_1..q..b_n] with q in slot k.  Sorting the slots
+    signs the bracket by a factor of q alone, by (-1)^k, and by -1 where
+    b_k > q; c keeps the last, since the others leave every image key alone."""
     full = sum(1 << i for i in base)
-    lam = [brackets[full ^ 1 << i | 1 << last] * (-1 if i > last else 1) for i in base]
-    scaled = [(full ^ 1 << i, i, prod(lam) // x) for i, x in zip(base, lam)]
-    return lambda q: _primitive(
-        [brackets[rest | 1 << q] * (-scale if i > q else scale) for rest, i, scale in scaled]
-    )
+    slots = [(full ^ 1 << i, i) for i in base]
+    return {q: [brackets[rest | 1 << q] * (-1 if i > q else 1) for rest, i in slots] for q in points}
+
+
+def _frame(rows: dict[int, list[int]], last: int) -> Callable[[int], tuple[int, ...]]:
+    """q -> the key of basis_transform(head)(p_q) for the head (b_1..b_n, last)
+    on the base of `rows`.  By Cramer's rule coordinate k of the image is
+    c(q)_k times the product over j != k of λ_j = c(last)_j."""
+    lam = rows[last]
+    scale = [prod(lam) // x for x in lam]
+    return lambda q: _primitive(list(map(mul, rows[q], scale)))
+
+
+def _heads(brackets: dict[int, int], m: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int], dict]]:
+    """Per unordered head (sorted base, last point), in lexicographic order:
+    the head, the other points in order, and the cofactor table of its base,
+    which the m - n heads on that base share."""
+    for base in combinations(range(m), n):
+        rest = [q for q in range(m) if q not in base]
+        rows = _cofactors(brackets, base, rest)
+        for last in rest:
+            yield (*base, last), [q for q in rest if q != last], rows
 
 
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     """Images of the trailing points under the transform normalizing the
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
-    image = _frame(basis.brackets, range(basis.n + 1))
-    return CrossRatioTuple(ProjPoint._from_ints(image(q)) for q in range(basis.n + 1, basis.m))
+    _, tail, rows = next(_heads(basis.brackets, basis.m, basis.n))  # the head 0, 1, ..., n
+    return CrossRatioTuple(map(ProjPoint._from_ints, map(_frame(rows, basis.n), tail)))
 
 
 def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP) -> UnorderedCrossRatio:
@@ -409,9 +418,11 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
 
     Permutations factor through (ordered head) x (ordered tail), and
     reordering the base of a head by σ only reorders each image's coordinates
-    by σ, one compiled move.  So only the C(m, n)·(m-n) frames of the heads
-    (sorted base, last point) are read off the bracket table, with no
-    transform built; the result keeps its key set and sorts nothing.
+    by σ, one compiled move.  So only the unordered heads (sorted base, last
+    point) are mapped, by C(m, n) cofactor tables of m - n rows and no
+    transform.  Their tail images stand in m - n - 1 columns, signed once per
+    coordinate; each move is one `map` per column, and each tail order one
+    `zip` of the columns.  The result keeps its key set and sorts nothing.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -419,13 +430,12 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
-    moves = list(_moves(n))
+    tails = [list(map(_frame(rows, head[n]), tail)) for head, tail, rows in _heads(basis.brackets, m, n)]
+    signed = [[[k if k[j] > 0 else tuple(map(neg, k)) for k in column] for column in zip(*tails)] for j in range(n)]
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    for head in _heads(m, n):
-        image = _frame(basis.brackets, head)
-        tail = [image(q) for q in range(m) if q not in head]
-        for move in moves:
-            seen.update(permutations(_moved(tail, *move)))
+    for get, first in _moves(n):
+        for order in permutations([list(map(get, column)) for column in signed[first]]):
+            seen.update(zip(*order))
     return UnorderedCrossRatio._from_keys(seen)
 
 
@@ -437,7 +447,7 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
     each head determines a unique candidate for it.  The left points are
     mapped once, by the first left head, and screened by coordinate multisets
     up to sign, which no coordinate order changes.  Each unordered right head
-    is mapped once, by bracket lookups; if every image passes the screen, its
+    is mapped once, from its base's cofactor table; if its images pass, its
     base orders are tried by compiled moves, lexicographically, up to a hit.
     Heads run in lexicographic order until one passes the least hit (the
     first hit of an ordered search); W is built from that head's two frames.
@@ -450,18 +460,17 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
         )
     n, m = a.n, a.m
     # head points land on the standard basis; no other point does unless n = 1
-    image = _frame(a.brackets, range(n + 1))
-    target = {image(q) for q in range(n + 1, m)}
+    _, tail, rows = next(_heads(a.brackets, m, n))
+    target = set(map(_frame(rows, n), tail))
     screen = set(map(_unsigned, target))
     hits: list[tuple[int, ...]] = []  # per head, its least ordering that maps right onto left
-    for head in _heads(m, n):
+    for head, tail, rows in _heads(b.brackets, m, n):
         if hits and head > min(hits):
             break  # every ordering of its base comes later still
-        image = _frame(b.brackets, head)
-        rest = [q for q in range(m) if q not in head]
-        if all(_unsigned(image(q)) in screen for q in rest):
-            tail = [image(q) for q in rest]
-            moves = (move for move in _moves(n) if target.issuperset(_moved(tail, *move)))
+        image = _frame(rows, head[n])
+        if all(_unsigned(image(q)) in screen for q in tail):
+            images = list(map(image, tail))
+            moves = (move for move in _moves(n) if target.issuperset(_moved(images, *move)))
             hits += [(*get(head[:n]), head[n]) for get, _ in islice(moves, 1)]
     if not hits:
         return None

@@ -63,6 +63,31 @@ def test_negative_tolerance_exits_2():
         assert "--tolerance must not be negative" in error["message"]
 
 
+def test_negative_caps_exit_2():
+    # a ParseError on the flag, not a cap error of the enumeration nor a run
+    # that skips the capped work
+    alpha3, permuted = str(FIXTURES / "alpha3_basis.json"), str(FIXTURES / "alpha3_basis_permuted.json")
+    group = str(FIXTURES / "group_m5.json")
+    for argv, flag in (
+        (["cross-ratio", alpha3, "--cap", "-1"], "--cap"),
+        (["equivalent", alpha3, permuted, "--cap=-1"], "--cap"),
+        (["seed-conjugate", SEED, SEED, "--cap", "-2"], "--cap"),
+        (["obstruct", "flat", group, "--sample-cap", "-3"], "--sample-cap"),
+        (["obstruct", "flag", SEED, "--sample-cap=-1"], "--sample-cap"),
+    ):
+        code, error = error_of(argv)
+        assert code == 2
+        assert error["type"] == "ParseError"
+        assert error["message"] == f"{flag} must not be negative, got {argv[-1].split('=')[-1]}"
+
+
+def test_zero_caps_stay_legal():
+    code, error = error_of(["cross-ratio", str(FIXTURES / "alpha3_basis.json"), "--cap", "0"])
+    assert code == 3 and error["type"] == "CapExceededError"
+    code, out = run_cli(["obstruct", "flag", SEED, "--sample-cap", "0"])
+    assert code == 0 and json.loads(out)["flags"]["sample_cap"] == 0
+
+
 def test_negative_rational_after_a_space_is_a_value():
     # argparse reads "-7/2" as an unknown option unless told otherwise
     spaced = run_cli(["alpha-orbit", "--alpha", "-7/2"])

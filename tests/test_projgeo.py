@@ -449,6 +449,42 @@ def test_enumerations_match_oracles_on_larger_shapes():
             assert (assert_matches_oracles(right, left) is None) == (right is negative)
 
 
+# Bases at the edges of the column closure: one coordinate, a single tail
+# column, four tail columns, and symmetric configurations, whose key sets are
+# smaller than m!; the size is pinned where it is known
+EDGE_CASES = {
+    "n1_m3": (lambda: [P(k) for k in (1, 2, -3)], 1),
+    "n1_m4": (lambda: [P(k) for k in (1, -2, 3, 5)], 1),
+    "one_tail_column_4x6": (lambda: random_augmented_basis(random.Random(46), 4, 6).points, None),
+    "four_tail_columns_2x7": (lambda: random_augmented_basis(random.Random(27), 2, 7).points, None),
+    "harmonic_2x4": (lambda: alpha_points(-1), 6),
+    "symmetric_2x6": (lambda: [P(0, 1), *(P(1, x) for x in (0, 1, -1, 2, -2))], 180),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_uc_edge_shapes(case):
+    build, size = EDGE_CASES[case]
+    basis = AugmentedBasis(build())
+    n, m = basis.n, basis.m
+    uc = unordered_cross_ratio(basis)
+    assert [t.entries for t in uc] == uc_oracle(basis)
+    assert size is None or len(uc) == size
+    rebuilt = UnorderedCrossRatio(uc.tuples)
+    assert rebuilt == uc and hash(rebuilt) == hash(uc) and len(rebuilt) == len(uc)
+    assert all(t in uc for t in uc.tuples)
+    rng = random.Random(case)
+    shuffled = list(basis.points)
+    rng.shuffle(shuffled)
+    q = ProjTransform(random_invertible(rng, n))
+    moved = unordered_cross_ratio(AugmentedBasis(q(p) for p in shuffled))
+    assert moved == uc and hash(moved) == hash(uc)
+    if n > 1:  # every n = 1 configuration is one projective class
+        member = uc.tuples[len(uc) // 2]
+        assert CrossRatioTuple([*member.entries[:-1], ProjPoint([1] * n)]) not in uc
+        assert unordered_cross_ratio(random_augmented_basis(rng, n, m)) != uc
+
+
 # --- coordinate orders -------------------------------------------------------------
 
 
@@ -459,13 +495,18 @@ def test_reordered_base_moves_image_coordinates(basis, rnd):
     # sends every image to its compiled σ-move
     n, m = basis.n, basis.m
     *base, last, q = rnd.sample(range(m), n + 2)
-    image = projgeo._frame(basis.brackets, (*base, last))(q)
+
+    def frame(base):
+        # the cofactor formula holds for a base in any order
+        return projgeo._frame(projgeo._cofactors(basis.brackets, base, (last, q)), last)(q)
+
+    image = frame(base)
     assert all(image)
     assert image == basis_transform([basis.points[i] for i in (*base, last)])(basis.points[q]).ints
     for order, (get, first) in zip(permutations(range(n)), projgeo._moves(n)):
         reordered = tuple(base[j] for j in order)
         assert get(tuple(base)) == reordered
-        assert projgeo._frame(basis.brackets, (*reordered, last))(q) == projgeo._moved([image], get, first)[0]
+        assert frame(reordered) == projgeo._moved([image], get, first)[0]
 
 
 def hitting_heads(left: AugmentedBasis, right: AugmentedBasis) -> list[tuple[int, ...]]:
@@ -533,11 +574,13 @@ def test_brackets_are_minors_and_decide_general_position(coords):
 @pytest.fixture
 def work(monkeypatch):
     """One entry per unit of work, in call order: "frame" per call to
-    `projgeo.basis_transform`, "head" per head mapped by bracket lookups
+    `projgeo.basis_transform`, "base" per cofactor table read off the
+    brackets (`projgeo._cofactors`), "head" per head mapped from such a table
     (`projgeo._frame`), "elim" per fraction-free elimination."""
     calls = []
     for module, name, label in (
         (projgeo, "basis_transform", "frame"),
+        (projgeo, "_cofactors", "base"),
         (projgeo, "_frame", "head"),
         (exactq, "_fraction_free_echelon", "elim"),
     ):
@@ -547,6 +590,16 @@ def work(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+class CountingDict(dict):
+    """A bracket table that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 6), (3, 5), (3, 7), (4, 6), (4, 7), (5, 7)])
@@ -568,11 +621,15 @@ def test_basis_computes_each_bracket_once(work, monkeypatch, n, m):
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)])
 def test_uc_tries_every_ordered_head_once(work, n, m):
     basis = random_augmented_basis(random.Random(n * 10 + m), n, m)
+    brackets = CountingDict(basis.brackets)
+    object.__setattr__(basis, "brackets", brackets)
     work.clear()
     uc = unordered_cross_ratio(basis)
-    # one head per (sorted base, last point), by lookups alone: no frame is
-    # built and no elimination runs; the n! base orders permute coordinates
-    assert work == ["head"] * (comb(m, n) * (m - n))
+    # one cofactor table per sorted base, of m - n rows of n lookups, and one
+    # head per (sorted base, last point) mapped from it: no frame is built
+    # and no elimination runs; the n! base orders permute coordinates
+    assert work == (["base"] + ["head"] * (m - n)) * comb(m, n)
+    assert brackets.reads == comb(m, n) * (m - n) * n
     assert [t.entries for t in uc] == uc_oracle(basis)
 
 
@@ -582,7 +639,7 @@ def test_equivalent_negative_tries_every_head(work):
     left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
     work.clear()
     assert projectively_equivalent(left, right) is None
-    assert work == ["head"] * (1 + comb(4, 2) * (4 - 2))
+    assert work == ["base", "head"] + (["base"] + ["head"] * (4 - 2)) * comb(4, 2)
 
 
 def test_equivalent_identity_stops_at_first_head(work):
@@ -590,8 +647,8 @@ def test_equivalent_identity_stops_at_first_head(work):
     work.clear()
     assert projectively_equivalent(basis, basis) is not None
     # two heads by lookups; the two frames of the witness are built at the hit
-    assert work[:2] == ["head", "head"]
-    assert work[2:].count("frame") == 2 and "head" not in work[2:]
+    assert work[:4] == ["base", "head", "base", "head"]
+    assert work[4:].count("frame") == 2 and {"base", "head"}.isdisjoint(work[4:])
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -609,4 +666,4 @@ def test_equivalent_order_preserving_pair_is_bounded_in_n(work, monkeypatch, n):
         moves.clear()
         witness = projectively_equivalent(left, right)
         assert witness == (q if right is not left else ProjTransform(QMatrix.identity(n)))
-        assert work.count("head") == 2 and moves == [tuple(range(n))]
+        assert work.count("base") == work.count("head") == 2 and moves == [tuple(range(n))]
