@@ -277,29 +277,31 @@ def _product(left: QMatrix, right: QMatrix) -> QMatrix:
     return QMatrix._from_ints(left._den * right._den, ints, width)
 
 
-def _integer_rows(rows: Iterable[Iterable[Fraction]]) -> list[list[int]]:
-    # Per-row denominator clearing preserves rank and row dependencies.
-    return [_cleared(row)[1] for row in rows]
-
-
 def _fraction_free_echelon(
-    rows: list[list[int]], pivot_limit: Optional[int] = None
+    rows: list[list[int]], pivot_limit: Optional[int] = None, pivot_cols: Optional[list[int]] = None
 ) -> tuple[int, int, int, list[int]]:
     """Bareiss forward elimination in place.
 
     Pivots are searched in the first `pivot_limit` columns (all columns when
     None).  Intermediate entries stay integer minors of the input, so the
-    two-step division is exact.  Returns (rank, swap sign, last pivot,
-    pivot column indices).
+    two-step division is exact.  An entry below a pivot keeps the head it was
+    cleared by, so the echelon holds its own steps: given back the
+    `pivot_cols` it returned, after every row has grown by one column, it
+    takes that column through those steps and goes on from there.  Returns
+    (rank, sign of this call's swaps, last pivot, pivot column indices).
     """
     m = len(rows)
     width = len(rows[0])
     limit = width if pivot_limit is None else pivot_limit
-    prev = 1
-    sign = 1
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(limit):
+    start, pivot_cols = (0, []) if pivot_cols is None else (width - 1, pivot_cols)
+    prev = sign = 1
+    for r, c in enumerate(pivot_cols):  # the steps so far, on the new last column
+        top, pivot = rows[r], rows[r][c]
+        for row in rows[r + 1 :]:
+            row[-1] = (row[-1] * pivot - row[c] * top[-1]) // prev
+        prev = pivot
+    r = len(pivot_cols)
+    for c in range(start, limit):
         if r == m:
             break
         piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
@@ -313,7 +315,6 @@ def _fraction_free_echelon(
             head = rows[i][c]
             for j in range(c + 1, width):
                 rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
-            rows[i][c] = 0
         prev = pivot
         pivot_cols.append(c)
         r += 1
@@ -470,14 +471,27 @@ def solve(
     return tuple(Fraction(row[0], d) for row in _back_substitute(work, r, d, pivot_cols, ncols))
 
 
-def independent_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[int]:
+def independent_rows(rows: Iterable[Sequence[int | Fraction]], stop: Optional[int] = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
-    These are the pivot columns of the echelon form of the transpose.
+    These are the pivot columns of the echelon form of the transpose, which
+    takes the rows in one column at a time: no row is read after the
+    `stop`-th independent one, or once the rows reach full rank.
     """
-    if not rows or not rows[0]:
-        return []
-    return _fraction_free_echelon(_integer_rows(zip(*rows)))[3]
+    kept: list[int] = []
+    for i, row in enumerate(() if stop == 0 else rows):
+        ints = _cleared(row)[1]
+        if i == 0:
+            coords = [[] for _ in ints]  # the rows of the transpose, before any swap
+            work = list(coords)
+        for entries, x in zip(coords, ints):
+            entries.append(x)
+        if not ints:
+            break
+        _fraction_free_echelon(work, pivot_cols=kept)
+        if len(kept) in (stop, len(work)):
+            break
+    return kept
 
 
 def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
@@ -495,5 +509,5 @@ def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
         return 0
     base = pts[0]
     diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    r, _, _, _ = _fraction_free_echelon(_integer_rows(diffs))
+    r, _, _, _ = _fraction_free_echelon([_cleared(diff)[1] for diff in diffs])
     return r

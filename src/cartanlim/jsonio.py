@@ -198,15 +198,20 @@ def _read_poly(obj: Any, nvars: int, context: str) -> Poly:
     return Poly(nvars, terms)
 
 
+def _built(context: str, build, *args):
+    """build(*args), with a ValueError of the library raised as a ParseError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+
+
 def _read_builtin(obj: dict, context: str, builder):
     name = obj["builtin"]
     if not isinstance(name, str):
         raise ParseError(f"{context}: 'builtin' must be a name, got {name!r}")
     seed = read_seed(obj["seed"], context) if "seed" in obj else None
-    try:
-        return builder(name, seed)
-    except ValueError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
+    return _built(context, builder, name, seed)
 
 
 def read_group(obj: Any, context: str = "group") -> PolyParamGroup:
@@ -222,10 +227,7 @@ def read_group(obj: Any, context: str = "group") -> PolyParamGroup:
     entries = [
         [_read_poly(cell, d, context) for cell in row] for row in entries_raw
     ]
-    try:
-        return PolyParamGroup(d, ambient, entries)
-    except ValueError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
+    return _built(context, PolyParamGroup, d, ambient, entries)
 
 
 def read_family(obj: Any, context: str = "family") -> LinearBlockFamily:
@@ -234,4 +236,4 @@ def read_family(obj: Any, context: str = "family") -> LinearBlockFamily:
     coeffs = _want(obj, "coeff_matrices", context)
     if not isinstance(coeffs, list) or not coeffs:
         raise ParseError(f"{context}: 'coeff_matrices' must be a nonempty array")
-    return LinearBlockFamily([read_matrix(m, context) for m in coeffs])
+    return _built(context, LinearBlockFamily, [read_matrix(m, context) for m in coeffs])

@@ -8,8 +8,9 @@ and 6, the 8-dimensional linear family E whose block admits no rank-one
 direction, and the seed-matrix groups, which pass both tests.
 
 A group is compiled once into integers, rho(v) = I + sum_mu mu(v) C_mu / D;
-the exact group law, flatness (the rank of the C_mu) and the table of 2x2
-minor forms of the rank-one search all run on that form.
+the exact group law, flatness (the rank of the C_mu), the tier walk (over the
+block of rows and columns that some C_mu touches) and the table of 2x2 minor
+forms of the rank-one search all run on that form.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod as int_prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -187,22 +189,31 @@ class PolyParamGroup:
                 return False
         return True
 
-    def evaluate(self, point: Sequence[int | str | Fraction]) -> QMatrix:
+    def _combine(
+        self, point: Sequence[int | str | Fraction], forms: Iterable[dict[int, int]], size: int
+    ) -> tuple[int, list[int]]:
+        """(L^deg, the `size` integers sum_mu w^mu L^(deg - |mu|) forms[mu]) at
+        point = w / L, one form {index: coefficient} per monomial in order."""
         vals = [rational(x) for x in point]
         if len(vals) != self.dim_params:
             raise ValueError(f"expected {self.dim_params} parameters")
-        # rho(w/L) times D L^deg is D L^deg I + sum_mu w^mu L^(deg - |mu|) C_mu
         scale = lcm(*(x.denominator for x in vals))
         ws = [x.numerator * (scale // x.denominator) for x in vals]
-        k, deg = self.ambient, self._degree
-        den = self._den * scale**deg
-        ints = [0] * (k * k)
-        ints[:: k + 1] = [den] * k
-        for mu, vec in self._coeffs.items():
-            factor = int_prod(w**e for w, e in zip(ws, mu) if e) * scale ** (deg - sum(mu))
+        deg = self._degree
+        ints = [0] * size
+        for mu, form in zip(self._coeffs, forms):
+            factor = int_prod(map(pow, ws, mu)) * scale ** (deg - sum(mu))
             if factor:
-                for pos, c in vec.items():
+                for pos, c in form.items():
                     ints[pos] += factor * c
+        return scale**deg, ints
+
+    def evaluate(self, point: Sequence[int | str | Fraction]) -> QMatrix:
+        # rho(w/L) times D L^deg is D L^deg I + sum_mu w^mu L^(deg - |mu|) C_mu
+        k = self.ambient
+        lead, ints = self._combine(point, self._coeffs.values(), k * k)
+        den = self._den * lead
+        ints[:: k + 1] = [x + den for x in ints[:: k + 1]]
         return QMatrix._from_ints(den, ints, k)
 
     def max_degrees(self) -> tuple[int, ...]:
@@ -224,10 +235,7 @@ class LinearBlockFamily:
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise ValueError("coefficient matrices of mixed shapes")
-        kept = [
-            mats[i]
-            for i in exactq.independent_rows([[x for row in m.rows for x in row] for m in mats])
-        ]
+        kept = [mats[i] for i in exactq.independent_rows([m._ints for m in mats])]
         self.coeff_matrices = tuple(kept)
         self.dim_params = len(kept)
         self.nrows, self.ncols = shape
@@ -245,61 +253,35 @@ class LinearBlockFamily:
         return tuple(mat.rows[i][j] for mat in self.coeff_matrices)
 
 
-def _e_block_rows() -> list[list[str]]:
-    return [
-        ["0", "c", "g", "f"],
-        ["c", "b", "f", "e"],
-        ["b", "a", "e", "d"],
-        ["a", "g", "d", "0"],
-    ]
-
-
+_E_BLOCK = ("0cgf", "cbfe", "baed", "agd0")  # the 4 x 4 block of E, a variable or 0 per cell
 _E_VARS = "abcdefg"
 
 
 def _e_coefficient_matrices() -> list[QMatrix]:
-    mats = []
-    rows = _e_block_rows()
-    for var in _E_VARS:
-        mats.append(
-            QMatrix(
-                [[Fraction(1) if cell == var else Fraction(0) for cell in row] for row in rows]
-            )
-        )
-    return mats
+    return [QMatrix._from_ints(1, [int(cell == var) for row in _E_BLOCK for cell in row], 4) for var in _E_VARS]
 
 
 def _lt_coefficient_matrices(seed: SeedMatrix) -> list[QMatrix]:
-    m, n = seed.m, seed.n
-    mats = []
-    for j in range(m):
-        grid = [[Fraction(0)] * n for _ in range(m + 1)]
-        grid[j] = list(seed.matrix.rows[j])
-        mats.append(QMatrix(grid))
-    for i in range(n):
-        grid = [[Fraction(0)] * n for _ in range(m + 1)]
-        grid[m][i] = Fraction(1)
-        mats.append(QMatrix(grid))
-    return mats
+    # a_j puts row j of T in row j of the block, b_i puts e_i in its last row
+    m, n, t = seed.m, seed.n, seed.matrix
+
+    def placed(r: int, den: int, row: Sequence[int]) -> QMatrix:
+        return QMatrix._from_ints(den, [0] * (r * n) + list(row) + [0] * ((m - r) * n), n)
+
+    a = [placed(j, t._den, t._ints[j * n : (j + 1) * n]) for j in range(m)]
+    return a + [placed(m, 1, [int(i == c) for c in range(n)]) for i in range(n)]
 
 
 def _unipotent_group_from_block(family: LinearBlockFamily) -> PolyParamGroup:
     d = family.dim_params
     p, q = family.nrows, family.ncols
     ambient = p + q
-    entries = [
-        [Poly.constant(int(i == j), d) for j in range(ambient)]
-        for i in range(ambient)
-    ]
+    zero, one = Poly(d), Poly.constant(1, d)
+    entries = [[one if i == j else zero for j in range(ambient)] for i in range(ambient)]
+    units = [tuple(int(t == k) for t in range(d)) for k in range(d)]
     for i in range(p):
         for j in range(q):
-            form = family.entry_form(i, j)
-            terms = {}
-            for k, c in enumerate(form):
-                if c != 0:
-                    exps = tuple(int(t == k) for t in range(d))
-                    terms[exps] = c
-            entries[i][p + j] = entries[i][p + j] + Poly(d, terms)
+            entries[i][p + j] = Poly(d, dict(zip(units, family.entry_form(i, j))))
     return PolyParamGroup(d, ambient, entries)
 
 
@@ -322,7 +304,8 @@ def builtin_group(name: str, seed: Optional[SeedMatrix] = None) -> PolyParamGrou
     key = name.upper()
     if key in _QUADRATIC_GROUPS:
         d, ambient, cells = _QUADRATIC_GROUPS[key]
-        rows = [[Poly.constant(int(i == j), d) for j in range(ambient)] for i in range(ambient)]
+        zero, one = Poly(d), Poly.constant(1, d)
+        rows = [[one if i == j else zero for j in range(ambient)] for i in range(ambient)]
         for (i, j), (coeff, var, power) in cells.items():
             exps = tuple(power if t == var else 0 for t in range(d))
             rows[i][j] = Poly.monomial(coeff, exps, d)
@@ -364,7 +347,8 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     image is I + span{C_mu} and its dimension is the rank of the compiled
     coefficients: equality with dim_params certifies flatness, excess
     certifies the opposite.  A grid with degree+1 values per variable spans
-    the same hull; the parameter vectors that grew it are reported.
+    the same hull; the parameter vectors that grew it are reported, and its
+    images are mapped in order only up to the last of them.
     """
     sizes = tuple(d + 1 for d in group.max_degrees())
     total = int_prod(sizes)
@@ -374,15 +358,14 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
         )
     coeffs = group._coeffs
     # the positions where the C_mu are independent carry their span faithfully
-    by_position = [[vec.get(pos, 0) for vec in coeffs.values()] for pos in range(group.ambient**2)]
-    columns = [by_position[pos] for pos in exactq.independent_rows(by_position)]
+    touched = sorted({pos for vec in coeffs.values() for pos in vec})
+    by_position = [[vec.get(pos, 0) for vec in coeffs.values()] for pos in touched]
+    columns = [by_position[i] for i in exactq.independent_rows(by_position)]
     hull_dim = len(columns)
     points = list(product(*(range(s) for s in sizes)))
-    images = []
-    for p in points[1:]:  # rho(0) - I = 0
-        values = [int_prod(x**e for x, e in zip(p, mu)) for mu in coeffs]
-        images.append([sum(v * c for v, c in zip(values, col)) for col in columns])
-    grew = exactq.independent_rows(images)
+    values = ([int_prod(map(pow, p, mu)) for mu in coeffs] for p in points[1:])  # rho(0) - I = 0
+    images = ([sum(map(mul, vals, col)) for col in columns] for vals in values)
+    grew = exactq.independent_rows(images, hull_dim)
     if len(grew) != hull_dim:
         raise InternalError(f"the grid spans {len(grew)} dimensions, the coefficients {hull_dim}; this is a bug")
     witnesses = [tuple(map(Fraction, points[i])) for i in [0, *(i + 1 for i in grew)]]
@@ -421,7 +404,7 @@ def _tier_sample(group: PolyParamGroup, seed: int):
     sizes = tuple(deg + 1 for deg in group.max_degrees())
     grid = product(*(range(s) for s in sizes))
     for combo in islice(grid, _TIER_GRID_CAP):
-        yield tuple(Fraction(x) for x in combo)
+        yield tuple(map(Fraction, combo))
     for i in range(d):
         yield tuple(Fraction(int(j == i)) for j in range(d))
     yield tuple(Fraction(1) for _ in range(d))
@@ -437,15 +420,21 @@ def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
     rho(v) - I that are not identically zero, so the walk stops at the first
     point that reaches it: the witness is the one a full walk returns, and a
     tier equal to the bound is exact.  Below the bound the tier is the
-    largest sampled rank, a lower bound with its witness.
+    largest sampled rank, a lower bound with its witness.  Only the block of
+    those rows and columns is built, in integers.
     """
-    moving = {divmod(pos, group.ambient) for vec in group._coeffs.values() for pos in vec}
-    bound = min(len({i for i, _ in moving}), len({j for _, j in moving}))
-    ident = QMatrix.identity(group.ambient)
+    k = group.ambient
+    moving = {divmod(pos, k) for vec in group._coeffs.values() for pos in vec}
+    rows, cols = sorted({i for i, _ in moving}), sorted({j for _, j in moving})
+    bound = min(len(rows), len(cols))
+    # the forms of the moving block alone, scaled as in `evaluate`
+    at = {i * k + j: a * len(cols) + b for a, i in enumerate(rows) for b, j in enumerate(cols)}
+    forms = [{at[pos]: c for pos, c in vec.items()} for vec in group._coeffs.values()]
     best = -1
     best_point: Optional[tuple[Fraction, ...]] = None
     for point in _tier_sample(group, seed):
-        r = exactq.rank(group.evaluate(point) - ident)
+        block = group._combine(point, forms, len(at))[1]
+        r = exactq.rank(QMatrix._from_ints(1, block, len(cols))) if block else 0
         if r > best:
             best = r
             best_point = point

@@ -202,6 +202,13 @@ def test_non_string_builtin_name_exits_2(tmp_path):
     assert error["type"] == "ParseError"
 
 
+def test_mixed_shape_family_exits_2(tmp_path):
+    family = write(tmp_path, "family.json", {"coeff_matrices": [[[1, 0], [0, 0]], [[1, 0, 0]]]})
+    code, error = error_of(["obstruct", "tier-one", family])
+    assert code == 2
+    assert error == {"type": "ParseError", "message": "family: coefficient matrices of mixed shapes"}
+
+
 def test_failed_self_check_exits_4(monkeypatch):
     # no conjugated verification element is recognised as a group member
     monkeypatch.setattr(cartanlim.limits, "element_params", lambda seed, matrix: None)

@@ -8,14 +8,29 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from util import FIXTURES, HUGE_DEGREE_GROUP, manifest_cases, resolve_argv, run_cli
+from util import (
+    EXPLICIT_FAMILY,
+    EXPLICIT_GROUP,
+    FIXTURES,
+    HUGE_DEGREE_GROUP,
+    manifest_cases,
+    resolve_argv,
+    run_cli,
+)
 
-# manifest cases that read at least one JSON file, with the indices of those files
-CASES = [
-    (case["argv"], [i for i, a in enumerate(case["argv"]) if a.endswith(".json")])
-    for case in manifest_cases()
-    if any(a.endswith(".json") for a in case["argv"])
+# (argv, index of the JSON argument to mutate, its bytes): every JSON file of
+# the manifest cases, then the explicit family and group forms
+EXPLICIT = [
+    (["obstruct", "tier-one", "family.json"], 2, EXPLICIT_FAMILY),
+    (["obstruct", "flat", "group.json"], 2, EXPLICIT_GROUP),
+    (["obstruct", "tier", "group.json"], 2, EXPLICIT_GROUP),
 ]
+CORPUS = [
+    (case["argv"], i, (FIXTURES / arg).read_bytes())
+    for case in manifest_cases()
+    for i, arg in enumerate(case["argv"])
+    if arg.endswith(".json")
+] + EXPLICIT
 
 rational_text = st.one_of(
     st.fractions(min_value=-5, max_value=5, max_denominator=4).map(
@@ -84,9 +99,19 @@ def mutated_bytes(raw: bytes, data) -> bytes:
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_mutated_fixture_json_ends_in_one_document(data):
-    argv, json_args = data.draw(st.sampled_from(CASES))
-    victim = data.draw(st.sampled_from(json_args))
-    raw = mutated_bytes((FIXTURES / argv[victim]).read_bytes(), data)
+    run_mutated(data.draw(st.sampled_from(CORPUS)), data)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_explicit_json_ends_in_one_document(data):
+    # the explicit forms are few in the whole corpus, so they get a run of their own
+    run_mutated(data.draw(st.sampled_from(EXPLICIT)), data)
+
+
+def run_mutated(entry, data) -> None:
+    argv, victim, original = entry
+    raw = mutated_bytes(original, data)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_bytes(raw)

@@ -383,6 +383,32 @@ def test_independent_rows_match_incremental_oracle(rows):
     assert rank(QMatrix(rows)) == len(kept) == gauss_rank_oracle(QMatrix(rows))
 
 
+@settings(max_examples=80)
+@given(rows_with_dependencies(max_rows=7), st.one_of(st.none(), st.integers(0, 5)))
+def test_streamed_independent_rows_read_up_to_the_stop_rank(rows, stop):
+    expected = incremental_basis_oracle(rows)
+    read = []
+    kept = independent_rows((read.append(i) or row for i, row in enumerate(rows)), stop)
+    assert kept == expected[:stop]
+    # the stream stops at the stop-th independent row, or at full column rank
+    target = min(len(rows[0]), len(rows) if stop is None else stop)
+    if target == 0:
+        assert read == []
+    elif len(expected) >= target:
+        assert len(read) == expected[target - 1] + 1
+    else:
+        assert len(read) == len(rows)
+
+
+def test_streamed_independent_rows_examples():
+    rows = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 0], [5, 5, 0], [0, 0, 1]]
+    assert independent_rows(iter(rows)) == independent_rows(rows) == [1, 3, 5]
+    assert independent_rows(iter(rows), 2) == [1, 3]
+    assert independent_rows(iter(rows), 0) == []
+    assert independent_rows(iter([[], []])) == []
+    assert independent_rows(iter([[F(1, 2), 1], [1, 2], [1, 3], [1, 4]])) == [0, 2]
+
+
 @settings(max_examples=60)
 @given(rows_with_dependencies(max_rows=4, square=True))
 def test_inverse_exactly_when_det_nonzero(rows):

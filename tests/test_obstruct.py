@@ -1,12 +1,20 @@
+import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanlim import obstruct
-from cartanlim.errors import CartanlimError, InternalError, SampleCapExceededError, UnknownNameError
+from cartanlim.errors import (
+    CartanlimError,
+    InternalError,
+    RedundantParametersError,
+    SampleCapExceededError,
+    UnknownNameError,
+)
 from cartanlim.exactq import QMatrix, rank
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
 from cartanlim.obstruct import (
@@ -276,6 +284,39 @@ def test_flatness_grid_that_misses_the_coefficient_rank_is_an_internal_error(mon
         flatness_check(group)
 
 
+@pytest.mark.parametrize(
+    "name, seed, mapped",
+    [("E", None, 64), ("LT", alpha_seed(3), 32), ("M6", None, 32), ("M5", None, 16)],
+    ids=["E", "LT3", "M6", "M5"],
+)
+def test_flatness_maps_the_grid_up_to_its_last_witness(monkeypatch, name, seed, mapped):
+    group = builtin_group(name, seed)
+    products = []
+    monkeypatch.setattr(obstruct, "int_prod", lambda values: products.append(None) or math.prod(values))
+    report = flatness_check(group)
+    assert report == flatness_oracle(group)
+    # one product for the grid size, then one per monomial of each image mapped
+    assert len(products) == 1 + mapped * len(group._coeffs)
+    assert mapped < report.sample_size - 1
+    grid = list(product(*(range(size) for size in report.grid_sizes)))
+    assert report.witness_params[-1] == tuple(map(F, grid[mapped]))
+
+
+def _identity_group(dim_params: int) -> PolyParamGroup:
+    zero, one = Poly(dim_params), Poly.constant(1, dim_params)
+    return PolyParamGroup(dim_params, 2, [[one, zero], [zero, one]])
+
+
+def test_empty_moving_block_reports():
+    no_params = _identity_group(0)
+    assert flatness_check(no_params) == obstruct.FlatnessReport("Flat", 0, 0, 1, (), ((),))
+    assert tier(no_params) == obstruct.TierReport(0, ())
+    constant = _identity_group(1)
+    assert tier(constant) == obstruct.TierReport(0, (F(0),))
+    with pytest.raises(RedundantParametersError):
+        flatness_check(constant)
+
+
 def test_flatness_cap():
     with pytest.raises(SampleCapExceededError):
         flatness_check(builtin_group("E"), cap=100)
@@ -321,11 +362,11 @@ def test_tier_monotone_on_coordinate_flags():
 def test_tier_stops_at_the_rank_bound_with_the_full_walk_report(monkeypatch, name, seed, count):
     group = builtin_group(name, seed)
     expected = tier_oracle(group)
-    calls = []
-    evaluate = PolyParamGroup.evaluate
-    monkeypatch.setattr(PolyParamGroup, "evaluate", lambda self, point: calls.append(point) or evaluate(self, point))
+    walked = []
+    sample = obstruct._tier_sample
+    monkeypatch.setattr(obstruct, "_tier_sample", lambda *args: (walked.append(p) or p for p in sample(*args)))
     assert tier(group) == expected
-    assert len(calls) == count
+    assert len(walked) == count
 
 
 @st.composite

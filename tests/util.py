@@ -45,6 +45,24 @@ HUGE_DEGREE_GROUP = (
     b'{"dim_params": 1, "ambient": 2, "entries": [[[["1", [0]]], [["1", [1000000000]]]], [[], [["1", [0]]]]]}'
 )
 
+# The explicit JSON forms, which no fixture uses: a 2 x 2 block family whose
+# third coefficient matrix is twice its first, and the 3 x 3 group
+# [[1, a, a^2/2 + b], [0, 1, a], [0, 0, 1]].
+EXPLICIT_FAMILY = json.dumps(
+    {"coeff_matrices": [[["1/2", "0"], ["0", "0"]], [["0", "1"], ["-1", "0"]], [["1", "0"], ["0", "0"]]]}
+).encode("utf-8")
+EXPLICIT_GROUP = json.dumps(
+    {
+        "dim_params": 2,
+        "ambient": 3,
+        "entries": [
+            [[["1", [0, 0]]], [["1", [1, 0]]], [["1/2", [2, 0]], ["1", [0, 1]]]],
+            [[], [["1", [0, 0]]], [["1", [1, 0]]]],
+            [[], [], [["1", [0, 0]]]],
+        ],
+    }
+).encode("utf-8")
+
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
     buf = io.StringIO()
