@@ -29,7 +29,7 @@ from .errors import (
     SingularError,
 )
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 #: Shared 0 entry of derived rows (Fractions are immutable).
 ZERO = Fraction(0)
@@ -48,9 +48,9 @@ def rational(value: int | str | Fraction) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format `p` / `p/q` (q > 0); reject anything else."""
-    if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
+    if not isinstance(text, str) or (match := _RATIONAL_RE.fullmatch(text)) is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2])) if match[2] else Fraction(int(match[1]))
 
 
 def format_rational(value: Fraction) -> str:

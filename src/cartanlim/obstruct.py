@@ -8,15 +8,18 @@ and 6, the 8-dimensional linear family E whose block admits no rank-one
 direction, and the seed-matrix groups, which pass both tests.
 
 A group is compiled once into integers, rho(v) = I + sum_mu mu(v) C_mu / D;
-the exact group law, flatness (the rank of the C_mu), the tier walk (over the
-block of rows and columns that some C_mu touches) and the table of 2x2 minor
-forms of the rank-one search all run on that form.
+the built-in groups are stated in that form directly, and their Poly entries
+are derived only when read.  The exact group law, flatness (the rank of the
+C_mu), the tier walk (over the block of rows and columns that some C_mu
+touches) and the table of 2x2 minor forms of the rank-one search and of the
+certificate replay all run on that form.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod as int_prod
@@ -119,7 +122,8 @@ class PolyParamGroup:
     """A matrix family v -> rho(v) with polynomial entries and rho(0) = I.
 
     The entries are compiled once into rho(v) = I + sum_mu mu(v) C_mu / D, with
-    one integer vector C_mu of the k*k entries per nonconstant monomial mu.
+    one integer vector C_mu of the k*k entries per nonconstant monomial mu;
+    `_from_coeffs` takes that form directly, and `entries` is derived from it.
     With check=True construction then checks, in this order, that every entry
     has total degree below `ambient` (an additive family is exp(sum v_i N_i)
     with commuting nilpotent N_i) and that rho(u)rho(v) = rho(u+v) holds as a
@@ -141,23 +145,47 @@ class PolyParamGroup:
         cells = [p for row in grid for p in row]
         if any(p.nvars != dim_params for p in cells):
             raise ValueError("entry polynomial has the wrong variable count")
-        self.dim_params = dim_params
-        self.ambient = ambient
-        self.entries = grid
         if any(p.constant_term() != int(pos // ambient == pos % ambient) for pos, p in enumerate(cells)):
             raise ValueError("family does not pass through the identity")
-        self._den = lcm(*(c.denominator for p in cells for c in p.terms.values()))
-        self._coeffs: dict[tuple[int, ...], dict[int, int]] = {}  # mu -> {k*i + j: C_mu[i, j]}
+        den = lcm(*(c.denominator for p in cells for c in p.terms.values()))
+        coeffs: dict[tuple[int, ...], dict[int, int]] = {}
         for pos, p in enumerate(cells):
             for exps, c in p.terms.items():
                 if any(exps):
-                    self._coeffs.setdefault(exps, {})[pos] = c.numerator * (self._den // c.denominator)
-        self._degree = max(map(sum, self._coeffs), default=0)
+                    coeffs.setdefault(exps, {})[pos] = c.numerator * (den // c.denominator)
+        self._compile(dim_params, ambient, den, coeffs, check)
+
+    @classmethod
+    def _from_coeffs(
+        cls, dim_params: int, ambient: int, den: int, coeffs: dict, *, check: bool = True
+    ) -> "PolyParamGroup":
+        """The group I + sum_mu mu(v) C_mu / D from D and {mu: {k*i + j: C_mu[i, j]}}
+        (nonzero integers, nonconstant monomials), with the checks of __init__."""
+        group = cls.__new__(cls)
+        group._compile(dim_params, ambient, den, coeffs, check)
+        return group
+
+    def _compile(self, dim_params: int, ambient: int, den: int, coeffs: dict, check: bool) -> None:
+        self.dim_params = dim_params
+        self.ambient = ambient
+        self._den = den
+        self._coeffs = coeffs  # mu -> {k*i + j: C_mu[i, j]}
+        self._degree = max(map(sum, coeffs), default=0)
         if check:
             if self._degree >= ambient:
                 raise ValueError(f"an entry has total degree {self._degree}, not below the size {ambient}")
             if not self._is_additive():
                 raise ValueError("family is not additive: rho(u)rho(v) != rho(u+v)")
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        """The entry polynomials, derived from the C_mu on first read."""
+        k, d = self.ambient, self.dim_params
+        cells = [{(0,) * d: int(pos % (k + 1) == 0)} for pos in range(k * k)]
+        for mu, vec in self._coeffs.items():
+            for pos, c in vec.items():
+                cells[pos][mu] = Fraction(c, self._den)
+        return tuple(tuple(Poly(d, cell) for cell in cells[i : i + k]) for i in range(0, k * k, k))
 
     def _is_additive(self) -> bool:
         """The coefficients of u^a v^b (a, b != 0) agree on both sides:
@@ -248,11 +276,6 @@ class LinearBlockFamily:
         zero = QMatrix._from_ints(1, [0] * (self.nrows * self.ncols), self.ncols)
         return sum((v * mat for v, mat in zip(vals, self.coeff_matrices) if v), zero)
 
-    def entry_form(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Coefficients of the linear form at block position (i, j)."""
-        return tuple(mat.rows[i][j] for mat in self.coeff_matrices)
-
-
 _E_BLOCK = ("0cgf", "cbfe", "baed", "agd0")  # the 4 x 4 block of E, a variable or 0 per cell
 _E_VARS = "abcdefg"
 
@@ -273,28 +296,30 @@ def _lt_coefficient_matrices(seed: SeedMatrix) -> list[QMatrix]:
 
 
 def _unipotent_group_from_block(family: LinearBlockFamily) -> PolyParamGroup:
-    d = family.dim_params
-    p, q = family.nrows, family.ncols
-    ambient = p + q
-    zero, one = Poly(d), Poly.constant(1, d)
-    entries = [[one if i == j else zero for j in range(ambient)] for i in range(ambient)]
-    units = [tuple(int(t == k) for t in range(d)) for k in range(d)]
-    for i in range(p):
-        for j in range(q):
-            entries[i][p + j] = Poly(d, dict(zip(units, family.entry_form(i, j))))
-    return PolyParamGroup(d, ambient, entries)
+    """I plus the block family in the upper-right corner: C_{e_t} is
+    coefficient matrix t over the lcm D of their denominators."""
+    d, p, q = family.dim_params, family.nrows, family.ncols
+    k = p + q
+    den = lcm(*(mat._den for mat in family.coeff_matrices))
+    coeffs = {
+        tuple(int(s == t) for s in range(d)): {
+            pos // q * k + p + pos % q: x * (den // mat._den) for pos, x in enumerate(mat._ints) if x
+        }
+        for t, mat in enumerate(family.coeff_matrices)
+    }
+    return PolyParamGroup._from_coeffs(d, k, den, coeffs)
 
 
-# name -> (parameter count, size, {(row, col): (coefficient, variable, power)})
-# for the off-diagonal entries of the two quadratic families.
+# name -> (parameter count, size, {mu: {k*i + j: C_mu[i, j]}}) of the two
+# quadratic families over D = 2: the a^2/2 entry is the lone C = 1.
 _QUADRATIC_GROUPS = {
     "M5": (4, 5, {
-        (0, 1): (1, 0, 1), (0, 3): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
-        (1, 3): (1, 0, 1), (2, 3): (1, 2, 1), (2, 4): (1, 3, 1),
+        (1, 0, 0, 0): {1: 2, 8: 2}, (2, 0, 0, 0): {3: 1}, (0, 1, 0, 0): {4: 2},
+        (0, 0, 1, 0): {13: 2}, (0, 0, 0, 1): {14: 2},
     }),
     "M6": (5, 6, {
-        (0, 1): (1, 0, 1), (0, 2): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
-        (0, 5): (1, 2, 1), (1, 2): (1, 0, 1), (3, 4): (1, 3, 1), (3, 5): (1, 4, 1),
+        (1, 0, 0, 0, 0): {1: 2, 8: 2}, (2, 0, 0, 0, 0): {2: 1}, (0, 1, 0, 0, 0): {4: 2},
+        (0, 0, 1, 0, 0): {5: 2}, (0, 0, 0, 1, 0): {22: 2}, (0, 0, 0, 0, 1): {23: 2},
     }),
 }
 
@@ -303,13 +328,8 @@ def builtin_group(name: str, seed: Optional[SeedMatrix] = None) -> PolyParamGrou
     """One of the named matrix families, as an exact polynomial group."""
     key = name.upper()
     if key in _QUADRATIC_GROUPS:
-        d, ambient, cells = _QUADRATIC_GROUPS[key]
-        zero, one = Poly(d), Poly.constant(1, d)
-        rows = [[one if i == j else zero for j in range(ambient)] for i in range(ambient)]
-        for (i, j), (coeff, var, power) in cells.items():
-            exps = tuple(power if t == var else 0 for t in range(d))
-            rows[i][j] = Poly.monomial(coeff, exps, d)
-        return PolyParamGroup(d, ambient, rows)
+        d, ambient, coeffs = _QUADRATIC_GROUPS[key]
+        return PolyParamGroup._from_coeffs(d, ambient, 2, coeffs)
     if key in ("E", "LT"):
         return _unipotent_group_from_block(builtin_block_family(key, seed))
     raise UnknownNameError(f"unknown builtin group {name!r}")
@@ -454,37 +474,6 @@ class TierOneResult:
     certificate: Optional[tuple]
 
 
-def _minor_terms(
-    family: LinearBlockFamily,
-    rows: tuple[int, int],
-    cols: tuple[int, int],
-    zeroed: set[int],
-) -> dict[tuple[int, int], Fraction]:
-    """Coefficients of the 2x2 minor as a quadratic form, zeroed vars removed."""
-    i1, i2 = rows
-    j1, j2 = cols
-    f = family.entry_form(i1, j1)
-    g = family.entry_form(i2, j2)
-    f2 = family.entry_form(i1, j2)
-    g2 = family.entry_form(i2, j1)
-    terms: dict[tuple[int, int], Fraction] = {}
-    d = family.dim_params
-
-    def accumulate(u, v, sign):
-        for k in range(d):
-            if u[k] == 0 or k in zeroed:
-                continue
-            for l in range(d):
-                if v[l] == 0 or l in zeroed:
-                    continue
-                key = (k, l) if k <= l else (l, k)
-                terms[key] = terms.get(key, Fraction(0)) + sign * u[k] * v[l]
-
-    accumulate(f, g, 1)
-    accumulate(f2, g2, -1)
-    return {key: c for key, c in terms.items() if c != 0}
-
-
 def _minor_table(family: LinearBlockFamily) -> list[tuple[tuple[int, int], tuple[int, int], list]]:
     """(rows, cols, monomials (k, l), k <= l) of every 2x2 minor's quadratic
     form, in scan order.  The integer coefficient matrices scale the
@@ -595,33 +584,24 @@ def replay_certificate(
     family: LinearBlockFamily, steps: Sequence[dict], zeroed: Iterable[int] = ()
 ) -> bool:
     """Re-derive a propagation certificate step by step."""
-    z = set(zeroed)
-    for step in steps:
-        terms = _minor_terms(
-            family, tuple(step["rows"]), tuple(step["cols"]), z
-        )
-        if len(terms) != 1:
-            return False
-        ((k, l),) = terms.keys()
-        if [k, l] != sorted(step["monomial"]):
-            return False
-        if step["kind"] == "minor":
-            if k != l or step["forced"] != k:
+    forms = {(rows, cols): monomials for rows, cols, monomials in _minor_table(family)}
+
+    def replay(steps: Sequence[dict], z: set[int]) -> bool:
+        for step in steps:
+            monomials = forms.get((tuple(sorted(step["rows"])), tuple(sorted(step["cols"]))), ())
+            live = [[k, l] for k, l in monomials if k not in z and l not in z]
+            if live != [sorted(step["monomial"])]:
                 return False
-            z.add(k)
-        elif step["kind"] == "branch":
-            if k == l or len(step["cases"]) != 2:
+            ((k, l),) = live
+            if step["kind"] == "minor" and k == l == step["forced"]:
+                z = z | {k}
+            elif step["kind"] == "branch" and k != l and sorted(case["assume"] for case in step["cases"]) == [k, l]:
+                return all(replay(case["steps"], z | {case["assume"]}) for case in step["cases"])
+            else:
                 return False
-            assumed = sorted(case["assume"] for case in step["cases"])
-            if assumed != [k, l]:
-                return False
-            return all(
-                replay_certificate(family, case["steps"], z | {case["assume"]})
-                for case in step["cases"]
-            )
-        else:
-            return False
-    return len(z) == family.dim_params
+        return len(z) == family.dim_params
+
+    return replay(steps, set(zeroed))
 
 
 # --- tier flags -------------------------------------------------------------------

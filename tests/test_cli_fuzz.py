@@ -84,14 +84,35 @@ def mutate(value, data):
     return {k: v for k, v in value.items() if k != key}
 
 
+def reshape(doc: dict, data) -> dict:
+    """Drop or duplicate one row of one coefficient matrix of an explicit
+    family, or one row of the entries of an explicit group."""
+
+    def edit(rows: list) -> list:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        return rows[:i] + rows[i + 1 :] if data.draw(st.booleans()) else rows[: i + 1] + rows[i:]
+
+    if "entries" in doc:
+        return {**doc, "entries": edit(doc["entries"])}
+    mats = list(doc["coeff_matrices"])
+    t = data.draw(st.integers(0, len(mats) - 1))
+    mats[t] = edit(mats[t])
+    return {**doc, "coeff_matrices": mats}
+
+
 def mutated_bytes(raw: bytes, data) -> bytes:
-    kind = data.draw(st.sampled_from(["json", "json", "json", "truncate", "bad utf-8"]))
+    doc = json.loads(raw)
+    kinds = ["json", "json", "json", "truncate", "bad utf-8"]
+    if isinstance(doc, dict) and ("entries" in doc or "coeff_matrices" in doc):
+        kinds += ["rows"] * 3  # shape errors lie deep in the document, where random edits seldom reach
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "truncate":
         return raw[: data.draw(st.integers(0, len(raw) - 1))]
     if kind == "bad utf-8":
         return b"\xff" + raw
-    doc = json.loads(raw)
-    for _ in range(data.draw(st.integers(1, 3))):
+    if kind == "rows":
+        doc = reshape(doc, data)
+    for _ in range(data.draw(st.integers(kind != "rows", 3))):
         doc = mutate(doc, data)
     return json.dumps(doc).encode("utf-8")
 

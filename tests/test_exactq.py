@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -27,7 +28,7 @@ from cartanlim.exactq import (
     solve,
 )
 from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
-from util import incremental_basis_oracle, matmul_oracle
+from util import incremental_basis_oracle, matmul_oracle, run_cli
 
 
 def gauss_rank_oracle(matrix: QMatrix) -> int:
@@ -73,6 +74,41 @@ def test_parse_and_format_rational():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def fraction_text_oracle(text):
+    """Reference parser: `Fraction(text)` behind the wire grammar."""
+    if not isinstance(text, str) or exactq._RATIONAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    return F(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+3", "-0", "007", "1/01", "12/8", "-12/8", "1/0", "1_000", " 3", "3 ", "3.0", "1e3", ""]
+    + ["\u0661\u0662", "\u0661\u0662/\u0663", "7/1\u0663", "\uff17"],  # Arabic-Indic and fullwidth digits
+)
+def test_parse_rational_agrees_with_fraction_text(text):
+    try:
+        expected = fraction_text_oracle(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
+
+
+def test_parse_rational_refuses_a_literal_past_the_int_digit_limit(tmp_path):
+    huge = "1" * 5000
+    for text in (huge, f"1/{huge}"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "rows": [[huge]]}))
+    code, out = run_cli(["obstruct", "flag", str(path)])
+    assert code == 2
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"]["type"] == "ParseError"
 
 
 # --- rank -----------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cartanlim.exactq import QMatrix
 from cartanlim.jsonio import dumps
 from cartanlim.limits import OrbitClass, OrbitKind
-from util import run_cli
+from cartanlim.obstruct import TierReport
+from cartanlim.projgeo import AugmentedBasis, ProjPoint, unordered_cross_ratio
+from util import dumps_oracle, run_cli
 
 # Blocks [[v0, v0, v1], [v1, v0, v1], [v1, 0, v1]]: the minors leave v0*v1,
 # so the certificate branches, and each case forces the other variable to 0.
@@ -55,3 +61,54 @@ def test_non_finite_floats_raise_value_error():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             dumps([value])
+
+
+fractions = st.one_of(
+    st.fractions(),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(10**20, 10**40)),
+)
+library_values = st.one_of(
+    st.sampled_from(OrbitKind),
+    st.frozensets(st.integers(-5, 5)),
+    st.builds(OrbitClass, st.sampled_from(OrbitKind), st.integers(0, 9), st.frozensets(st.integers(0, 9))),
+    st.builds(TierReport, st.integers(0, 9), st.lists(fractions, max_size=3).map(tuple)),
+    st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=1, max_size=3).map(QMatrix),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any).map(ProjPoint),
+    st.sampled_from([
+        unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, 2])])),
+        unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, -1], [2, 3])])),
+    ]),
+)
+leaves = st.one_of(
+    fractions,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-30, math.nan, math.inf, -math.inf]),
+    st.text(),
+    library_values,
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 2)), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_dumps_agrees_with_the_oracle(value):
+    try:
+        expected = dumps_oracle(value)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dumps(value)
+    else:
+        assert dumps(value) == expected

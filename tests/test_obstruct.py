@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from cartanlim.errors import (
     UnknownNameError,
 )
 from cartanlim.exactq import QMatrix, rank
+from cartanlim.jsonio import read_seed
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
 from cartanlim.obstruct import (
     LinearBlockFamily,
@@ -32,7 +34,9 @@ from cartanlim.obstruct import (
     tier,
 )
 from util import (
+    FIXTURES,
     NONGROUPS,
+    builtin_poly_group_oracle,
     exp_family_terms,
     flag_tier_profile_oracle,
     flatness_oracle,
@@ -98,6 +102,44 @@ def test_builtin_group_law_checked():
         builtin_group("M7")
     with pytest.raises(ValueError):
         builtin_group("LT")
+
+
+SEED_A3 = read_seed(json.loads((FIXTURES / "seed_a3.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("M5", None), ("M6", None), ("E", None), ("LT", SEED_A3), ("LT", SeedMatrix([[F(1, 2), 0], [1, F(-2, 3)], [0, 5]]))],
+)
+def test_builtin_groups_equal_their_explicit_form(name, seed):
+    group, explicit = builtin_group(name, seed), builtin_poly_group_oracle(name, seed)
+    assert (group._den, group._coeffs, group.entries) == (explicit._den, explicit._coeffs, explicit.entries)
+    assert flatness_check(group) == flatness_check(explicit)
+    assert tier(group) == tier(explicit)
+
+
+def test_every_builtin_group_runs_the_law(monkeypatch):
+    checked = []
+    law = PolyParamGroup._is_additive
+    monkeypatch.setattr(PolyParamGroup, "_is_additive", lambda self: checked.append(self) or law(self))
+    groups = [builtin_group(name) for name in ("M5", "M6", "E")] + [builtin_group("LT", SEED_A3)]
+    assert checked == groups
+
+
+def test_a_corrupted_coefficient_table_is_refused():
+    d, k, coeffs = obstruct._QUADRATIC_GROUPS["M5"]
+    PolyParamGroup._from_coeffs(d, k, 2, coeffs)
+    # a^2 with coefficient 3/2 in place of 1/2: rho(u)rho(v) != rho(u+v)
+    with pytest.raises(ValueError, match="not additive"):
+        PolyParamGroup._from_coeffs(d, k, 2, {**coeffs, (2, 0, 0, 0): {3: 3}})
+    # an entry below the diagonal makes C_a C_a nonzero with no a^2 term to match
+    e = builtin_group("E")
+    broken = {**e._coeffs, (1,) + (0,) * 6: {**e._coeffs[(1,) + (0,) * 6], 4 * 8: 1}}
+    with pytest.raises(ValueError, match="not additive"):
+        PolyParamGroup._from_coeffs(7, 8, 1, broken)
+    with pytest.raises(ValueError, match="total degree 5"):
+        PolyParamGroup._from_coeffs(d, k, 2, {**coeffs, (5, 0, 0, 0): {4: 1}})
+    PolyParamGroup._from_coeffs(7, 8, 1, broken, check=False)
 
 
 def test_nonadditive_family_rejected():
@@ -410,6 +452,8 @@ def test_certificate_replay_rejects_tampering():
     broken[0]["forced"] = (broken[0]["forced"] + 1) % 7
     assert not replay_certificate(family, broken)
     assert not replay_certificate(family, result.certificate[1:])
+    for rows in ([0, 9], [1, 1], [0, 1, 2]):  # no 2x2 minor of the 4x4 block
+        assert not replay_certificate(family, [{**result.certificate[0], "rows": rows}])
 
 
 def test_lt_block_has_rank_one_direction():

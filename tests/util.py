@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import prod
@@ -13,6 +16,7 @@ from pathlib import Path
 
 from cartanlim import (
     AugmentedBasis,
+    CrossRatioTuple,
     FlatnessReport,
     GroupElementParams,
     LinearBlockFamily,
@@ -23,6 +27,7 @@ from cartanlim import (
     SeedMatrix,
     TierOneResult,
     TierReport,
+    UnorderedCrossRatio,
     affine_hull_dim,
     basis_transform,
     builtin_group,
@@ -35,7 +40,7 @@ from cartanlim import (
 )
 from cartanlim.cli import main
 from cartanlim.errors import RedundantParametersError, SampleCapExceededError
-from cartanlim.obstruct import _minor_terms, _witness_candidates
+from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -352,6 +357,21 @@ def flatness_oracle(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     )
 
 
+def _minor_terms_oracle(family: LinearBlockFamily, rows, cols, zeroed: set[int]) -> dict:
+    """The Fraction coefficients of a 2x2 minor as a quadratic form in the
+    variables, with the zeroed ones removed, read from the rows of the
+    coefficient matrices."""
+    (i1, i2), (j1, j2) = rows, cols
+    mats = [mat.rows for mat in family.coeff_matrices]
+    terms: dict[tuple[int, int], Fraction] = {}
+    for (a, b), (c, e), sign in (((i1, j1), (i2, j2), 1), ((i1, j2), (i2, j1), -1)):
+        for k, l in product(range(family.dim_params), repeat=2):
+            if k not in zeroed and l not in zeroed:
+                key = (min(k, l), max(k, l))
+                terms[key] = terms.get(key, Fraction(0)) + sign * mats[k][a][b] * mats[l][c][e]
+    return {key: c for key, c in terms.items() if c}
+
+
 def _propagate_oracle(family: LinearBlockFamily, zeroed: set[int]):
     """The propagation of `has_tier_one_element`, recomputing every minor's
     Fraction quadratic form with the zeroed variables removed at every step."""
@@ -361,7 +381,7 @@ def _propagate_oracle(family: LinearBlockFamily, zeroed: set[int]):
     while True:
         products: list[dict] = []
         for rows, cols in pairs:
-            terms = _minor_terms(family, rows, cols, zeroed)
+            terms = _minor_terms_oracle(family, rows, cols, zeroed)
             if len(terms) != 1:
                 continue
             ((k, l),) = terms
@@ -480,3 +500,106 @@ def group_document(terms: list[list[dict]]) -> dict:
         "ambient": len(terms),
         "entries": [[[[str(c), list(e)] for e, c in sorted(cell.items())] for cell in row] for row in terms],
     }
+
+
+# The off-diagonal cells of the two quadratic families, as
+# {(row, col): (coefficient, variable, power)}.
+_QUADRATIC_CELLS = {
+    "M5": (4, 5, {
+        (0, 1): (1, 0, 1), (0, 3): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
+        (1, 3): (1, 0, 1), (2, 3): (1, 2, 1), (2, 4): (1, 3, 1),
+    }),
+    "M6": (5, 6, {
+        (0, 1): (1, 0, 1), (0, 2): (Fraction(1, 2), 0, 2), (0, 4): (1, 1, 1),
+        (0, 5): (1, 2, 1), (1, 2): (1, 0, 1), (3, 4): (1, 3, 1), (3, 5): (1, 4, 1),
+    }),
+}
+
+
+def builtin_poly_group_oracle(name: str, seed: SeedMatrix | None = None) -> PolyParamGroup:
+    """Independent oracle for `builtin_group`: the group built from its grid
+    of `Poly` cells through the public constructor.  M5 and M6 from their
+    monomial cells; E from its block of variable names and LT from the rows
+    of the seed, each as I plus the Fraction linear forms of the block in the
+    upper-right corner."""
+    if name in _QUADRATIC_CELLS:
+        d, k, cells = _QUADRATIC_CELLS[name]
+        grid = [[Poly.constant(int(i == j), d) for j in range(k)] for i in range(k)]
+        for (i, j), (coeff, var, power) in cells.items():
+            grid[i][j] = Poly.monomial(coeff, [power * (t == var) for t in range(d)], d)
+        return PolyParamGroup(d, k, grid)
+    if name == "E":
+        d = len(_E_VARS)
+        block = [[{_E_VARS.index(c): 1} if c != "0" else {} for c in row] for row in _E_BLOCK]
+    else:
+        m, n, rows = seed.m, seed.n, seed.matrix.rows
+        d = m + n
+        # a_j scales row j of T, and b_i is entry i of the last row
+        block = [[{j: rows[j][i]} for i in range(n)] for j in range(m)] + [[{m + i: 1} for i in range(n)]]
+    p, q = len(block), len(block[0])
+    grid = [[Poly.constant(int(i == j), d) for j in range(p + q)] for i in range(p + q)]
+    for i, j in product(range(p), range(q)):
+        grid[i][p + j] = Poly(d, {tuple(int(s == var) for s in range(d)): c for var, c in block[i][j].items()})
+    return PolyParamGroup(d, p + q, grid)
+
+
+def _wire_oracle(obj):
+    """The plain value that a library object is emitted as."""
+    attr = {ProjPoint: "coords", QMatrix: "rows", CrossRatioTuple: "entries", UnorderedCrossRatio: "tuples"}.get(type(obj))
+    if attr is not None:
+        return getattr(obj, attr)
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps_oracle(obj) -> str:
+    """Independent oracle for `jsonio.dumps`: one isinstance chain, strings
+    and keys through `json.dumps`, library values through their Fraction
+    wire form."""
+    out: list[str] = []
+
+    def emit(obj) -> None:
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, Fraction):
+            out.append(json.dumps(f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)))
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            if math.isnan(obj) or math.isinf(obj):
+                raise ValueError("cannot serialize non-finite float")
+            out.append(format(obj, ".17g"))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj, ensure_ascii=True))
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(", ")
+                emit(item)
+            out.append("]")
+        elif isinstance(obj, dict):
+            out.append("{")
+            for i, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError(f"non-string key {key!r}")
+                if i:
+                    out.append(", ")
+                out.append(json.dumps(key, ensure_ascii=True))
+                out.append(": ")
+                emit(obj[key])
+            out.append("}")
+        else:
+            emit(_wire_oracle(obj))
+
+    emit(obj)
+    return "".join(out)
