@@ -5,9 +5,9 @@ and objects are emitted with sorted keys, so identical inputs always produce
 byte-identical documents.  The emitter knows the wire form of each library
 value type (points, matrices, cross-ratio tuples and sets, enums, frozensets
 and result dataclasses), so results are serialized as returned, with no
-per-type adapter.  It dispatches on a value's exact type first, writes
-Fractions from their numerator and denominator, strings and dict keys through
-the ASCII encoder of `json`, and keeps each key's encoded form once met.
+per-type adapter.  Fractions are written from their numerator and
+denominator, points from their integer form, and strings and dict keys
+through the ASCII encoder of `json`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import ParseError
-from .exactq import QMatrix, _format_ratio, format_rational, parse_rational
+from .exactq import QMatrix, _format_ratio, parse_rational
 from .limits import GroupElementParams, SeedMatrix
 from .obstruct import (
     LinearBlockFamily,
@@ -62,19 +62,15 @@ def _wire(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-_KEYS: dict[str, str] = {}  # str dict key -> '"key": ', for the first 1024 keys met
-
-
 def _emit(obj: Any, out: list[str]) -> None:
-    kind = type(obj)  # the exact leaf types first, then an isinstance chain
-    if kind is Fraction:
-        out.append('"' + _format_ratio(obj.numerator, obj.denominator) + '"')
-    elif kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is int:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
         out.append(str(obj))
-    elif kind is ProjPoint:
-        out.append("[" + ", ".join(['"' + x + '"' for x in obj.serialized()]) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -82,33 +78,24 @@ def _emit(obj: Any, out: list[str]) -> None:
                 out.append(", ")
             _emit(item, out)
         out.append("]")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
-            prefix = _KEYS.get(key) if type(key) is str else None
-            if prefix is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"non-string key {key!r}")
-                prefix = encode_basestring_ascii(key) + ": "
-                if type(key) is str and len(_KEYS) < 1024:
-                    _KEYS[key] = prefix
-            out.append(", " + prefix if i else prefix)
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            if i:
+                out.append(", ")
+            out.append(encode_basestring_ascii(key) + ": ")
             _emit(obj[key], out)
         out.append("}")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, Fraction):
-        out.append('"' + format_rational(obj) + '"')
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, ProjPoint):
+        out.append("[" + ", ".join(['"' + x + '"' for x in obj.serialized()]) + "]")
     elif isinstance(obj, float):
         out.append(_float_literal(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, Fraction):  # Fraction is an ABC, slow to miss: so it comes last
+        out.append('"' + _format_ratio(obj.numerator, obj.denominator) + '"')
     else:
         _emit(_wire(obj), out)
 

@@ -123,7 +123,7 @@ class PolyParamGroup:
 
     The entries are compiled once into rho(v) = I + sum_mu mu(v) C_mu / D, with
     one integer vector C_mu of the k*k entries per nonconstant monomial mu;
-    `_from_coeffs` takes that form directly, and `entries` is derived from it.
+    `_from_coeffs` takes that form directly and derives `entries` from it.
     With check=True construction then checks, in this order, that every entry
     has total degree below `ambient` (an additive family is exp(sum v_i N_i)
     with commuting nilpotent N_i) and that rho(u)rho(v) = rho(u+v) holds as a
@@ -154,6 +154,7 @@ class PolyParamGroup:
                 if any(exps):
                     coeffs.setdefault(exps, {})[pos] = c.numerator * (den // c.denominator)
         self._compile(dim_params, ambient, den, coeffs, check)
+        self.entries = grid
 
     @classmethod
     def _from_coeffs(
@@ -179,7 +180,8 @@ class PolyParamGroup:
 
     @cached_property
     def entries(self) -> tuple[tuple[Poly, ...], ...]:
-        """The entry polynomials, derived from the C_mu on first read."""
+        """The entry polynomials: the grid given to __init__, or for a group
+        built from its C_mu, derived from them on first read."""
         k, d = self.ambient, self.dim_params
         cells = [{(0,) * d: int(pos % (k + 1) == 0)} for pos in range(k * k)]
         for mu, vec in self._coeffs.items():
@@ -275,6 +277,7 @@ class LinearBlockFamily:
             raise ValueError(f"expected {self.dim_params} parameters")
         zero = QMatrix._from_ints(1, [0] * (self.nrows * self.ncols), self.ncols)
         return sum((v * mat for v, mat in zip(vals, self.coeff_matrices) if v), zero)
+
 
 _E_BLOCK = ("0cgf", "cbfe", "baed", "agd0")  # the 4 x 4 block of E, a variable or 0 per cell
 _E_VARS = "abcdefg"
