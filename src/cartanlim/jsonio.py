@@ -128,7 +128,7 @@ def _want_int(obj: Any, key: str, context: str) -> int:
 
 
 def read_rational(obj: Any, context: str) -> Fraction:
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return Fraction(obj)
     if isinstance(obj, str):
         try:

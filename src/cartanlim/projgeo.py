@@ -12,8 +12,8 @@ brackets, so the unordered cross ratio (a complete invariant up to projective
 equivalence) and `projectively_equivalent` run on lookups, one cofactor
 table per sorted base.  Reordering a head's base only reorders its image
 coordinates, by one compiled move per order, so both map only the unordered
-heads (sorted base, last point), and the unordered cross ratio moves whole
-columns of images.  It is kept as the frozenset of its tuples' point keys.
+heads (sorted base, last point), each image in the loop by a product, a gcd
+and a tuple.  The cross ratio is kept as the set of its tuples' point keys.
 """
 
 from __future__ import annotations
@@ -370,11 +370,6 @@ def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[t
     return [get(k) if k[first] > 0 else tuple(map(neg, get(k))) for k in keys]
 
 
-def _unsigned(key: tuple[int, ...]) -> tuple[int, ...]:
-    """The coordinates of a key as a multiset up to sign: the same for all its moves."""
-    return min(tuple(sorted(key)), tuple(sorted(map(neg, key))))
-
-
 def _cofactors(brackets: dict[int, int], base: Sequence[int], points: Iterable[int]) -> dict[int, list[int]]:
     """The cofactor table of a base b_1, ..., b_n: q -> c(q) for each q of
     `points`, c(q)_k = ±[b_1..q..b_n] with q in slot k.  Sorting the slots
@@ -385,32 +380,28 @@ def _cofactors(brackets: dict[int, int], base: Sequence[int], points: Iterable[i
     return {q: [brackets[rest | 1 << q] * (-1 if i > q else 1) for rest, i in slots] for q in points}
 
 
-def _frame(rows: dict[int, list[int]], last: int) -> Callable[[int], tuple[int, ...]]:
-    """q -> the key of basis_transform(head)(p_q) for the head (b_1..b_n, last)
-    on the base of `rows`.  By Cramer's rule coordinate k of the image is
-    c(q)_k times the product over j != k of λ_j = c(last)_j."""
-    lam = rows[last]
-    scale = [prod(lam) // x for x in lam]
-    return lambda q: _primitive(list(map(mul, rows[q], scale)))
+def _scale(lam: Sequence[int]) -> list[int]:
+    """Cramer's rule for the head (b_1..b_n, last), λ = c(last): coordinate k
+    of the image of q is c(q)_k times the product over j != k of λ_j."""
+    p = prod(lam)
+    return [p // x for x in lam]
 
 
 def _heads(brackets: dict[int, int], m: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int], dict]]:
-    """Per unordered head (sorted base, last point), in lexicographic order:
-    the head, the other points in order, and the cofactor table of its base,
-    which the m - n heads on that base share."""
+    """Per sorted base, in lexicographic order: the base, the other points in order
+    and their cofactor table; each of them is the last point of one unordered head."""
     for base in combinations(range(m), n):
         rest = [q for q in range(m) if q not in base]
-        rows = _cofactors(brackets, base, rest)
-        for last in rest:
-            yield (*base, last), [q for q in rest if q != last], rows
+        yield base, rest, _cofactors(brackets, base, rest)
 
 
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     """Images of the trailing points under the transform normalizing the
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
-    _, tail, rows = next(_heads(basis.brackets, basis.m, basis.n))  # the head 0, 1, ..., n
-    return CrossRatioTuple(map(ProjPoint._from_ints, map(_frame(rows, basis.n), tail)))
+    _, rest, rows = next(_heads(basis.brackets, basis.m, basis.n))  # the head 0, 1, ..., n
+    scale = _scale(rows[basis.n])
+    return CrossRatioTuple([ProjPoint._from_ints(list(map(mul, rows[q], scale))) for q in rest[1:]])
 
 
 def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP) -> UnorderedCrossRatio:
@@ -419,10 +410,10 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     Permutations factor through (ordered head) x (ordered tail), and
     reordering the base of a head by σ only reorders each image's coordinates
     by σ, one compiled move.  So only the unordered heads (sorted base, last
-    point) are mapped, by C(m, n) cofactor tables of m - n rows and no
-    transform.  Their tail images stand in m - n - 1 columns, signed once per
-    coordinate; each move is one `map` per column, and each tail order one
-    `zip` of the columns.  The result keeps its key set and sorts nothing.
+    point) are mapped, in the loop from C(m, n) cofactor tables of m - n rows:
+    per image one product, one gcd and one tuple, and one negation.  A move is
+    one `map` of the images, and each tail order one `zip` of the tail slots.
+    The result keeps its key set and sorts nothing.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -430,11 +421,21 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
-    tails = [list(map(_frame(rows, head[n]), tail)) for head, tail, rows in _heads(basis.brackets, m, n)]
-    signed = [[[k if k[j] > 0 else tuple(map(neg, k)) for k in column] for column in zip(*tails)] for j in range(n)]
+    images: list[tuple[int, ...]] = []  # head by head, its m - n - 1 tail images in order
+    for _, rest, rows in _heads(basis.brackets, m, n):
+        for last in rest:
+            scale = _scale(rows[last])
+            for q in rest:
+                if q != last:
+                    v = list(map(mul, rows[q], scale))
+                    g = gcd(*v) if v[0] > 0 else -gcd(*v)  # in general position no coordinate is 0
+                    images.append(tuple([x // g for x in v]))
+    flipped = [tuple([-x for x in k]) for k in images]
+    signed = [images] + [[k if k[j] > 0 else f for k, f in zip(images, flipped)] for j in range(1, n)]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for get, first in _moves(n):
-        for order in permutations([list(map(get, column)) for column in signed[first]]):
+        moved = list(map(get, signed[first]))
+        for order in permutations([moved[c :: m - n - 1] for c in range(m - n - 1)]):
             seen.update(zip(*order))
     return UnorderedCrossRatio._from_keys(seen)
 
@@ -445,12 +446,12 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
     The search runs right to left: any witness W has an inverse sending some
     ordered head, n+1 of the right points, to the first n+1 left points, and
     each head determines a unique candidate for it.  The left points are
-    mapped once, by the first left head, and screened by coordinate multisets
-    up to sign, which no coordinate order changes.  Each unordered right head
-    is mapped once, from its base's cofactor table; if its images pass, its
-    base orders are tried by compiled moves, lexicographically, up to a hit.
-    Heads run in lexicographic order until one passes the least hit (the
-    first hit of an ordered search); W is built from that head's two frames.
+    mapped once, by the first left head, and screened by their sorted absolute
+    coordinates, which no base order changes.  Each unordered right head
+    is mapped in the loop from its base's cofactor table up to an image that
+    fails; if none does, its base orders are tried by compiled moves, in order,
+    up to a hit.  Heads run in lexicographic order until one passes the least
+    hit (the first hit of an ordered search); W is built from its two frames.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -460,18 +461,27 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
         )
     n, m = a.n, a.m
     # head points land on the standard basis; no other point does unless n = 1
-    _, tail, rows = next(_heads(a.brackets, m, n))
-    target = set(map(_frame(rows, n), tail))
-    screen = set(map(_unsigned, target))
+    target = {p.ints for p in ordered_cross_ratio(a)}
+    screen = {tuple(sorted(map(abs, k))) for k in target}
     hits: list[tuple[int, ...]] = []  # per head, its least ordering that maps right onto left
-    for head, tail, rows in _heads(b.brackets, m, n):
-        if hits and head > min(hits):
-            break  # every ordering of its base comes later still
-        image = _frame(rows, head[n])
-        if all(_unsigned(image(q)) in screen for q in tail):
-            images = list(map(image, tail))
-            moves = (move for move in _moves(n) if target.issuperset(_moved(images, *move)))
-            hits += [(*get(head[:n]), head[n]) for get, _ in islice(moves, 1)]
+    for base, rest, rows in _heads(b.brackets, m, n):
+        for last in rest:
+            if hits and (*base, last) > min(hits):
+                break  # every ordering of its base comes later still
+            scale = _scale(rows[last])
+            images = []
+            for q in rest:
+                if q != last:
+                    v = list(map(mul, rows[q], scale))
+                    g = gcd(*v)
+                    images.append(tuple([x // g for x in v]))
+                    if tuple(sorted(map(abs, images[-1]))) not in screen:
+                        break
+            else:
+                moves = (move for move in _moves(n) if target.issuperset(_moved(images, *move)))
+                hits += [(*get(base), last) for get, _ in islice(moves, 1)]
+        if hits and min(hits)[:n] <= base:
+            break  # so does every head on a later base
     if not hits:
         return None
     to_right = basis_transform([b.points[i] for i in min(hits)]).inverse()

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -20,6 +22,17 @@ def test_fixture_replays_to_committed_output(case):
         expected_path.write_text(out, encoding="utf-8")
     assert code == case["exit_code"]
     assert out == expected_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(shutil.which("cartanlim") is None, reason="the cartanlim console script is not installed")
+@pytest.mark.parametrize("case", manifest_cases(), ids=lambda c: c["name"])
+def test_console_script_replays_fixture(case):
+    # through the installed entry point in a fresh process, not cli.main
+    proc = subprocess.run(
+        ["cartanlim", *resolve_argv(case["argv"])], capture_output=True, encoding="utf-8", timeout=120
+    )
+    assert proc.returncode == case["exit_code"]
+    assert proc.stdout == (FIXTURES / case["expected"]).read_text(encoding="utf-8")
 
 
 def test_documents_are_valid_json_with_envelope():

@@ -161,6 +161,23 @@ def test_boolean_exponent_exits_2(tmp_path):
     assert "bad exponent tuple [True]" in error["message"]
 
 
+def test_boolean_rational_exits_2(tmp_path):
+    # JSON true and false are not the rationals 1 and 0, in any rational field
+    poly = [[[["1", [0]]], [[True, [1]]]], [[], [["1", [0]]]]]
+    cases = {
+        "seed row": ["obstruct", "flag", write(tmp_path, "seed.json", {"m": 1, "n": 2, "rows": [[True, False]]})],
+        "point coordinate": ["orbit-dim", SEED, write(tmp_path, "point.json", ["1", "0", "0", "0", "0", "1", True])],
+        "params entry": ["converge", SEED, write(tmp_path, "params.json", {"a": ["1", "1", False, "1"], "b": ["1", "1"]})],
+        "polynomial coefficient": [
+            "obstruct", "flat", write(tmp_path, "group.json", {"dim_params": 1, "ambient": 2, "entries": poly})
+        ],
+    }
+    for case, argv in cases.items():
+        code, error = error_of(argv)
+        assert (code, error["type"]) == (2, "ParseError"), case
+        assert "expected a rational string, got" in error["message"], case
+
+
 def test_non_integer_basis_n_names_the_key(tmp_path):
     points = [["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"]]
     for n in ("2", 2.0, True):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb, gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -449,8 +450,8 @@ def test_enumerations_match_oracles_on_larger_shapes():
             assert (assert_matches_oracles(right, left) is None) == (right is negative)
 
 
-# Bases at the edges of the column closure: one coordinate, a single tail
-# column, four tail columns, and symmetric configurations, whose key sets are
+# Bases at the edges of the image list: one coordinate, a single tail
+# slot, four tail slots, and symmetric configurations, whose key sets are
 # smaller than m!; the size is pinned where it is known
 EDGE_CASES = {
     "n1_m3": (lambda: [P(k) for k in (1, 2, -3)], 1),
@@ -498,7 +499,8 @@ def test_reordered_base_moves_image_coordinates(basis, rnd):
 
     def frame(base):
         # the cofactor formula holds for a base in any order
-        return projgeo._frame(projgeo._cofactors(basis.brackets, base, (last, q)), last)(q)
+        rows = projgeo._cofactors(basis.brackets, base, (last, q))
+        return projgeo._primitive(list(map(mul, rows[q], projgeo._scale(rows[last]))))
 
     image = frame(base)
     assert all(image)
@@ -507,6 +509,38 @@ def test_reordered_base_moves_image_coordinates(basis, rnd):
         reordered = tuple(base[j] for j in order)
         assert get(tuple(base)) == reordered
         assert frame(reordered) == projgeo._moved([image], get, first)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(n + 2, n + 3).flatmap(lambda m: configurations(n, m))))
+def test_inline_images_are_frame_images(basis):
+    # the unordered cross ratio maps each image inside its head loop, signed
+    # by coordinate 0; its first move, the identity, hands the tail slots of
+    # all heads, in head order, to `permutations`
+    n, m = basis.n, basis.m
+    slots = []
+
+    def recording(items, *args):
+        if isinstance(items, list):
+            slots.append(items)
+        return permutations(items, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projgeo, "permutations", recording)
+        unordered_cross_ratio(basis)
+    heads = [
+        ((*base, last), [q for q in rest if q != last])
+        for base in combinations(range(m), n)
+        for rest in [[q for q in range(m) if q not in base]]
+        for last in rest
+    ]
+    assert len(slots[0]) == m - n - 1 and all(len(slot) == len(heads) for slot in slots[0])
+    for h, (head, tail) in enumerate(heads):
+        frame = basis_transform([basis.points[i] for i in head])
+        for slot, q in zip(slots[0], tail):
+            assert all(slot[h]) and slot[h] == frame(basis.points[q]).ints
+    first = basis_transform(basis.points[: n + 1])
+    assert ordered_cross_ratio(basis).entries == tuple(map(first, basis.points[n + 1 :]))
 
 
 def hitting_heads(left: AugmentedBasis, right: AugmentedBasis) -> list[tuple[int, ...]]:
@@ -539,6 +573,21 @@ def test_equivalent_symmetric_configuration_takes_least_head():
             assert witness.ints == equivalence_oracle(left, right).ints
             to_right = basis_transform([right.points[i] for i in min(hits)]).inverse()
             assert witness == to_right.compose(basis_transform(left.points[:3]))
+
+
+def test_equivalent_screen_leaves_sign_patterns_to_the_moves(monkeypatch):
+    # the screen reads sorted absolute coordinates, so it is only a necessary
+    # condition: four heads of alpha -6 map to (4 : -3) or (3 : -4), which
+    # pass the screen of the alpha 3 target (4 : 3), and the moves reject them
+    left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(-6))
+    moves = []
+    itemgetter = projgeo.itemgetter
+    monkeypatch.setattr(projgeo, "itemgetter", lambda *order: moves.append(order) or itemgetter(*order))
+    assert projectively_equivalent(left, right) is None
+    assert moves == [(0, 1), (1, 0)] * 4
+    assert equivalence_oracle(left, right) is None
+    assert projectively_equivalent(right, left) is None and equivalence_oracle(right, left) is None
+    assert unordered_cross_ratio(left) != unordered_cross_ratio(right)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -576,12 +625,12 @@ def work(monkeypatch):
     """One entry per unit of work, in call order: "frame" per call to
     `projgeo.basis_transform`, "base" per cofactor table read off the
     brackets (`projgeo._cofactors`), "head" per head mapped from such a table
-    (`projgeo._frame`), "elim" per fraction-free elimination."""
+    (its Cramer factors, `projgeo._scale`), "elim" per fraction-free elimination."""
     calls = []
     for module, name, label in (
         (projgeo, "basis_transform", "frame"),
         (projgeo, "_cofactors", "base"),
-        (projgeo, "_frame", "head"),
+        (projgeo, "_scale", "head"),
         (exactq, "_fraction_free_echelon", "elim"),
     ):
         def counting(*args, _original=getattr(module, name), _label=label, **kwargs):
