@@ -28,7 +28,6 @@ from .converge import convergence_report
 from .errors import CartanlimError, OutputError, ParseError
 from .exactq import parse_rational
 from .limits import (
-    _sharing_dual_bases,
     alpha_conjugacy_class,
     alpha_orbit,
     are_conjugate,
@@ -67,6 +66,8 @@ class _Call:
 
     def __init__(self, args: argparse.Namespace):
         self.flags = {"cap": args.cap, "seed": args.seed, "tolerance": args.tolerance}
+        if hasattr(args, "sample_cap"):  # the obstruct subcommands
+            self.flags["sample_cap"] = args.sample_cap
         self.raw_inputs: list[bytes] = []
         self.exit_code = EXIT_OK
 
@@ -77,7 +78,7 @@ class _Call:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
         self.raw_inputs.append(raw)
         return reader(obj, *reader_args)
@@ -106,10 +107,8 @@ def _equivalent(args, call: _Call):
 
 def _seed_conjugate(args, call: _Call):
     seeds = call.load(args.left, jsonio.read_seed), call.load(args.right, jsonio.read_seed)
-    with _sharing_dual_bases():
-        witness = are_conjugate(*seeds)
-        left, right = (exceptional_dual_basis(s) for s in seeds)
-    return _conjugacy(args, left, right, witness)
+    witness = are_conjugate(*seeds)
+    return _conjugacy(args, *map(exceptional_dual_basis, seeds), witness)
 
 
 def _orbit_dim(args, call: _Call):
@@ -142,17 +141,14 @@ def _converge(args, call: _Call):
 
 
 def _flat(args, call: _Call):
-    call.flags["sample_cap"] = args.sample_cap
     return flatness_check(call.load(args.group, jsonio.read_group), cap=args.sample_cap)
 
 
 def _tier(args, call: _Call):
-    call.flags["sample_cap"] = args.sample_cap
     return tier(call.load(args.group, jsonio.read_group), seed=args.seed)
 
 
 def _tier_one(args, call: _Call):
-    call.flags["sample_cap"] = args.sample_cap
     verdict = has_tier_one_element(call.load(args.family, jsonio.read_family), seed=args.seed)
     if verdict.kind == "Undecided":
         call.exit_code = EXIT_UNRESOLVED
@@ -160,7 +156,6 @@ def _tier_one(args, call: _Call):
 
 
 def _flag(args, call: _Call):
-    call.flags["sample_cap"] = args.sample_cap
     profile = flag_tier_profile(call.load(args.seed_file, jsonio.read_seed))
     return {"profile": profile, "tier": profile[-1]}
 

@@ -17,6 +17,7 @@ every equality test downstream is a structural comparison.
 from __future__ import annotations
 
 import re
+import warnings
 from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd, lcm
@@ -210,6 +211,7 @@ class QMatrix(_Frozen):
         return self * other
 
     def matvec(self, vec: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
+        warnings.warn("QMatrix.matvec is deprecated; multiply by a column QMatrix", DeprecationWarning, stacklevel=2)
         v = [rational(x) for x in vec]
         if len(v) != self.ncols:
             raise DimensionMismatchError("vector length does not match column count")
@@ -457,6 +459,7 @@ def solve(
     Free variables are set to zero, so the solution is unique exactly when A
     has full column rank.
     """
+    warnings.warn("exactq.solve is deprecated; use inverse or integer_adjugate", DeprecationWarning, stacklevel=2)
     b = [rational(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise DimensionMismatchError("right-hand side length does not match rows")
@@ -499,6 +502,7 @@ def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
 
     Computed as the rank of the matrix of differences p_i - p_0.
     """
+    warnings.warn("exactq.affine_hull_dim is deprecated; use rank of the differences", DeprecationWarning, stacklevel=2)
     pts = [tuple(rational(x) for x in p) for p in points]
     if not pts:
         raise EmptyInputError("affine hull of an empty point set")

@@ -9,13 +9,11 @@ their dual exceptional-hyperplane configurations.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -30,8 +28,8 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, block_diag, rational
-from .projgeo import AugmentedBasis, ProjPoint, dualize, projectively_equivalent
+from .exactq import QMatrix, _cleared, block_diag, rational
+from .projgeo import AugmentedBasis, ProjPoint, projectively_equivalent
 
 
 class SeedMatrix:
@@ -108,6 +106,7 @@ class GroupElementParams:
 
 def is_generic(seed: SeedMatrix) -> bool:
     """Whether every n x n row-submatrix of the seed is nonsingular."""
+    warnings.warn("limits.is_generic is deprecated; use SeedMatrix.generic", DeprecationWarning, stacklevel=2)
     if seed.m < seed.n:
         raise TooFewRowsError(f"need at least {seed.n} rows, got {seed.m}")
     return seed.generic
@@ -130,16 +129,13 @@ def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
     # Built on the integer form: den = den(T)·scale, with scale the lcm of
     # the parameter denominators.
     seed_den = seed.matrix._den
-    scale = lcm(*(x.denominator for x in (*params.a, *params.b)))
+    scale, factors = _cleared((*params.a, *params.b))
     den = seed_den * scale
     ints = [0] * (k * k)
     ints[:: k + 1] = [den] * k
-    for j, (row, aj) in enumerate(zip(seed.matrix._int_rows(), params.a)):
-        factor = aj.numerator * (scale // aj.denominator)
+    for j, (row, factor) in enumerate(zip(seed.matrix._int_rows(), factors)):
         ints[j * k + m + 1 : (j + 1) * k] = [t * factor for t in row]
-    ints[m * k + m + 1 : (m + 1) * k] = [
-        seed_den * bi.numerator * (scale // bi.denominator) for bi in params.b
-    ]
+    ints[m * k + m + 1 : (m + 1) * k] = [seed_den * x for x in factors[m:]]
     return QMatrix._from_ints(den, ints, k)
 
 
@@ -213,20 +209,6 @@ def orbit_dimension(seed: SeedMatrix, point: ProjPoint) -> OrbitClass:
     return OrbitClass(kind, dim, vanishing)
 
 
-# The dual bases built inside a `_sharing_dual_bases()` block, by seed.
-_SHARED_DUAL_BASES: ContextVar[dict[SeedMatrix, AugmentedBasis]] = ContextVar("shared_dual_bases")
-
-
-@contextmanager
-def _sharing_dual_bases():
-    """Within the block, `exceptional_dual_basis` builds each seed's basis once."""
-    token = _SHARED_DUAL_BASES.set({})
-    try:
-        yield
-    finally:
-        _SHARED_DUAL_BASES.reset(token)
-
-
 def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
     """Dual points of the m exceptional hyperplanes: the projectivized rows.
 
@@ -238,10 +220,7 @@ def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
         )
     if not seed.generic:
         raise NotGenericError("seed matrix is not generic")
-    shared = _SHARED_DUAL_BASES.get({})  # outside a block: a dict for this call only
-    if seed not in shared:
-        shared[seed] = AugmentedBasis(dualize(row) for row in seed.matrix._int_rows())
-    return shared[seed]
+    return AugmentedBasis(map(ProjPoint._from_ints, seed.matrix._int_rows()))
 
 
 def conjugate_seed(seed: SeedMatrix, p: QMatrix) -> SeedMatrix:

@@ -18,6 +18,7 @@ certificate replay all run on that form.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .errors import (
     SampleCapExceededError,
     UnknownNameError,
 )
-from .exactq import QMatrix, _Frozen, rational
+from .exactq import QMatrix, _cleared, _Frozen, rational
 from .limits import SeedMatrix
 
 BUILTIN_GROUP_NAMES = ("M5", "M6", "E", "LT")
@@ -79,6 +80,7 @@ class Poly(_Frozen):
         return cls(nvars, {tuple(exps): rational(coeff)})
 
     def __add__(self, other: "Poly") -> "Poly":
+        warnings.warn("Poly.__add__ is deprecated; add the terms dicts", DeprecationWarning, stacklevel=2)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + c
@@ -224,11 +226,9 @@ class PolyParamGroup:
     ) -> tuple[int, list[int]]:
         """(L^deg, the `size` integers sum_mu w^mu L^(deg - |mu|) forms[mu]) at
         point = w / L, one form {index: coefficient} per monomial in order."""
-        vals = [rational(x) for x in point]
-        if len(vals) != self.dim_params:
+        scale, ws = _cleared(map(rational, point))
+        if len(ws) != self.dim_params:
             raise ValueError(f"expected {self.dim_params} parameters")
-        scale = lcm(*(x.denominator for x in vals))
-        ws = [x.numerator * (scale // x.denominator) for x in vals]
         deg = self._degree
         ints = [0] * size
         for mu, form in zip(self._coeffs, forms):

