@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .bounds import BoundsReport, best_integer_split, dim_T, g_value, lower_bound, upper_bound, verify_bounds
 from .converge import ConvergenceTrace, build_Pr, conjugated_element, convergence_report, diagonal_for_target
-from .exactq import QMatrix, affine_hull_dim, block_diag, det, format_rational, inverse, parse_rational, rank, rational, solve
+from .exactq import QMatrix, block_diag, det, format_rational, inverse, parse_rational, rank, rational
 from .limits import (
     GroupElementParams,
     OrbitClass,
@@ -26,7 +26,6 @@ from .limits import (
     element_params,
     exceptional_dual_basis,
     group_action,
-    is_generic,
     normalized_slice_member,
     orbit_dimension,
     phi,
@@ -55,8 +54,6 @@ from .projgeo import (
     ProjTransform,
     UnorderedCrossRatio,
     basis_transform,
-    dualize,
-    general_position,
     ordered_cross_ratio,
     projectively_equivalent,
     unordered_cross_ratio,

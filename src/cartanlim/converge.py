@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    FloatRangeError,
     NonpositiveRError,
     NoPositiveRootError,
     ScheduleError,
@@ -183,11 +184,14 @@ def convergence_report(
         raise ScheduleError("empty r schedule")
     if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ScheduleError("r schedule must be strictly increasing")
-    target = [[float(x) for x in row] for row in rho(seed, params).rows]
+    try:
+        target = [[float(x) for x in row] for row in rho(seed, params).rows]
+        points = [_trace_point(seed, params, rv) for rv in rs]
+    except OverflowError as exc:
+        raise FloatRangeError(f"an exact value is past the float range: {exc}") from exc
     distances = []
     diags = []
-    for rv in rs:
-        diag, matrix = _trace_point(seed, params, rv)
+    for rv, (diag, matrix) in zip(rs, points):
         product = 1.0
         for x in diag:
             product *= x

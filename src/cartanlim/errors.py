@@ -102,6 +102,10 @@ class ScheduleError(CartanlimError, ValueError):
     """The r schedule is empty or not strictly increasing."""
 
 
+class FloatRangeError(CartanlimError):
+    """An exact value of the trace is too large to convert to a float."""
+
+
 # --- obstruction checks -------------------------------------------------------
 
 class UnknownNameError(CartanlimError):

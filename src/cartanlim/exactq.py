@@ -17,7 +17,6 @@ every equality test downstream is a structural comparison.
 from __future__ import annotations
 
 import re
-import warnings
 from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd, lcm
@@ -62,9 +61,15 @@ def format_rational(value: Fraction) -> str:
 def _format_ratio(num: int, den: int) -> str:
     """`format_rational(Fraction(num, den))` for den > 0, without the Fraction."""
     g = gcd(num, den)
-    if g == den:
-        return str(num // g)
-    return f"{num // g}/{den // g}"
+    try:
+        if g == den:
+            return str(num // g)
+        return f"{num // g}/{den // g}"
+    except ValueError:  # past the interpreter's integer digit limit
+        from decimal import Decimal
+
+        text = str(Decimal(num // g))
+        return text if g == den else f"{text}/{Decimal(den // g)}"
 
 
 class _Frozen:
@@ -209,13 +214,6 @@ class QMatrix(_Frozen):
 
     def __rmul__(self, other):
         return self * other
-
-    def matvec(self, vec: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
-        warnings.warn("QMatrix.matvec is deprecated; multiply by a column QMatrix", DeprecationWarning, stacklevel=2)
-        v = [rational(x) for x in vec]
-        if len(v) != self.ncols:
-            raise DimensionMismatchError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -451,29 +449,6 @@ def inverse(matrix: QMatrix) -> QMatrix:
     return QMatrix._from_ints(common, out, n)
 
 
-def solve(
-    matrix: QMatrix, rhs: Sequence[int | str | Fraction]
-) -> Optional[tuple[Fraction, ...]]:
-    """Some exact solution of A·x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the solution is unique exactly when A
-    has full column rank.
-    """
-    warnings.warn("exactq.solve is deprecated; use inverse or integer_adjugate", DeprecationWarning, stacklevel=2)
-    b = [rational(x) for x in rhs]
-    if len(b) != matrix.nrows:
-        raise DimensionMismatchError("right-hand side length does not match rows")
-    # A·x = b  ⟺  (bden·den·A)·x = den·bints: one fraction-free echelon of
-    # that integer [A | b], then one integer back-substitution.
-    bden, bints = _cleared(b)
-    ncols = matrix.ncols
-    work = [[bden * x for x in row] + [matrix._den * bi] for row, bi in zip(matrix._int_rows(), bints)]
-    r, _, d, pivot_cols = _fraction_free_echelon(work, pivot_limit=ncols)
-    if any(row[ncols] for row in work[r:]):
-        return None
-    return tuple(Fraction(row[0], d) for row in _back_substitute(work, r, d, pivot_cols, ncols))
-
-
 def independent_rows(rows: Iterable[Sequence[int | Fraction]], stop: Optional[int] = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
@@ -495,23 +470,3 @@ def independent_rows(rows: Iterable[Sequence[int | Fraction]], stop: Optional[in
         if len(kept) in (stop, len(work)):
             break
     return kept
-
-
-def affine_hull_dim(points: Sequence[Sequence[int | str | Fraction]]) -> int:
-    """Dimension of the smallest affine subspace containing the points.
-
-    Computed as the rank of the matrix of differences p_i - p_0.
-    """
-    warnings.warn("exactq.affine_hull_dim is deprecated; use rank of the differences", DeprecationWarning, stacklevel=2)
-    pts = [tuple(rational(x) for x in p) for p in points]
-    if not pts:
-        raise EmptyInputError("affine hull of an empty point set")
-    width = len(pts[0])
-    if any(len(p) != width for p in pts):
-        raise DimensionMismatchError("points of unequal length")
-    if len(pts) == 1:
-        return 0
-    base = pts[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
-    r, _, _, _ = _fraction_free_echelon([_cleared(diff)[1] for diff in diffs])
-    return r

@@ -9,7 +9,6 @@ their dual exceptional-hyperplane configurations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -102,14 +101,6 @@ class GroupElementParams:
             tuple(x + y for x, y in zip(self.a, other.a)),
             tuple(x + y for x, y in zip(self.b, other.b)),
         )
-
-
-def is_generic(seed: SeedMatrix) -> bool:
-    """Whether every n x n row-submatrix of the seed is nonsingular."""
-    warnings.warn("limits.is_generic is deprecated; use SeedMatrix.generic", DeprecationWarning, stacklevel=2)
-    if seed.m < seed.n:
-        raise TooFewRowsError(f"need at least {seed.n} rows, got {seed.m}")
-    return seed.generic
 
 
 def _check_params(seed: SeedMatrix, params: GroupElementParams) -> None:
@@ -271,32 +262,19 @@ def element_params(seed: SeedMatrix, matrix: QMatrix) -> Optional[GroupElementPa
     return GroupElementParams(tuple(a), tuple(b))
 
 
-_VERIFICATION_PARAMS = (
-    ((1, -1, 2), (1, 1)),
-    ((2, 3, -1), (-1, 2)),
-    ((1, 1, 1), (3, -2)),
-)
-
-
-def _verification_params(seed: SeedMatrix) -> list[GroupElementParams]:
-    out = []
-    for pat_a, pat_b in _VERIFICATION_PARAMS:
-        a = [Fraction(pat_a[j % len(pat_a)] + (j // len(pat_a))) for j in range(seed.m)]
-        b = [Fraction(pat_b[i % len(pat_b)] - (i // len(pat_b))) for i in range(seed.n)]
-        out.append(GroupElementParams(tuple(a), tuple(b)))
-    return out
-
-
 def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
-    """A verified conjugator between the two seed groups, or None.
+    """A certified conjugator between the two seed groups, or None.
 
     The groups are conjugate iff the dual configurations of their seeds are
-    projectively equivalent.  A dual witness W matches the rows of T·Wᵗ with
-    the rows of S up to order and scale; scales are absorbed by the group
-    parameters, while the row order contributes a coordinate permutation of
-    the first m axes.  The returned witness is the product of that
-    permutation with I_{m+1} (+) P^{-1}, rational and defined up to scale,
-    and is checked by explicit conjugation before being returned.
+    projectively equivalent.  A dual witness gives an invertible P that
+    makes row j of T·P a nonzero multiple of row σ(j) of S, with σ read off
+    by matching the rows as points.  The returned witness
+    W = Π·(I_{m+1} (+) P^{-1}), rational and defined up to scale, with Π
+    sending axis j to axis σ(j) for j < m, maps ρ_T(a, b) to the identity
+    plus the (m+1) x n block whose row σ(j) is a_j·(T·P)_j and whose row m
+    is b·P.  So W·ρ_T(a, b)·W⁻¹ lies in the S-group for every (a, b) exactly
+    when σ is a bijection: the matching is the certificate, and a moved row
+    left without an unused match raises InternalError.
     """
     if (left.m, left.n) != (right.m, right.n):
         raise ShapeMismatchError(
@@ -317,7 +295,12 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
     targets: dict[ProjPoint, list[int]] = {}
     for i, row in enumerate(right.matrix._int_rows()):
         targets.setdefault(ProjPoint._from_ints(row), []).append(i)
-    sigma = [targets[ProjPoint._from_ints(row)].pop(0) for row in moved._int_rows()]
+    sigma = []
+    for row in moved._int_rows():
+        unused = targets.get(ProjPoint._from_ints(row))
+        if not unused:
+            raise InternalError("the dual witness moves a seed row onto no unused row; this is a bug")
+        sigma.append(unused.pop(0))
     m, n = left.m, left.n
     k = m + n + 1
     perm = [0] * (k * k)
@@ -325,13 +308,7 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
         perm[sigma[j] * k + j] = 1
     for i in range(m, k):
         perm[i * k + i] = 1
-    witness = QMatrix._from_ints(1, perm, k) * seed_conjugator(left, p)
-    witness_inv = exactq.inverse(witness)
-    for params in _verification_params(left):
-        conjugated = witness * rho(left, params) * witness_inv
-        if element_params(right, conjugated) is None:
-            raise InternalError("conjugator failed verification; this is a bug")
-    return witness
+    return QMatrix._from_ints(1, perm, k) * seed_conjugator(left, p)
 
 
 _ALPHA_DEGENERATE = (Fraction(0), Fraction(1), Fraction(2))

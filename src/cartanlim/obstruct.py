@@ -18,7 +18,6 @@ certificate replay all run on that form.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -78,13 +77,6 @@ class Poly(_Frozen):
         cls, coeff: int | str | Fraction, exps: Sequence[int], nvars: int
     ) -> "Poly":
         return cls(nvars, {tuple(exps): rational(coeff)})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        warnings.warn("Poly.__add__ is deprecated; add the terms dicts", DeprecationWarning, stacklevel=2)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return Poly(self.nvars, terms)
 
     def __eq__(self, other) -> bool:
         return (

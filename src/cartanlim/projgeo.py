@@ -18,7 +18,6 @@ and a tuple.  The cross ratio is kept as the set of its tuples' point keys.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import gcd, prod
@@ -182,19 +181,6 @@ def _common_dimension(points: Sequence[ProjPoint]) -> int:
     if any(p.n != n for p in points):
         raise DimensionMismatchError("points live in different projective spaces")
     return n
-
-
-def general_position(points: Sequence[ProjPoint]) -> bool:
-    """True iff every bracket is nonzero: every n of the homogeneous coordinate
-    vectors are independent, so every n+1 of the points are a projective basis."""
-    warnings.warn("projgeo.general_position is deprecated; use maximal_minors", DeprecationWarning, stacklevel=2)
-    pts = list(points)
-    if not pts:
-        raise DimensionMismatchError("no points given")
-    n = _common_dimension(pts)
-    if len(pts) < n + 1:
-        raise DimensionMismatchError(f"need at least {n + 1} points in RP^{n - 1}")
-    return all(exactq.maximal_minors([p.ints for p in pts]).values())
 
 
 class AugmentedBasis(_Frozen):
@@ -488,9 +474,3 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
         return None
     to_right = basis_transform([b.points[i] for i in min(hits)]).inverse()
     return to_right.compose(basis_transform(a.points[: n + 1]))
-
-
-def dualize(hyperplane_coeffs: Sequence[int | str | Fraction]) -> ProjPoint:
-    """The dual point of the hyperplane with the given coefficient functional."""
-    warnings.warn("projgeo.dualize is deprecated; use ProjPoint", DeprecationWarning, stacklevel=2)
-    return ProjPoint(hyperplane_coeffs)

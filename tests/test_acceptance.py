@@ -36,6 +36,7 @@ from cartanlim.limits import OrbitKind, SeedMatrix
 from cartanlim.projgeo import AugmentedBasis, CrossRatioTuple, UnorderedCrossRatio
 
 from util import (
+    assert_witness_verifies,
     manifest_cases,
     random_augmented_basis,
     random_generic_seed,
@@ -123,6 +124,7 @@ def test_criterion_3_conjugacy_round_trip():
             continue
         witness = are_conjugate(seed, moved)
         assert witness is not None
+        assert_witness_verifies(seed, moved, witness, random.Random(i))
         conjugator = seed_conjugator(seed, p_mat)
         conjugator_inv = inverse(conjugator)
         for _ in range(10):

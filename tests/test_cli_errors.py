@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import cartanlim.limits
+from cartanlim.exactq import QMatrix
 from cartanlim.obstruct import Poly
+from cartanlim.projgeo import ProjTransform
 from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, group_document, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
@@ -43,6 +45,13 @@ def test_zero_r_exits_2():
     code, error = error_of(["converge", SEED, PARAMS, "--r-schedule", "0,10"])
     assert code == 2
     assert error["type"] == "NonpositiveRError"
+
+
+def test_converge_past_the_float_range_exits_2(tmp_path):
+    params = write(tmp_path, "params.json", {"a": ["1" + "0" * 400, "1", "1", "1"], "b": ["1", "1"]})
+    code, error = error_of(["converge", SEED, params])
+    assert code == 2
+    assert error["type"] == "FloatRangeError"
 
 
 def test_non_finite_tolerance_exits_2():
@@ -247,11 +256,11 @@ def test_mixed_shape_family_exits_2(tmp_path):
 
 
 def test_failed_self_check_exits_4(monkeypatch):
-    # no conjugated verification element is recognised as a group member
-    monkeypatch.setattr(cartanlim.limits, "element_params", lambda seed, matrix: None)
-    code, out = run_cli(
-        ["seed-conjugate", SEED, str(FIXTURES / "seed_a3_colscaled.json")]
-    )
+    # a wrong dual witness: the identity moves the row (1, 3) of the alpha = 3
+    # seed onto no row of the alpha = 5 seed
+    identity = ProjTransform(QMatrix.identity(2))
+    monkeypatch.setattr(cartanlim.limits, "projectively_equivalent", lambda left, right: identity)
+    code, out = run_cli(["seed-conjugate", SEED, str(FIXTURES / "seed_a5.json")])
     assert code == 4
     lines = out.splitlines()
     assert len(lines) == 1

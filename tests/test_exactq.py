@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb
@@ -17,7 +18,6 @@ from cartanlim.errors import (
 )
 from cartanlim.exactq import (
     QMatrix,
-    affine_hull_dim,
     block_diag,
     det,
     format_rational,
@@ -25,10 +25,9 @@ from cartanlim.exactq import (
     inverse,
     parse_rational,
     rank,
-    solve,
 )
 from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
-from util import incremental_basis_oracle, matmul_oracle, matvec_oracle, run_cli
+from util import affine_hull_dim_oracle, incremental_basis_oracle, matmul_oracle, run_cli
 
 
 def gauss_rank_oracle(matrix: QMatrix) -> int:
@@ -68,6 +67,35 @@ def test_parse_and_format_rational():
     assert format_rational(F(3)) == "3"
     assert format_rational(F(-7, 2)) == "-7/2"
     assert format_rational(F(4, 2)) == "2"
+
+
+def str_without_digit_limit(call):
+    """`call()` with the interpreter's integer digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_format_past_the_digit_limit():
+    num, den = 7 * 10**5999 + 3, 6 * 10**5999 + 9  # 6000 digits each, gcd 3
+    cases = [(num, den), (-num, den), (num * den, den)]
+    got = [exactq._format_ratio(x, y) for x, y in cases]
+    assert got == str_without_digit_limit(lambda: [format(F(x, y)) for x, y in cases])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_cross_ratio_past_the_digit_limit(tmp_path):
+    # 2500-digit coordinates give cross-ratio entries of more than 4300 digits
+    big = ["1", "0"], ["0", "1"], ["1", "1"], ["1", "3" + "7" * 2499], ["5" + "1" * 2498 + "9", "1"]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"n": 2, "points": big}))
+    code, out = run_cli(["cross-ratio", str(path)])
+    assert code == 0 and len(out.splitlines()) == 1
+    assert out == str_without_digit_limit(lambda: run_cli(["cross-ratio", str(path)])[1])
 
 
 @pytest.mark.parametrize("bad", ["", "1/0", "3/-2", "1.5", "a", "1/2/3", "1/02"])
@@ -357,37 +385,24 @@ def test_maximal_minors_tables_never_outgrow_the_answer(monkeypatch, m, n):
     assert sum(streams) <= n * comb(m, n)
 
 
-# --- solve ---------------------------------------------------------------------------
+# --- solving through the inverse ----------------------------------------------------
+
+
+def column(values) -> QMatrix:
+    return QMatrix([[x] for x in values])
 
 
 def test_solve_examples():
-    with pytest.warns(DeprecationWarning):
-        assert solve(QMatrix.identity(2), [3, 5]) == (F(3), F(5))
-    with pytest.warns(DeprecationWarning):
-        assert solve(QMatrix([[1, 1], [1, 1]]), [1, 2]) is None
-    with pytest.warns(DeprecationWarning):
-        assert solve(QMatrix([[1, 0], [0, 2]]), [1, 1]) == (F(1), F(1, 2))
+    # A·x = b for an invertible A is inverse(A) times the column b
+    assert inverse(QMatrix.identity(2)) * column([3, 5]) == column([3, 5])
+    assert inverse(QMatrix([[1, 0], [0, 2]])) * column([1, 1]) == column([1, F(1, 2)])
+    with pytest.raises(SingularError):
+        inverse(QMatrix([[1, 1], [1, 1]]))
 
 
 def test_solve_shape_check():
-    with pytest.raises(DimensionMismatchError), pytest.warns(DeprecationWarning):
-        solve(QMatrix.identity(2), [1, 2, 3])
-
-
-@settings(max_examples=30)
-@given(matrices(3, 2), st.lists(small_fraction, min_size=2, max_size=2))
-def test_solve_residual(a, x):
-    b = matvec_oracle(a, x)
-    with pytest.warns(DeprecationWarning):
-        got = solve(a, b)
-    assert got is not None
-    assert matvec_oracle(a, got) == b
-
-
-def test_solve_underdetermined_free_vars_zero():
-    a = QMatrix([[1, 1, 0]])
-    with pytest.warns(DeprecationWarning):
-        assert solve(a, [2]) == (F(2), F(0), F(0))
+    with pytest.raises(DimensionMismatchError):
+        inverse(QMatrix.identity(2)) * column([1, 2, 3])
 
 
 # --- one elimination kernel ------------------------------------------------------
@@ -461,51 +476,23 @@ def test_inverse_exactly_when_det_nonzero(rows):
         assert a * inverse(a) == QMatrix.identity(a.nrows)
 
 
-@settings(max_examples=60)
-@given(rows_with_dependencies(), st.data())
-def test_solve_none_exactly_when_inconsistent(rows, data):
-    a = QMatrix(rows)
-    b = data.draw(st.lists(small_fraction, min_size=a.nrows, max_size=a.nrows))
-    augmented = QMatrix([list(row) + [bi] for row, bi in zip(rows, b)])
-    consistent = gauss_rank_oracle(augmented) == gauss_rank_oracle(a)
-    with pytest.warns(DeprecationWarning):
-        x = solve(a, b)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert matvec_oracle(a, x) == tuple(F(bi) for bi in b)
-
-
 # --- affine hull ------------------------------------------------------------------------
 
 
 def test_affine_hull_examples():
-    with pytest.warns(DeprecationWarning):
-        assert affine_hull_dim([(0, 0)]) == 0
-    with pytest.warns(DeprecationWarning):
-        assert affine_hull_dim([(0, 0), (1, 0), (2, 0)]) == 1
-    with pytest.warns(DeprecationWarning):
-        assert affine_hull_dim([(0, 0), (1, 0), (0, 1)]) == 2
-
-
-def test_affine_hull_errors():
-    with pytest.raises(EmptyInputError), pytest.warns(DeprecationWarning):
-        affine_hull_dim([])
-    with pytest.raises(DimensionMismatchError), pytest.warns(DeprecationWarning):
-        affine_hull_dim([(1, 2), (1, 2, 3)])
+    assert affine_hull_dim_oracle([(0, 0)]) == 0
+    assert affine_hull_dim_oracle([(0, 0), (1, 0), (2, 0)]) == 1
+    assert affine_hull_dim_oracle([(0, 0), (1, 0), (0, 1)]) == 2
 
 
 def test_affine_hull_invariance():
     rng = random.Random(7)
     pts = [tuple(F(rng.randint(-5, 5)) for _ in range(3)) for _ in range(6)]
-    with pytest.warns(DeprecationWarning):
-        base = affine_hull_dim(pts)
+    base = affine_hull_dim_oracle(pts)
     offset = (F(9), F(-2), F(5, 3))
     shifted = [tuple(x + o for x, o in zip(p, offset)) for p in pts]
-    with pytest.warns(DeprecationWarning):
-        assert affine_hull_dim(shifted) == base
-    perm = pts[::-1]
-    with pytest.warns(DeprecationWarning):
-        assert affine_hull_dim(perm) == base
+    assert affine_hull_dim_oracle(shifted) == base
+    assert affine_hull_dim_oracle(pts[::-1]) == base
 
 
 # --- matrix plumbing ---------------------------------------------------------------------
@@ -630,8 +617,7 @@ def test_block_diag():
 
 def test_matvec_and_transpose():
     m = QMatrix([[1, 2], [3, 4]])
-    with pytest.warns(DeprecationWarning):
-        assert m.matvec([1, 1]) == (F(3), F(7))
+    assert m * column([1, 1]) == column([3, 7])
     assert m.transpose() == QMatrix([[1, 3], [2, 4]])
 
 

@@ -7,12 +7,13 @@ from cartanlim.errors import (
     DegenerateAlphaError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InternalError,
     NotGenericError,
     ShapeMismatchError,
     TooFewRowsError,
     ZeroRowError,
 )
-from cartanlim import exactq
+from cartanlim import exactq, limits
 from cartanlim.exactq import QMatrix, block_diag, det, inverse
 from cartanlim.limits import (
     GroupElementParams,
@@ -26,16 +27,16 @@ from cartanlim.limits import (
     element_params,
     exceptional_dual_basis,
     group_action,
-    is_generic,
     normalized_slice_member,
     orbit_dimension,
     phi,
     rho,
     seed_conjugator,
 )
-from cartanlim.projgeo import ProjPoint, projectively_equivalent, unordered_cross_ratio
+from cartanlim.projgeo import ProjPoint, ProjTransform, projectively_equivalent, unordered_cross_ratio
 
 from util import (
+    assert_witness_verifies,
     element_params_oracle,
     matvec_oracle,
     orbit_hull_dim,
@@ -54,17 +55,14 @@ def test_seed_rejects_zero_rows():
 
 
 def test_is_generic_examples():
-    with pytest.warns(DeprecationWarning):
-        assert is_generic(SeedMatrix([[1, 0], [0, 1], [1, 1], [1, 2]])) is True
-    with pytest.warns(DeprecationWarning):
-        assert is_generic(SeedMatrix([[1, 0], [2, 0], [0, 1], [1, 1]])) is False
-    with pytest.warns(DeprecationWarning):
-        assert is_generic(alpha_seed(3)) is True
+    assert SeedMatrix([[1, 0], [0, 1], [1, 1], [1, 2]]).generic is True
+    assert SeedMatrix([[1, 0], [2, 0], [0, 1], [1, 1]]).generic is False
+    assert alpha_seed(3).generic is True
 
 
 def test_is_generic_too_few_rows():
-    with pytest.raises(TooFewRowsError), pytest.warns(DeprecationWarning):
-        is_generic(SeedMatrix([[1, 2, 3]]))
+    # fewer rows than columns: no n x n minor, so not generic
+    assert SeedMatrix([[1, 2, 3]]).generic is False
 
 
 # --- the homomorphism --------------------------------------------------------------
@@ -353,16 +351,34 @@ def test_seed_conjugator_identity():
 
 
 def test_are_conjugate_roundtrip():
+    # against S = T·P and against S with its rows shuffled, where the row
+    # matching σ of the witness is not the identity
     rng = random.Random(31)
-    t = random_generic_seed(rng, 4, 2)
-    p = random_invertible(rng, 2)
-    s = conjugate_seed(t, p)
-    witness = are_conjugate(t, s)
-    assert witness is not None
-    w_inv = inverse(witness)
-    for _ in range(5):
-        params = random_params(rng, t)
-        assert element_params(s, witness * rho(t, params) * w_inv) is not None
+    fixes_rows = []
+    for m, n in ((4, 2), (5, 3), (6, 3), (7, 3)):
+        t = random_generic_seed(rng, m, n)
+        while True:
+            p = random_invertible(rng, n)
+            s = conjugate_seed(t, p)
+            if s.generic:
+                break
+        rows = list(s.matrix.rows)
+        rng.shuffle(rows)
+        for right in (s, SeedMatrix(rows)):
+            witness = are_conjugate(t, right)
+            assert witness is not None
+            assert_witness_verifies(t, right, witness, rng)
+            fixes_rows.append(all(witness.rows[j][j] == 1 for j in range(m)))
+    assert not all(fixes_rows)
+
+
+def test_are_conjugate_wrong_dual_witness_is_internal_error(monkeypatch):
+    # the identity moves the row (1, 3) of the alpha = 3 seed onto no row of
+    # the alpha = 5 seed
+    identity = ProjTransform(QMatrix.identity(2))
+    monkeypatch.setattr(limits, "projectively_equivalent", lambda left, right: identity)
+    with pytest.raises(InternalError):
+        are_conjugate(alpha_seed(3), alpha_seed(5))
 
 
 def test_are_conjugate_errors():
@@ -373,13 +389,6 @@ def test_are_conjugate_errors():
             SeedMatrix([[1, 0], [2, 0], [0, 1], [1, 1]]),
             alpha_seed(3),
         )
-
-
-def assert_witness_verifies(left, right, witness, rng, count=5):
-    w_inv = inverse(witness)
-    for _ in range(count):
-        params = random_params(rng, left)
-        assert element_params(right, witness * rho(left, params) * w_inv) is not None
 
 
 @pytest.mark.parametrize(

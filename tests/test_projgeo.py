@@ -24,8 +24,6 @@ from cartanlim.projgeo import (
     ProjTransform,
     UnorderedCrossRatio,
     basis_transform,
-    dualize,
-    general_position,
     ordered_cross_ratio,
     projectively_equivalent,
     unordered_cross_ratio,
@@ -149,29 +147,24 @@ def test_projtransform_canonical_scale():
 
 
 def test_dualize_examples():
-    with pytest.warns(DeprecationWarning):
-        assert dualize([1, 0]) == P(1, 0)
-    with pytest.warns(DeprecationWarning):
-        assert dualize([2, 4]) == P(1, 2)
-    with pytest.warns(DeprecationWarning):
-        assert dualize([0, -3]) == P(0, 1)
+    # the dual point of a hyperplane is its coefficient vector
+    assert ProjPoint([1, 0]) == P(1, 0)
+    assert ProjPoint([2, 4]) == P(1, 2)
+    assert ProjPoint([0, -3]) == P(0, 1)
 
 
 # --- general position -------------------------------------------------------------
 
 
 def test_general_position_examples():
-    with pytest.warns(DeprecationWarning):
-        assert general_position([P(1, 0), P(0, 1), P(1, 1)]) is True
-    with pytest.warns(DeprecationWarning):
-        assert general_position([P(1, 0), P(1, 0), P(0, 1)]) is False
-    with pytest.warns(DeprecationWarning):
-        assert general_position(alpha_points(3)) is True
+    assert general_position_oracle([P(1, 0), P(0, 1), P(1, 1)]) is True
+    assert general_position_oracle([P(1, 0), P(1, 0), P(0, 1)]) is False
+    assert general_position_oracle(alpha_points(3)) is True
 
 
 def test_general_position_mixed_dims():
-    with pytest.raises(DimensionMismatchError), pytest.warns(DeprecationWarning):
-        general_position([P(1, 0), P(1, 0, 0), P(0, 1)])
+    with pytest.raises(DimensionMismatchError):
+        AugmentedBasis([P(1, 0), P(1, 0, 0), P(0, 1), P(1, 1)])
 
 
 # --- basis transform -----------------------------------------------------------------
@@ -622,8 +615,12 @@ def test_brackets_are_minors_and_decide_general_position(coords):
         for subset in combinations(range(len(points)), n)
     }
     assert exactq.maximal_minors([p.ints for p in points]) == minors
-    with pytest.warns(DeprecationWarning):
-        assert general_position(points) == all(minors.values())
+    if len(points) >= n + 2:
+        if all(minors.values()):
+            assert AugmentedBasis(points).brackets == minors
+        else:
+            with pytest.raises(NotAugmentedBasisError):
+                AugmentedBasis(points)
 
 
 # --- work counters -------------------------------------------------------------------

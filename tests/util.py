@@ -31,6 +31,7 @@ from cartanlim import (
     basis_transform,
     builtin_group,
     det,
+    element_params,
     group_action,
     inverse,
     rank,
@@ -138,6 +139,15 @@ def random_params(rng: random.Random, seed: SeedMatrix) -> GroupElementParams:
         [random_fraction(rng) for _ in range(seed.m)],
         [random_fraction(rng) for _ in range(seed.n)],
     )
+
+
+def assert_witness_verifies(left: SeedMatrix, right: SeedMatrix, witness: QMatrix, rng: random.Random, count: int = 5) -> None:
+    """Dense oracle for the conjugator of `are_conjugate`: W·ρ_T(v)·W⁻¹ lies
+    in the S-group for `count` random parameter vectors v."""
+    w_inv = inverse(witness)
+    for _ in range(count):
+        params = random_params(rng, left)
+        assert element_params(right, witness * rho(left, params) * w_inv) is not None
 
 
 def incremental_basis_oracle(rows) -> list[int]:
