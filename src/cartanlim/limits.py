@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import exactq
@@ -27,19 +26,25 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, _cleared, block_diag, rational
-from .projgeo import AugmentedBasis, ProjPoint, projectively_equivalent
+from .exactq import QMatrix, _cleared, _Frozen, rational
+from .projgeo import AugmentedBasis, ProjPoint, _primitive, projectively_equivalent
 
 
-class SeedMatrix:
-    """An m x n rational matrix with no zero row, defining one limit group."""
+class SeedMatrix(_Frozen):
+    """An immutable m x n rational matrix with no zero row, defining one limit group."""
+
+    __slots__ = ("matrix", "_dual")  # _dual: the primitive rows and their minors, kept by `generic`
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]] | QMatrix):
         matrix = rows if isinstance(rows, QMatrix) else QMatrix(rows)
         for idx, row in enumerate(matrix._int_rows()):
             if not any(row):
                 raise ZeroRowError(f"row {idx + 1} of the seed matrix is zero")
-        self.matrix = matrix
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_dual", None)
+
+    def __reduce__(self):
+        return SeedMatrix, (self.matrix,)
 
     @property
     def m(self) -> int:
@@ -54,12 +59,13 @@ class SeedMatrix:
         """Size of the matrices in the group: m + n + 1."""
         return self.m + self.n + 1
 
-    @cached_property
+    @property
     def generic(self) -> bool:
         """True iff every n x n minor is nonzero: every n rows are independent."""
-        if self.m < self.n:
-            return False
-        return all(exactq.maximal_minors(self.matrix._int_rows()).values())
+        if self._dual is None:
+            rows = [_primitive(row) for row in self.matrix._int_rows()]
+            object.__setattr__(self, "_dual", (rows, exactq.maximal_minors(rows)))
+        return self.m >= self.n and all(self._dual[1].values())
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         """Row j, 1-based."""
@@ -211,7 +217,7 @@ def exceptional_dual_basis(seed: SeedMatrix) -> AugmentedBasis:
         )
     if not seed.generic:
         raise NotGenericError("seed matrix is not generic")
-    return AugmentedBasis(map(ProjPoint._from_ints, seed.matrix._int_rows()))
+    return AugmentedBasis._from_brackets(*seed._dual)
 
 
 def conjugate_seed(seed: SeedMatrix, p: QMatrix) -> SeedMatrix:
@@ -228,7 +234,20 @@ def seed_conjugator(seed: SeedMatrix, p: QMatrix) -> QMatrix:
     TP-group: it rescales the block columns by P on the right."""
     if p.nrows != p.ncols or p.nrows != seed.n:
         raise ShapeMismatchError(f"P must be {seed.n} x {seed.n}")
-    return block_diag(QMatrix.identity(seed.m + 1), exactq.inverse(p))
+    return _conjugator(range(seed.m), p)
+
+
+def _conjugator(sigma: Sequence[int], p: QMatrix) -> QMatrix:
+    """Π·(I_{m+1} (+) P^{-1}) on the integer form (d, Y) of P^{-1}, Π sending
+    axis j to axis sigma[j] for j < m: d at (sigma[j], j) and (m, m), then Y."""
+    inv, m = exactq.inverse(p), len(sigma)
+    k = m + 1 + p.ncols
+    ints = [0] * (k * k)
+    for j, i in enumerate([*sigma, m]):
+        ints[i * k + j] = inv._den
+    for r, row in enumerate(inv._int_rows(), m + 1):
+        ints[r * k + m + 1 : (r + 1) * k] = row
+    return QMatrix._from_ints(inv._den, ints, k)
 
 
 def element_params(seed: SeedMatrix, matrix: QMatrix) -> Optional[GroupElementParams]:
@@ -292,23 +311,16 @@ def are_conjugate(left: SeedMatrix, right: SeedMatrix) -> Optional[QMatrix]:
     moved = left.matrix * p
     # Match the moved rows to the right rows as a bijection: at n = 1 every
     # row is the same dual point, so each takes the first unused index.
-    targets: dict[ProjPoint, list[int]] = {}
-    for i, row in enumerate(right.matrix._int_rows()):
-        targets.setdefault(ProjPoint._from_ints(row), []).append(i)
+    targets: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(right._dual[0]):
+        targets.setdefault(row, []).append(i)
     sigma = []
     for row in moved._int_rows():
-        unused = targets.get(ProjPoint._from_ints(row))
+        unused = targets.get(_primitive(row))
         if not unused:
             raise InternalError("the dual witness moves a seed row onto no unused row; this is a bug")
         sigma.append(unused.pop(0))
-    m, n = left.m, left.n
-    k = m + n + 1
-    perm = [0] * (k * k)
-    for j in range(m):
-        perm[sigma[j] * k + j] = 1
-    for i in range(m, k):
-        perm[i * k + i] = 1
-    return QMatrix._from_ints(1, perm, k) * seed_conjugator(left, p)
+    return _conjugator(sigma, p)
 
 
 _ALPHA_DEGENERATE = (Fraction(0), Fraction(1), Fraction(2))

@@ -206,6 +206,15 @@ class AugmentedBasis(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "brackets", brackets)
 
+    @classmethod
+    def _from_brackets(cls, rows: Sequence[tuple[int, ...]], brackets: dict[int, int]) -> "AugmentedBasis":
+        """The points of m >= n + 2 primitive rows, with a copy of their zero-free `maximal_minors(rows)`."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "points", tuple(map(ProjPoint._from_ints, rows)))
+        object.__setattr__(basis, "n", len(rows[0]))
+        object.__setattr__(basis, "brackets", dict(brackets))
+        return basis
+
     def __reduce__(self):
         return AugmentedBasis, (self.points,)
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlim.errors import (
     DegenerateAlphaError,
@@ -33,16 +35,19 @@ from cartanlim.limits import (
     rho,
     seed_conjugator,
 )
-from cartanlim.projgeo import ProjPoint, ProjTransform, projectively_equivalent, unordered_cross_ratio
+from cartanlim.projgeo import AugmentedBasis, ProjPoint, ProjTransform, projectively_equivalent, unordered_cross_ratio
 
 from util import (
     assert_witness_verifies,
+    conjugacy_witness_oracle,
     element_params_oracle,
     matvec_oracle,
     orbit_hull_dim,
+    random_fraction,
     random_generic_seed,
     random_invertible,
     random_params,
+    seed_conjugator_oracle,
 )
 
 
@@ -431,6 +436,75 @@ def test_conjugacy_inverses_eliminate_at_most_n_by_n(monkeypatch, m, n):
     assert witness is not None
     assert sizes and max(sizes) <= n
     assert_witness_verifies(t, s, witness, rng)
+
+
+@pytest.mark.parametrize("m,n", [(5, 2), (5, 3)])
+def test_are_conjugate_computes_one_table_per_seed(monkeypatch, m, n):
+    # the minors behind `generic` are the bracket table of the dual basis:
+    # fresh seeds compute one table each, and nothing computes one again
+    rng = random.Random(m * 10 + n)
+    t = random_generic_seed(rng, m, n)
+    while True:
+        p = random_invertible(rng, n)
+        s = conjugate_seed(t, p)
+        if s.generic:
+            break
+    left, right = SeedMatrix(t.matrix), SeedMatrix(s.matrix)
+    tables = []
+    original = exactq.maximal_minors
+    monkeypatch.setattr(exactq, "maximal_minors", lambda rows: tables.append(rows) or original(rows))
+    witness = are_conjugate(left, right)
+    assert witness is not None
+    assert tables == [[ProjPoint(row).ints for row in seed.matrix.rows] for seed in (left, right)]
+    tables.clear()
+    assert are_conjugate(left, right) == witness
+    bases = [exceptional_dual_basis(seed) for seed in (left, right)]
+    assert tables == []
+    for seed, basis in zip((left, right), bases):
+        fresh = AugmentedBasis(ProjPoint(row) for row in seed.matrix.rows)
+        assert basis == fresh and basis.points == fresh.points and basis.brackets == fresh.brackets
+        basis.brackets.clear()  # each basis holds its own copy of the table
+        assert exceptional_dual_basis(seed).brackets == fresh.brackets
+
+
+def random_rational_generic_seed(rng: random.Random, m: int, n: int) -> SeedMatrix:
+    while True:
+        rows = [[random_fraction(rng) for _ in range(n)] for _ in range(m)]
+        if all(any(row) for row in rows):
+            seed = SeedMatrix(rows)
+            if seed.generic:
+                return seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(4, 2), (5, 2), (6, 2), (5, 3), (6, 3), (7, 3), (3, 1), (5, 1)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_conjugators_equal_dense_oracles(shape, shuffle, draw):
+    # against S = T·P, with its rows shuffled or not, and against an
+    # unrelated generic seed of the same shape
+    m, n = shape
+    rng = random.Random(draw)
+    t = random_rational_generic_seed(rng, m, n)
+    while True:
+        p = random_invertible(rng, n)
+        s = conjugate_seed(t, p)
+        if s.generic:
+            break
+    conjugator = seed_conjugator(t, p)
+    assert conjugator == seed_conjugator_oracle(t, p)
+    assert_witness_verifies(t, s, conjugator, rng, count=2)
+    if shuffle:
+        rows = list(s.matrix.rows)
+        rng.shuffle(rows)
+        s = SeedMatrix(rows)
+    witness = are_conjugate(t, s)
+    assert witness is not None and witness == conjugacy_witness_oracle(t, s)
+    assert_witness_verifies(t, s, witness, rng, count=2)
+    other = random_rational_generic_seed(rng, m, n)
+    assert are_conjugate(t, other) == conjugacy_witness_oracle(t, other)
 
 
 def test_alpha_grid_conjugacy_matches_uc_equality():

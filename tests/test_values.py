@@ -29,6 +29,8 @@ from cartanlim.projgeo import (
 )
 
 POINTS = [ProjPoint(c) for c in ([1, 0], [1, 1], [1, 2], [1, 3])]
+SEED = SeedMatrix([[1, 2], [F(1, 3), -1], [0, 5]])
+assert SEED.generic  # its bracket table is built before it is copied
 
 SAMPLES = [
     QMatrix([[1, F(1, 2)], [F(-3, 4), 0]]),
@@ -38,6 +40,7 @@ SAMPLES = [
     CrossRatioTuple(POINTS[2:]),
     unordered_cross_ratio(POINTS),
     Poly(2, {(1, 0): F(1, 2), (0, 2): 3}),
+    SEED,
     GroupElementParams.make([1, "2/3"], [-1]),
     OrbitClass(OrbitKind.EXCEPTIONAL, 2, frozenset({1})),
     bounds_report(7),
@@ -112,7 +115,8 @@ def test_read_values_keep_their_derived_forms_through_a_copy():
 
 
 def test_seed_matrix_copies_and_pickles():
-    seed = SeedMatrix([[1, 2], [F(1, 3), -1], [0, 5]])
-    assert seed.generic
-    for clone in clones(seed):
-        assert clone == seed and hash(clone) == hash(seed) and clone.generic
+    fresh = SeedMatrix(SEED.matrix)
+    assert fresh.generic
+    for clone in clones(SEED):
+        assert clone == fresh and hash(clone) == hash(fresh) and clone.generic
+        assert clone._dual == fresh._dual

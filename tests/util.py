@@ -29,11 +29,13 @@ from cartanlim import (
     TierReport,
     UnorderedCrossRatio,
     basis_transform,
+    block_diag,
     builtin_group,
     det,
     element_params,
     group_action,
     inverse,
+    projectively_equivalent,
     rank,
     rho,
 )
@@ -148,6 +150,34 @@ def assert_witness_verifies(left: SeedMatrix, right: SeedMatrix, witness: QMatri
     for _ in range(count):
         params = random_params(rng, left)
         assert element_params(right, witness * rho(left, params) * w_inv) is not None
+
+
+def seed_conjugator_oracle(seed: SeedMatrix, p: QMatrix) -> QMatrix:
+    """The dense construction of `seed_conjugator`: I_{m+1} (+) P^{-1}."""
+    return block_diag(QMatrix.identity(seed.m + 1), inverse(p))
+
+
+def conjugacy_witness_oracle(left: SeedMatrix, right: SeedMatrix):
+    """The dense construction of the `are_conjugate` witness, or None:
+    Π·(I_{m+1} (+) P^{-1}) with P the transpose of the dual witness and Π the
+    permutation matrix sending axis j to axis σ(j) for j < m, σ matching each
+    row of T·P to the first unused right row that is the same point."""
+    dual = projectively_equivalent(
+        AugmentedBasis(ProjPoint(row) for row in left.matrix.rows),
+        AugmentedBasis(ProjPoint(row) for row in right.matrix.rows),
+    )
+    if dual is None:
+        return None
+    p = dual.matrix.transpose()
+    targets = [ProjPoint(row) for row in right.matrix.rows]
+    sigma = []
+    for row in (left.matrix * p).rows:
+        sigma.append(next(i for i, q in enumerate(targets) if q == ProjPoint(row) and i not in sigma))
+    k = left.ambient
+    perm = [[0] * k for _ in range(k)]
+    for j in range(k):
+        perm[sigma[j] if j < left.m else j][j] = 1
+    return QMatrix(perm) * seed_conjugator_oracle(left, p)
 
 
 def incremental_basis_oracle(rows) -> list[int]:
