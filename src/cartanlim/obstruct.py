@@ -213,14 +213,9 @@ class PolyParamGroup:
                 return False
         return True
 
-    def _combine(
-        self, point: Sequence[int | str | Fraction], forms: Iterable[dict[int, int]], size: int
-    ) -> tuple[int, list[int]]:
-        """(L^deg, the `size` integers sum_mu w^mu L^(deg - |mu|) forms[mu]) at
-        point = w / L, one form {index: coefficient} per monomial in order."""
-        scale, ws = _cleared(map(rational, point))
-        if len(ws) != self.dim_params:
-            raise ValueError(f"expected {self.dim_params} parameters")
+    def _combine(self, scale: int, ws: Sequence[int], forms: Iterable[dict[int, int]], size: int) -> list[int]:
+        """The `size` integers sum_mu w^mu L^(deg - |mu|) forms[mu] at the
+        point w / L, one form {index: coefficient} per monomial in order."""
         deg = self._degree
         ints = [0] * size
         for mu, form in zip(self._coeffs, forms):
@@ -228,13 +223,16 @@ class PolyParamGroup:
             if factor:
                 for pos, c in form.items():
                     ints[pos] += factor * c
-        return scale**deg, ints
+        return ints
 
     def evaluate(self, point: Sequence[int | str | Fraction]) -> QMatrix:
         # rho(w/L) times D L^deg is D L^deg I + sum_mu w^mu L^(deg - |mu|) C_mu
+        scale, ws = _cleared(map(rational, point))
+        if len(ws) != self.dim_params:
+            raise ValueError(f"expected {self.dim_params} parameters")
         k = self.ambient
-        lead, ints = self._combine(point, self._coeffs.values(), k * k)
-        den = self._den * lead
+        ints = self._combine(scale, ws, self._coeffs.values(), k * k)
+        den = self._den * scale**self._degree
         ints[:: k + 1] = [x + den for x in ints[:: k + 1]]
         return QMatrix._from_ints(den, ints, k)
 
@@ -414,18 +412,18 @@ _TIER_RANDOM_COUNT = 50  # seeded random points at its tail
 
 def _tier_sample(group: PolyParamGroup, seed: int):
     """The grid of degree+1 values per variable, the unit vectors, the
-    all-ones vector, then seeded random rational vectors."""
+    all-ones vector, then seeded random rational vectors; each point w / L
+    as (L, w) with w integers, and L = 1 but at the random ones."""
     d = group.dim_params
     sizes = tuple(deg + 1 for deg in group.max_degrees())
     grid = product(*(range(s) for s in sizes))
-    for combo in islice(grid, _TIER_GRID_CAP):
-        yield tuple(map(Fraction, combo))
+    yield from ((1, combo) for combo in islice(grid, _TIER_GRID_CAP))
     for i in range(d):
-        yield tuple(Fraction(int(j == i)) for j in range(d))
-    yield tuple(Fraction(1) for _ in range(d))
+        yield 1, tuple(int(j == i) for j in range(d))
+    yield 1, (1,) * d
     rng = random.Random(seed)
     for _ in range(_TIER_RANDOM_COUNT):
-        yield tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+        yield _cleared([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)])
 
 
 def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
@@ -436,23 +434,25 @@ def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
     point that reaches it: the witness is the one a full walk returns, and a
     tier equal to the bound is exact.  Below the bound the tier is the
     largest sampled rank, a lower bound with its witness.  Only the block of
-    those rows and columns is built, in integers.
+    those rows and columns is built and ranked, in integers; the witness is
+    made Fractions only at a point that is the best so far.
     """
     k = group.ambient
     moving = {divmod(pos, k) for vec in group._coeffs.values() for pos in vec}
     rows, cols = sorted({i for i, _ in moving}), sorted({j for _, j in moving})
     bound = min(len(rows), len(cols))
     # the forms of the moving block alone, scaled as in `evaluate`
-    at = {i * k + j: a * len(cols) + b for a, i in enumerate(rows) for b, j in enumerate(cols)}
+    q = len(cols)
+    at = {i * k + j: a * q + b for a, i in enumerate(rows) for b, j in enumerate(cols)}
     forms = [{at[pos]: c for pos, c in vec.items()} for vec in group._coeffs.values()]
     best = -1
     best_point: Optional[tuple[Fraction, ...]] = None
-    for point in _tier_sample(group, seed):
-        block = group._combine(point, forms, len(at))[1]
-        r = exactq.rank(QMatrix._from_ints(1, block, len(cols))) if block else 0
+    for scale, ws in _tier_sample(group, seed):
+        block = group._combine(scale, ws, forms, len(at))
+        r = exactq._fraction_free_echelon([block[i : i + q] for i in range(0, len(block), q)])[0] if block else 0
         if r > best:
             best = r
-            best_point = point
+            best_point = tuple(Fraction(w, scale) for w in ws)
             if best == bound:
                 break
     assert best_point is not None

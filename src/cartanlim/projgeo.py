@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import gcd, prod
 from operator import itemgetter, mul, neg
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import exactq
 from .errors import (
@@ -184,8 +185,8 @@ def _common_dimension(points: Sequence[ProjPoint]) -> int:
 
 
 class AugmentedBasis(_Frozen):
-    """m >= n+2 points of RP^{n-1} in general position, with their brackets:
-    `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
+    """m >= n+2 points of RP^{n-1} in general position, with their read-only
+    brackets: `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
 
     __slots__ = ("points", "n", "brackets")
 
@@ -204,15 +205,15 @@ class AugmentedBasis(_Frozen):
             raise NotAugmentedBasisError("points are not in general position")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "brackets", brackets)
+        object.__setattr__(self, "brackets", MappingProxyType(brackets))
 
     @classmethod
     def _from_brackets(cls, rows: Sequence[tuple[int, ...]], brackets: dict[int, int]) -> "AugmentedBasis":
-        """The points of m >= n + 2 primitive rows, with a copy of their zero-free `maximal_minors(rows)`."""
+        """The points of m >= n + 2 primitive rows, with a read-only view of their zero-free `maximal_minors(rows)`."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "points", tuple(map(ProjPoint._from_ints, rows)))
         object.__setattr__(basis, "n", len(rows[0]))
-        object.__setattr__(basis, "brackets", dict(brackets))
+        object.__setattr__(basis, "brackets", MappingProxyType(brackets))
         return basis
 
     def __reduce__(self):
@@ -367,7 +368,7 @@ def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[t
     return [get(k) if k[first] > 0 else tuple(map(neg, get(k))) for k in keys]
 
 
-def _cofactors(brackets: dict[int, int], base: Sequence[int], points: Iterable[int]) -> dict[int, list[int]]:
+def _cofactors(brackets: Mapping[int, int], base: Sequence[int], points: Iterable[int]) -> dict[int, list[int]]:
     """The cofactor table of a base b_1, ..., b_n: q -> c(q) for each q of
     `points`, c(q)_k = ±[b_1..q..b_n] with q in slot k.  Sorting the slots
     signs the bracket by a factor of q alone, by (-1)^k, and by -1 where
@@ -384,7 +385,7 @@ def _scale(lam: Sequence[int]) -> list[int]:
     return [p // x for x in lam]
 
 
-def _heads(brackets: dict[int, int], m: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int], dict]]:
+def _heads(brackets: Mapping[int, int], m: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int], dict]]:
     """Per sorted base, in lexicographic order: the base, the other points in order
     and their cofactor table; each of them is the last point of one unordered head."""
     for base in combinations(range(m), n):

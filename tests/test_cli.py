@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -24,12 +25,22 @@ def test_fixture_replays_to_committed_output(case):
     assert out == expected_path.read_text(encoding="utf-8")
 
 
-@pytest.mark.skipif(shutil.which("cartanlim") is None, reason="the cartanlim console script is not installed")
+def console_command() -> tuple[list[str], dict | None]:
+    """The installed `cartanlim` script and no environment change, or when
+    none is installed, `python -m cartanlim.cli` with `src` on PYTHONPATH."""
+    script = shutil.which("cartanlim")
+    if script:
+        return [script], None
+    path = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "cartanlim.cli"], dict(os.environ, PYTHONPATH=path)
+
+
 @pytest.mark.parametrize("case", manifest_cases(), ids=lambda c: c["name"])
 def test_console_script_replays_fixture(case):
-    # through the installed entry point in a fresh process, not cli.main
+    # in a fresh process per call, not cli.main
+    command, env = console_command()
     proc = subprocess.run(
-        ["cartanlim", *resolve_argv(case["argv"])], capture_output=True, encoding="utf-8", timeout=120
+        [*command, *resolve_argv(case["argv"])], capture_output=True, encoding="utf-8", timeout=120, env=env
     )
     assert proc.returncode == case["exit_code"]
     assert proc.stdout == (FIXTURES / case["expected"]).read_text(encoding="utf-8")

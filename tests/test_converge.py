@@ -2,10 +2,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanlim.converge import (
     ConvergenceTrace,
-    _inverse_Pr,
+    _certified,
+    _offsets,
+    _positive_root,
     build_Pr,
     conjugated_element,
     convergence_report,
@@ -13,10 +17,12 @@ from cartanlim.converge import (
 )
 from cartanlim.errors import (
     NonpositiveRError,
+    NoPositiveRootError,
     ZeroFirstColumnError,
 )
 from cartanlim.exactq import QMatrix, det, inverse
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
+from util import FIXTURES, inverse_pr_oracle, run_cli, trace_point_oracle
 
 
 def bisect_root(poly, lo, hi, iterations=200):
@@ -48,7 +54,7 @@ def test_inverse_pr_matches_fraction_construction():
         pr = build_Pr(alpha_seed(3), r)
         k = pr.nrows
         old = QMatrix([[2 * F(i == j) - pr.rows[i][j] for j in range(k)] for i in range(k)])
-        assert _inverse_Pr(pr) == old == inverse(pr)
+        assert inverse_pr_oracle(pr) == old == inverse(pr)
 
 
 def test_build_pr_requires_positive_r():
@@ -199,3 +205,90 @@ def test_target_is_unipotent():
 def test_trace_shape_validation():
     with pytest.raises(ValueError):
         ConvergenceTrace((F(10),), (0.1, 0.2), ((1.0,),))
+
+
+# --- the closed-form exact part and the root certificate ----------------------------
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def converge_inputs(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)]
+    col = draw(st.integers(0, n - 1))  # some column without a zero entry
+    for row in rows:
+        row[col] = row[col] or F(1)
+    params = GroupElementParams.make(
+        draw(st.lists(rationals, min_size=m, max_size=m)), draw(st.lists(rationals, min_size=n, max_size=n))
+    )
+    rs = sorted(draw(st.sets(st.fractions(min_value=F(1, 7), max_value=2000, max_denominator=7), min_size=1, max_size=3)))
+    return SeedMatrix(rows), params, rs
+
+
+def bits(values):
+    return [x.hex() for x in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(converge_inputs())
+def test_every_emitted_float_matches_the_dense_oracle(case):
+    seed, params, rs = case
+    try:
+        points = [trace_point_oracle(seed, params, r) for r in rs]
+    except NoPositiveRootError:
+        with pytest.raises(NoPositiveRootError):
+            convergence_report(seed, params, rs)
+        return
+    for r, (diag, matrix) in zip(rs, points):
+        assert bits(diagonal_for_target(seed, params, r)) == bits(diag)
+        assert [bits(row) for row in conjugated_element(seed, params, r)] == [bits(row) for row in matrix]
+    target = [[float(x) for x in row] for row in rho(seed, params).rows]
+    try:
+        trace = convergence_report(seed, params, rs)
+    except NoPositiveRootError:
+        return
+    k = seed.m + seed.n + 1
+    for (diag, matrix), dist, got in zip(points, trace.distances, trace.diag_entries):
+        assert bits(got) == bits(diag)
+        assert dist.hex() == max(abs(matrix[i][j] - target[i][j]) for i in range(k) for j in range(k)).hex()
+
+
+def sign_at(t: float, cs) -> int:
+    value = math.prod(F(t) + c for c in cs) - 1
+    return (value > 0) - (value < 0)
+
+
+def test_large_offsets_root_is_certified_where_the_float_product_misses():
+    # a = (10^9, 1, 1, 1), b = (1, 1) at r = 1: offsets (10^9 - 1, 0, 0, 0, 0,
+    # -1, -1); two entries root - 1 lose digits, and the float product reads
+    # 1 - 4e-12, outside the default tolerance, although the root is exact to an ulp
+    seed = alpha_seed(3)
+    params = GroupElementParams.make([10**9, 1, 1, 1], [1, 1])
+    diag = diagonal_for_target(seed, params, 1)
+    assert abs(math.prod(diag) - 1.0) > 1e-12
+    den, ints = _offsets(seed, params, F(1))
+    root = _positive_root([c / den for c in ints])
+    cs = [F(c, den) for c in ints]
+    lo, hi = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    assert sign_at(lo, cs) < 0 < sign_at(hi, cs) and F(lo) + min(cs) > 0
+    assert _certified(root, den, ints)
+    trace = convergence_report(seed, params, [1, 10, 100])
+    assert trace.diag_entries[0] == tuple(diag)
+    # two ulps off, the bracket misses the root
+    for wrong in (math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf)):
+        assert not _certified(wrong, den, ints)
+    # t = 0 solves (t - 2)(t - 2)(t + 1/4) = 1 with a sign change from - to +,
+    # but two factors are negative there; an infinite root has no bracket
+    assert sign_at(-5e-324, [-2, -2, F(1, 4)]) < 0 < sign_at(5e-324, [-2, -2, F(1, 4)])
+    assert not _certified(0.0, 4, [-8, -8, 1])
+    assert not _certified(math.inf, 1, [0])
+
+
+def test_large_offsets_converge_exits_0(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text('{"a": ["1000000000", "1", "1", "1"], "b": ["1", "1"]}', encoding="utf-8")
+    code, out = run_cli(["converge", str(FIXTURES / "seed_a3.json"), str(path), "--r-schedule", "1,10,100"])
+    assert code == 0
+    assert '"r": ["1", "10", "100"]' in out
+

@@ -463,7 +463,8 @@ def test_are_conjugate_computes_one_table_per_seed(monkeypatch, m, n):
     for seed, basis in zip((left, right), bases):
         fresh = AugmentedBasis(ProjPoint(row) for row in seed.matrix.rows)
         assert basis == fresh and basis.points == fresh.points and basis.brackets == fresh.brackets
-        basis.brackets.clear()  # each basis holds its own copy of the table
+        with pytest.raises(TypeError):  # the view cannot write the seed's table
+            basis.brackets[next(iter(fresh.brackets))] = 0
         assert exceptional_dual_basis(seed).brackets == fresh.brackets
 
 

@@ -431,6 +431,49 @@ def test_tier_equals_the_full_walk_on_linear_blocks(group):
     assert tier(group) == tier_oracle(group)
 
 
+@st.composite
+def mixed_diagonal_groups(draw):
+    """U diag(l_1(v), ..., l_p(v)) V for linear forms l_i and unit triangular
+    integer U, V, so rank(v) counts the l_i(v) != 0.  The forms hold every
+    coordinate and one difference of two, so each point of the 0/1 grid, each
+    unit vector and the all-ones vector zero one of them: only the random tail
+    of the walk can reach the rank p."""
+    d = draw(st.integers(2, 3))
+    i, j = draw(st.permutations(range(d)))[:2]
+    units = [[int(t == s) for t in range(d)] for s in range(d)]
+    extra = draw(st.lists(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=d, max_size=d), max_size=3 - d))
+    forms = draw(st.permutations(units + [[x - y for x, y in zip(units[i], units[j])]] + extra))
+    p = len(forms)
+    mix = st.sampled_from([0, 1, -1, F(1, 2)])
+    u, v = ([[1 if i == j else draw(mix) if i < j else 0 for j in range(p)] for i in range(p)] for _ in range(2))
+    mats = []
+    for t in range(d):
+        diag = QMatrix([[forms[i][t] if i == j else 0 for j in range(p)] for i in range(p)])
+        mats.append(QMatrix(u) * diag * QMatrix(v))
+    return _unipotent_group_from_block(LinearBlockFamily(mats))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_diagonal_groups())
+def test_tier_equals_the_full_walk_with_random_tail_points(group):
+    assert tier(group) == tier_oracle(group)
+
+
+def test_tier_witness_from_the_random_tail(monkeypatch):
+    # diag(a, b, a - b): every grid point, unit vector and the all-ones
+    # vector zero one entry, so the first rank-3 point is a random one
+    family = LinearBlockFamily([QMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]), QMatrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]])])
+    group = _unipotent_group_from_block(family)
+    walked = []
+    sample = obstruct._tier_sample
+    monkeypatch.setattr(obstruct, "_tier_sample", lambda *args: (walked.append(p) or p for p in sample(*args)))
+    report = tier(group)
+    assert report == tier_oracle(group) and report.tier == 3
+    assert len(walked) == 4 + 2 + 1 + 1  # the grid, the unit vectors, all ones, one random point
+    scale, ws = walked[-1]
+    assert tuple(F(w, scale) for w in ws) == report.witness
+
+
 # --- rank-one directions -------------------------------------------------------------
 
 

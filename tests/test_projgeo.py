@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -621,6 +623,21 @@ def test_brackets_are_minors_and_decide_general_position(coords):
         else:
             with pytest.raises(NotAugmentedBasisError):
                 AugmentedBasis(points)
+
+
+def test_brackets_are_read_only_and_survive_copy_and_pickle():
+    # on the (2,5) basis below, a written bracket took the UC from 60 to 114 tuples
+    basis = AugmentedBasis([P(1, 0), P(0, 1), P(1, 1), P(1, 2), P(1, 3)])
+    table = dict(basis.brackets)
+    with pytest.raises(TypeError):
+        basis.brackets[0b00011] = 5
+    with pytest.raises(AttributeError):
+        basis.brackets.clear()
+    assert basis.brackets == table and len(unordered_cross_ratio(basis)) == 60
+    for twin in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert twin == basis and twin.brackets == table
+        with pytest.raises(TypeError):
+            twin.brackets[0b00011] = 5
 
 
 # --- work counters -------------------------------------------------------------------

@@ -30,6 +30,7 @@ from cartanlim import (
     UnorderedCrossRatio,
     basis_transform,
     block_diag,
+    build_Pr,
     builtin_group,
     det,
     element_params,
@@ -40,6 +41,7 @@ from cartanlim import (
     rho,
 )
 from cartanlim.cli import main
+from cartanlim.converge import _positive_root
 from cartanlim.errors import RedundantParametersError, SampleCapExceededError
 from cartanlim.exactq import maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
@@ -150,6 +152,27 @@ def assert_witness_verifies(left: SeedMatrix, right: SeedMatrix, witness: QMatri
     for _ in range(count):
         params = random_params(rng, left)
         assert element_params(right, witness * rho(left, params) * w_inv) is not None
+
+
+def inverse_pr_oracle(pr: QMatrix) -> QMatrix:
+    """P_r^-1 = I - N = 2I - P_r, since N = P_r - I has N^2 = 0."""
+    return QMatrix.identity(pr.nrows) * 2 - pr
+
+
+def trace_point_oracle(seed: SeedMatrix, params: GroupElementParams, r) -> tuple[list[float], list[list[float]]]:
+    """Dense oracle for one point of `converge`: the offsets c from the
+    matching rules in Fractions, the float root of prod(t + c_i) = 1 from
+    `converge._positive_root`, and P_r^-1 diag(c) P_r as two dense products,
+    read as float(x) plus the root on the diagonal."""
+    r = Fraction(r)
+    col = next(c for c in range(seed.n) if all(row[c] != 0 for row in seed.matrix.rows))
+    cs = [a / r - params.b[col] / (r * r) for a in params.a] + [Fraction(0)]
+    cs += [-b / (r * r) for b in params.b]
+    root = _positive_root([float(c) for c in cs])
+    pr = build_Pr(seed, r)
+    exact = inverse_pr_oracle(pr) * QMatrix.diagonal(cs) * pr
+    matrix = [[float(x) + (root if i == j else 0.0) for j, x in enumerate(row)] for i, row in enumerate(exact.rows)]
+    return [row[i] for i, row in enumerate(matrix)], matrix
 
 
 def seed_conjugator_oracle(seed: SeedMatrix, p: QMatrix) -> QMatrix:
