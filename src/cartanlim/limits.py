@@ -27,7 +27,7 @@ from .errors import (
     ZeroRowError,
 )
 from .exactq import QMatrix, _cleared, _Frozen, rational
-from .projgeo import AugmentedBasis, ProjPoint, _primitive, projectively_equivalent
+from .projgeo import AugmentedBasis, ProjPoint, _matvec, _primitive, projectively_equivalent
 
 
 class SeedMatrix(_Frozen):
@@ -109,19 +109,15 @@ class GroupElementParams:
         )
 
 
-def _check_params(seed: SeedMatrix, params: GroupElementParams) -> None:
-    if len(params.a) != seed.m or len(params.b) != seed.n:
-        raise DimensionMismatchError(
-            f"parameters of shape ({len(params.a)}, {len(params.b)}) "
-            f"for a seed with (m, n) = ({seed.m}, {seed.n})"
-        )
-
-
 def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
     """The group element: identity plus an upper-right (m+1) x n block whose
     row j is a_j times row j of the seed, with bottom block row b."""
-    _check_params(seed, params)
     m, n = seed.m, seed.n
+    if len(params.a) != m or len(params.b) != n:
+        raise DimensionMismatchError(
+            f"parameters of shape ({len(params.a)}, {len(params.b)}) "
+            f"for a seed with (m, n) = ({m}, {n})"
+        )
     k = m + n + 1
     # Built on the integer form: den = den(T)·scale, with scale the lcm of
     # the parameter denominators.
@@ -148,25 +144,17 @@ def phi(seed: SeedMatrix, j: int, w: Sequence[int | str | Fraction]) -> Fraction
 def group_action(
     seed: SeedMatrix, params: GroupElementParams, point: ProjPoint
 ) -> ProjPoint:
-    """Image of a point of RP^{m+n} under the group element.
+    """Image ρ·x of a point of RP^{m+n} under the group element ρ.
 
     Coordinate j <= m gains a_j * phi_j(tail), coordinate m+1 gains the
     b-weighted sum of the tail, and the n tail coordinates are unchanged.
     """
-    _check_params(seed, params)
-    m, n = seed.m, seed.n
-    if point.n != m + n + 1:
+    element = rho(seed, params)
+    if point.n != element.ncols:
         raise DimensionMismatchError(
-            f"point has {point.n} coordinates, expected {m + n + 1}"
+            f"point has {point.n} coordinates, expected {element.ncols}"
         )
-    coords = list(point.coords)
-    tail = coords[m + 1 :]
-    for j in range(m):
-        coords[j] += params.a[j] * sum(
-            (t * x for t, x in zip(seed.matrix.rows[j], tail)), Fraction(0)
-        )
-    coords[m] += sum((bi * x for bi, x in zip(params.b, tail)), Fraction(0))
-    return ProjPoint(coords)
+    return ProjPoint._from_ints(_matvec(element._int_rows(), point.ints))
 
 
 class OrbitKind(Enum):
@@ -195,12 +183,11 @@ def orbit_dimension(seed: SeedMatrix, point: ProjPoint) -> OrbitClass:
         raise DimensionMismatchError(
             f"point has {point.n} coordinates, expected {m + n + 1}"
         )
-    tail = point.coords[m + 1 :]
-    if all(x == 0 for x in tail):
+    tail = point.ints[m + 1 :]
+    if not any(tail):
         return OrbitClass(OrbitKind.FIXED, 0, frozenset(range(1, m + 1)))
-    vanishing = frozenset(
-        j for j in range(1, m + 1) if phi(seed, j, tail) == 0
-    )
+    # phi_j vanishes at the tail iff den(T)·T_j does at the integer tail
+    vanishing = frozenset(j for j, x in enumerate(_matvec(seed.matrix._int_rows(), tail), 1) if not x)
     dim = 1 + (m - len(vanishing))
     kind = OrbitKind.TYPICAL if dim == m + 1 else OrbitKind.EXCEPTIONAL
     return OrbitClass(kind, dim, vanishing)
@@ -381,12 +368,10 @@ def normalized_slice_member(free_rows: QMatrix) -> SeedMatrix:
     basis, which is the normalization used by the slice of unique
     representatives.
     """
-    n = free_rows.ncols
-    rows: list[Sequence[Fraction]] = list(QMatrix.identity(n).rows)
-    rows.append(tuple(Fraction(1) for _ in range(n)))
-    rows.extend(free_rows.rows)
+    n, den = free_rows.ncols, free_rows._den
+    ints = [den * (i == j) for i in range(n) for j in range(n)] + [den] * n + list(free_rows._ints)
     try:
-        seed = SeedMatrix(rows)
+        seed = SeedMatrix(QMatrix._from_ints(den, ints, n))
     except ZeroRowError as exc:
         raise NotGenericError(str(exc)) from exc
     if not seed.generic:

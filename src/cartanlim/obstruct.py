@@ -36,9 +36,6 @@ from .errors import (
 from .exactq import QMatrix, _cleared, _Frozen, rational
 from .limits import SeedMatrix
 
-BUILTIN_GROUP_NAMES = ("M5", "M6", "E", "LT")
-
-
 class Poly(_Frozen):
     """Multivariate polynomial with rational coefficients.
 
@@ -260,13 +257,16 @@ class LinearBlockFamily:
         self.dim_params = len(kept)
         self.nrows, self.ncols = shape
         self.reduced_from = len(mats) if len(kept) != len(mats) else None
+        self._den = den = lcm(*(mat._den for mat in kept))
+        # per block entry, row-major: its linear form D·(B_1, ..., B_d)[i, j], D the common denominator
+        self._forms = tuple(tuple(mat._ints[pos] * (den // mat._den) for mat in kept) for pos in range(len(mats[0]._ints)))
 
     def block(self, point: Sequence[int | str | Fraction]) -> QMatrix:
-        vals = [rational(x) for x in point]
-        if len(vals) != self.dim_params:
+        scale, ws = _cleared(map(rational, point))
+        if len(ws) != self.dim_params:
             raise ValueError(f"expected {self.dim_params} parameters")
-        zero = QMatrix._from_ints(1, [0] * (self.nrows * self.ncols), self.ncols)
-        return sum((v * mat for v, mat in zip(vals, self.coeff_matrices) if v), zero)
+        ints = [sum(map(mul, ws, form)) for form in self._forms]
+        return QMatrix._from_ints(self._den * scale, ints, self.ncols)
 
 
 _E_BLOCK = ("0cgf", "cbfe", "baed", "agd0")  # the 4 x 4 block of E, a variable or 0 per cell
@@ -290,17 +290,16 @@ def _lt_coefficient_matrices(seed: SeedMatrix) -> list[QMatrix]:
 
 def _unipotent_group_from_block(family: LinearBlockFamily) -> PolyParamGroup:
     """I plus the block family in the upper-right corner: C_{e_t} is
-    coefficient matrix t over the lcm D of their denominators."""
+    coefficient matrix t over the family's common denominator D."""
     d, p, q = family.dim_params, family.nrows, family.ncols
     k = p + q
-    den = lcm(*(mat._den for mat in family.coeff_matrices))
     coeffs = {
         tuple(int(s == t) for s in range(d)): {
-            pos // q * k + p + pos % q: x * (den // mat._den) for pos, x in enumerate(mat._ints) if x
+            pos // q * k + p + pos % q: form[t] for pos, form in enumerate(family._forms) if form[t]
         }
-        for t, mat in enumerate(family.coeff_matrices)
+        for t in range(d)
     }
-    return PolyParamGroup._from_coeffs(d, k, den, coeffs)
+    return PolyParamGroup._from_coeffs(d, k, family._den, coeffs)
 
 
 # name -> (parameter count, size, {mu: {k*i + j: C_mu[i, j]}}) of the two
@@ -471,12 +470,10 @@ class TierOneResult:
 
 def _minor_table(family: LinearBlockFamily) -> list[tuple[tuple[int, int], tuple[int, int], list]]:
     """(rows, cols, monomials (k, l), k <= l) of every 2x2 minor's quadratic
-    form, in scan order.  The integer coefficient matrices scale the
-    coefficient of v_k*v_l by den_k*den_l > 0, so the surviving monomials are
-    those of the rational form."""
+    form, in scan order.  The integer forms scale the coefficient of v_k*v_l
+    by D² > 0, so the surviving monomials are those of the rational form."""
     q = family.ncols
-    mats = family.coeff_matrices
-    forms = [[(t, m._ints[pos]) for t, m in enumerate(mats) if m._ints[pos]] for pos in range(family.nrows * q)]
+    forms = [[(t, x) for t, x in enumerate(form) if x] for form in family._forms]
     table = []
     for (i1, i2), (j1, j2) in product(combinations(range(family.nrows), 2), combinations(range(q), 2)):
         terms: dict[tuple[int, int], int] = {}
@@ -544,10 +541,7 @@ def _witness_candidates(family: LinearBlockFamily, seed: int, random_samples: in
         yield tuple(Fraction(int(j == i)) for j in range(d))
     for i, j in combinations(range(d), 2):
         for sj in (1, -1):
-            yield tuple(
-                Fraction(1) if t == i else Fraction(sj) if t == j else Fraction(0)
-                for t in range(d)
-            )
+            yield tuple(Fraction(1 if t == i else sj if t == j else 0) for t in range(d))
     rng = random.Random(seed)
     for _ in range(random_samples):
         yield tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d))
@@ -581,22 +575,31 @@ def replay_certificate(
     """Re-derive a propagation certificate step by step."""
     forms = {(rows, cols): monomials for rows, cols, monomials in _minor_table(family)}
 
+    def ints(values: Iterable) -> list[int]:  # sorted; a bool or a float equal to an index is no index
+        values = sorted(values)
+        if any(type(x) is not int for x in values):
+            raise TypeError("certificate indices are integers")
+        return values
+
     def replay(steps: Sequence[dict], z: set[int]) -> bool:
         for step in steps:
-            monomials = forms.get((tuple(sorted(step["rows"])), tuple(sorted(step["cols"]))), ())
-            live = [[k, l] for k, l in monomials if k not in z and l not in z]
-            if live != [sorted(step["monomial"])]:
+            rows, cols, monomial = (ints(step[key]) for key in ("rows", "cols", "monomial"))
+            live = [[k, l] for k, l in forms.get((tuple(rows), tuple(cols)), ()) if k not in z and l not in z]
+            if live != [monomial]:
                 return False
             ((k, l),) = live
-            if step["kind"] == "minor" and k == l == step["forced"]:
+            if step["kind"] == "minor" and k == l == ints([step["forced"]])[0]:
                 z = z | {k}
-            elif step["kind"] == "branch" and k != l and sorted(case["assume"] for case in step["cases"]) == [k, l]:
+            elif step["kind"] == "branch" and k != l and ints(case["assume"] for case in step["cases"]) == [k, l]:
                 return all(replay(case["steps"], z | {case["assume"]}) for case in step["cases"])
             else:
                 return False
         return len(z) == family.dim_params
 
-    return replay(steps, set(zeroed))
+    try:
+        return replay(steps, set(zeroed))
+    except (KeyError, TypeError):  # a step that lacks a key or holds a value of the wrong type
+        return False
 
 
 # --- tier flags -------------------------------------------------------------------
@@ -613,7 +616,7 @@ def flag_tier_profile(seed_matrix: SeedMatrix) -> tuple[int, ...]:
     The bounds tier(H_i) <= i and tier(H_1) = 1 are asserted.
     """
     m, n = seed_matrix.m, seed_matrix.n
-    kept = exactq.independent_rows(list(seed_matrix.matrix.rows) + list(QMatrix.identity(n).rows))
+    kept = exactq.independent_rows(seed_matrix.matrix._int_rows() + [[int(i == j) for j in range(n)] for i in range(n)])
     rank_t = sum(1 for i in kept if i < m)
     profile = tuple(
         min(sum(1 for i in kept if i < level), rank_t + 1) for level in range(1, m + n + 1)

@@ -1,5 +1,7 @@
-"""Every module-level import in the package is used by its module, and every
-private function, class or method is used somewhere in the package."""
+"""Every module-level import in the package is used by its module, every
+private function, class or method is used somewhere in the package, and every
+module-level name the package assigns is read in the package, its tests or
+its benchmark."""
 
 import ast
 from collections import Counter
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cartanlim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cartanlim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -78,6 +81,34 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def assigned_names(source: str) -> list[str]:
+    """The names a module binds by assignment at its top level, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names += [leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name the source loads, loads as an attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unread_assignments(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """`module:name` of each module-level assignment whose name no reader reads."""
+    read = set().union(*map(read_names, readers))
+    return [f"{module}:{name}" for module, source in sources.items() for name in assigned_names(source) if name not in read]
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os\nfrom . import a, b\nb.f(os)\n") == ["a"]
 
@@ -107,6 +138,12 @@ def test_checker_finds_an_unreferenced_private_method():
     assert unreferenced_private_defs(sources) == ["a:A._dead", "a:B._make"]
 
 
+def test_checker_finds_an_unread_assignment():
+    sources = {"a": "LIMIT = 3\nNAMES: tuple = ()\n_TABLE, _SPARE = {}, 0\n__version__ = '1'\n\ndef f():\n    return _TABLE\n"}
+    readers = [*sources.values(), "from a import NAMES\n\ndef g(m):\n    m.LIMIT = 4\n"]
+    assert unread_assignments(sources, readers) == ["a:LIMIT", "a:_SPARE"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -115,3 +152,9 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_defs(sources) == []
+
+
+def test_no_unread_module_assignments():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8") for folder in ("src", "tests", "bench") for p in (ROOT / folder).rglob("*.py")]
+    assert unread_assignments(sources, readers) == []

@@ -42,11 +42,13 @@ from util import (
     conjugacy_witness_oracle,
     element_params_oracle,
     matvec_oracle,
+    normalized_slice_oracle,
     orbit_hull_dim,
     random_fraction,
     random_generic_seed,
     random_invertible,
     random_params,
+    random_rational_seed,
     seed_conjugator_oracle,
 )
 
@@ -235,6 +237,41 @@ def test_action_matches_matrix_product():
         assert group_action(t, p, x) == ProjPoint(matvec_oracle(rho(t, p), x.coords))
 
 
+def rational_cases(rng: random.Random, count: int):
+    """(seed, point) pairs: seeds with rational rows (every fourth has n = 1)
+    and points with rational coordinates; every third point has a zero tail,
+    and for n >= 2 every other one has a tail on which phi_1 vanishes."""
+    for i in range(count):
+        n = 1 if i % 4 == 0 else rng.randint(2, 3)
+        m = rng.randint(1, 5)
+        t = random_rational_seed(rng, m, n)
+        coords = [random_fraction(rng, 4, 5) for _ in range(t.ambient)]
+        if i % 3 == 0:
+            coords[m + 1 :] = [F(0)] * n
+        elif n >= 2 and i % 2:
+            first = t.matrix.rows[0]
+            coords[m + 1 :] = [first[1], -first[0]] + [F(0)] * (n - 2)
+        if not any(coords):
+            coords[0] = F(1, 2)
+        yield t, ProjPoint(coords)
+
+
+def test_action_matches_matrix_product_on_rational_seeds():
+    rng = random.Random(25)
+    for t, x in rational_cases(rng, 60):
+        p = random_params(rng, t)
+        assert group_action(t, p, x) == ProjPoint(matvec_oracle(rho(t, p), x.coords))
+
+
+def test_action_checks_the_parameters_before_the_point():
+    t = random_rational_seed(random.Random(3), 3, 1)
+    far = ProjPoint([1] * 7)
+    with pytest.raises(DimensionMismatchError, match=r"^parameters of shape \(2, 1\) for a seed with \(m, n\) = \(3, 1\)$"):
+        group_action(t, GroupElementParams.make([1, 2], [3]), far)
+    with pytest.raises(DimensionMismatchError, match=r"^point has 7 coordinates, expected 5$"):
+        group_action(t, GroupElementParams.zero(t), far)
+
+
 # --- orbit classification -----------------------------------------------------------------
 
 
@@ -268,6 +305,21 @@ def test_orbit_dimension_matches_hull_oracle():
             coords[0] = F(1)
         x = ProjPoint(coords)
         assert orbit_dimension(t, x).dim == orbit_hull_dim(t, x)
+
+
+def test_orbit_dimension_matches_the_oracles_on_rational_seeds():
+    rng = random.Random(26)
+    kinds = set()
+    for t, x in rational_cases(rng, 40):
+        oc = orbit_dimension(t, x)
+        kinds.add(oc.kind)
+        assert oc.dim == orbit_hull_dim(t, x)
+        tail = x.coords[t.m + 1 :]
+        if any(tail):
+            assert oc.vanishing == {j for j in range(1, t.m + 1) if phi(t, j, tail) == 0}
+        else:
+            assert oc == limits.OrbitClass(OrbitKind.FIXED, 0, frozenset(range(1, t.m + 1)))
+    assert kinds == set(OrbitKind)
 
 
 def test_generic_seed_vanishing_bound():
@@ -594,3 +646,22 @@ def test_normalized_slice_examples():
         ProjPoint([0, 1]),
         ProjPoint([1, 1]),
     )
+
+
+def test_normalized_slice_matches_the_fraction_stacking():
+    rng = random.Random(27)
+    outcomes = set()
+    for i in range(80):
+        n = 1 + i % 3
+        free = QMatrix([[random_fraction(rng, 4, 5) for _ in range(n)] for _ in range(rng.randint(1, 2))])
+        try:
+            expected = normalized_slice_oracle(free)
+        except NotGenericError as exc:
+            with pytest.raises(NotGenericError, match=f"^{exc}$"):
+                normalized_slice_member(free)
+            outcomes.add(str(exc).split()[0])
+            continue
+        seed = normalized_slice_member(free)
+        assert seed == expected and seed.matrix.rows == expected.matrix.rows
+        outcomes.add(n)
+    assert outcomes == {1, 2, 3, "row", "stacked"}

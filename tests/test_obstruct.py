@@ -36,14 +36,18 @@ from cartanlim.obstruct import (
 from util import (
     FIXTURES,
     NONGROUPS,
+    block_oracle,
     builtin_poly_group_oracle,
     exp_family_terms,
     flag_tier_profile_oracle,
     flatness_oracle,
     group_from_terms,
+    random_fraction,
     random_generic_seed,
+    random_rational_seed,
     tier_one_oracle,
     tier_oracle,
+    unipotent_form_oracle,
 )
 
 E_VARS = "abcdefg"
@@ -499,6 +503,60 @@ def test_certificate_replay_rejects_tampering():
         assert not replay_certificate(family, [{**result.certificate[0], "rows": rows}])
 
 
+# its "No" certificate opens with a branch on v_1 v_2
+BRANCHING_BLOCKS = ([[1, 0, 0], [0, 1, 0], [1, 0, 0]], [[0, 0, -1], [0, -1, 1], [0, 0, 0]], [[1, 0, 0], [0, 1, -1], [1, -1, 0]])
+
+
+def first_step_family(kind: str) -> tuple[LinearBlockFamily, list[dict]]:
+    """E, whose certificate opens with a minor step, or the branching family."""
+    family = builtin_block_family("E") if kind == "minor" else LinearBlockFamily([QMatrix(m) for m in BRANCHING_BLOCKS])
+    steps = [dict(step) for step in has_tier_one_element(family).certificate]
+    assert steps[0]["kind"] == kind and replay_certificate(family, steps)
+    return family, steps
+
+
+@pytest.mark.parametrize(
+    "kind, key", [*(("minor", key) for key in ("rows", "cols", "monomial", "forced", "kind")), ("branch", "cases")]
+)
+def test_certificate_replay_rejects_a_missing_key(kind, key):
+    family, steps = first_step_family(kind)
+    del steps[0][key]
+    assert replay_certificate(family, steps) is False
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("minor", {"rows": 5}), ("minor", {"cols": None}), ("minor", {"rows": [[0], [1]]}), ("minor", {"monomial": 2}),
+        ("minor", {"monomial": ["c", "c"]}), ("minor", {"forced": [2]}), ("minor", {"kind": 3}),
+        ("minor", {"forced": 2.0}), ("minor", {"monomial": [2, 2.0]}), ("minor", {"rows": [0.0, 1]}),
+        ("branch", {"cases": 3}), ("branch", {"cases": [[1], [2]]}), ("branch", {"cases": [{"assume": [1]}, {"assume": 2}]}),
+        ("branch", {"cases": [{"assume": 1}, {"assume": 2, "steps": []}]}), ("branch", {"monomial": [True, 2]}),
+    ],
+)
+def test_certificate_replay_rejects_a_value_of_the_wrong_type(kind, change):
+    family, steps = first_step_family(kind)
+    assert replay_certificate(family, [{**steps[0], **change}, *steps[1:]]) is False
+
+
+def test_certificate_replay_rejects_a_boolean_index():
+    family, steps = first_step_family("branch")
+    first, second = steps[0]["cases"]
+    assert replay_certificate(family, [{**steps[0], "cases": [{**first, "assume": True}, second]}]) is False
+
+
+@pytest.mark.parametrize("certificate", [7, None, ["step"], [[0, 1]], [None]])
+def test_certificate_replay_rejects_steps_that_are_not_objects(certificate):
+    assert replay_certificate(builtin_block_family("E"), certificate) is False
+
+
+def test_certificate_read_back_from_its_document_replays():
+    document = json.loads((FIXTURES / "expected" / "obstruct_tier_one_e.json").read_text())
+    certificate = document["result"]["certificate"]
+    assert isinstance(certificate[0]["rows"], list)
+    assert replay_certificate(builtin_block_family("E"), certificate) is True
+
+
 def test_lt_block_has_rank_one_direction():
     family = builtin_block_family("LT", alpha_seed(3))
     result = has_tier_one_element(family)
@@ -531,6 +589,54 @@ def test_dependent_coefficients_are_reduced():
     )
     assert family.dim_params == 2
     assert family.reduced_from == 3
+
+
+def mixed_denominator_families(rng: random.Random, count: int):
+    """Block families whose matrices have entries p/q, q up to 5, with
+    dependent copies and zero matrices among them; the first is all zero."""
+    yield LinearBlockFamily([QMatrix([[0, 0, 0], [0, 0, 0]])] * 2)
+    for _ in range(count):
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        mats = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.2 and mats:
+                mats.append(QMatrix([[x * random_fraction(rng, 3, 4) for x in row] for row in mats[-1].rows]))
+            elif roll < 0.3:
+                mats.append(QMatrix([[0] * q for _ in range(p)]))
+            else:
+                mats.append(QMatrix([[random_fraction(rng, 3, 5) for _ in range(q)] for _ in range(p)]))
+        yield LinearBlockFamily(mats)
+
+
+def test_block_equals_the_fraction_sum_on_mixed_denominators():
+    rng = random.Random(28)
+    dims = set()
+    for family in mixed_denominator_families(rng, 60):
+        dims.add(family.dim_params)
+        for _ in range(3):
+            point = [random_fraction(rng, 5, 6) for _ in range(family.dim_params)]
+            assert family.block(point) == block_oracle(family, point)
+        assert family.block([0] * family.dim_params) == QMatrix([[0] * family.ncols for _ in range(family.nrows)])
+    assert {0, 1, 2, 3} <= dims
+
+
+def test_all_dependent_family_has_the_zero_block():
+    family = LinearBlockFamily([QMatrix([[0, 0, 0], [0, 0, 0]])] * 3)
+    assert (family.dim_params, family.reduced_from) == (0, 3)
+    assert family.block(()) == QMatrix([[0, 0, 0], [0, 0, 0]]) == block_oracle(family, ())
+    with pytest.raises(ValueError):
+        family.block([1])
+
+
+def test_lt_group_on_rational_rows_has_the_per_matrix_form():
+    rng = random.Random(29)
+    for _ in range(20):
+        seed = random_rational_seed(rng, rng.randint(1, 5), rng.randint(1, 3))
+        group = builtin_group("LT", seed)
+        den, coeffs = unipotent_form_oracle(builtin_block_family("LT", seed))
+        assert group._den == den > 1
+        assert list(group._coeffs.items()) == list(coeffs.items())
 
 
 # --- tier flags -----------------------------------------------------------------------
@@ -597,6 +703,13 @@ def fixed_random_seeds(count: int = 20) -> list[SeedMatrix]:
 def test_flag_tier_profile_equals_the_sampled_profile():
     wider = SeedMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]])
     for seed_matrix in [alpha_seed(3), wider, *fixed_random_seeds()]:
+        assert flag_tier_profile(seed_matrix) == flag_tier_profile_oracle(seed_matrix)
+
+
+def test_flag_tier_profile_equals_the_sampled_profile_on_rational_rows():
+    rng = random.Random(30)
+    for _ in range(20):
+        seed_matrix = random_rational_seed(rng, rng.randint(1, 5), rng.randint(1, 3))
         assert flag_tier_profile(seed_matrix) == flag_tier_profile_oracle(seed_matrix)
 
 

@@ -42,7 +42,7 @@ from cartanlim import (
 )
 from cartanlim.cli import main
 from cartanlim.converge import _positive_root
-from cartanlim.errors import RedundantParametersError, SampleCapExceededError
+from cartanlim.errors import NotGenericError, RedundantParametersError, SampleCapExceededError, ZeroRowError
 from cartanlim.exactq import maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
@@ -138,6 +138,14 @@ def random_generic_seed(rng: random.Random, m: int, n: int) -> SeedMatrix:
             return seed
 
 
+def random_rational_seed(rng: random.Random, m: int, n: int) -> SeedMatrix:
+    """A seed with no zero row whose entries p/q have q up to 5, some q > 1."""
+    while True:
+        rows = [[random_fraction(rng, 4, 5) for _ in range(n)] for _ in range(m)]
+        if all(any(row) for row in rows) and any(x.denominator > 1 for row in rows for x in row):
+            return SeedMatrix(rows)
+
+
 def random_params(rng: random.Random, seed: SeedMatrix) -> GroupElementParams:
     return GroupElementParams.make(
         [random_fraction(rng) for _ in range(seed.m)],
@@ -225,6 +233,20 @@ def matvec_oracle(matrix: QMatrix, vec) -> tuple[Fraction, ...]:
     """A·v over the Fractions, for v of ints, `p/q` strings or Fractions."""
     v = [Fraction(x) for x in vec]
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in matrix.rows)
+
+
+def normalized_slice_oracle(free_rows: QMatrix) -> SeedMatrix:
+    """Independent oracle for `normalized_slice_member`: the Fraction rows of
+    I_n, the all-ones row and the free rows, stacked."""
+    n = free_rows.ncols
+    rows = [*QMatrix.identity(n).rows, tuple(Fraction(1) for _ in range(n)), *free_rows.rows]
+    try:
+        seed = SeedMatrix(rows)
+    except ZeroRowError as exc:
+        raise NotGenericError(str(exc)) from exc
+    if not seed.generic:
+        raise NotGenericError("stacked matrix is not generic")
+    return seed
 
 
 def general_position_oracle(points) -> bool:
@@ -492,6 +514,32 @@ def _certify_zero_oracle(family: LinearBlockFamily, zeroed: set[int], depth: int
     return None
 
 
+def block_oracle(family: LinearBlockFamily, point) -> QMatrix:
+    """Independent oracle for `LinearBlockFamily.block`: the sum of the
+    v_t·B_t over the Fractions, entry by entry."""
+    mats = [mat.rows for mat in family.coeff_matrices]
+    return QMatrix(
+        [sum((Fraction(v) * mat[i][j] for v, mat in zip(point, mats)), Fraction(0)) for j in range(family.ncols)]
+        for i in range(family.nrows)
+    )
+
+
+def unipotent_form_oracle(family: LinearBlockFamily) -> tuple[int, dict]:
+    """Independent oracle for the compiled form (D, {mu: {k*i + j: C_mu[i, j]}})
+    of the unipotent group of a block family: each coefficient matrix scaled
+    on its own to the lcm D of their denominators."""
+    d, p, q = family.dim_params, family.nrows, family.ncols
+    k = p + q
+    den = math.lcm(*(mat._den for mat in family.coeff_matrices))
+    coeffs = {
+        tuple(int(s == t) for s in range(d)): {
+            pos // q * k + p + pos % q: x * (den // mat._den) for pos, x in enumerate(mat._ints) if x
+        }
+        for t, mat in enumerate(family.coeff_matrices)
+    }
+    return den, coeffs
+
+
 def tier_one_oracle(family: LinearBlockFamily, seed: int = 0, random_samples: int = 200) -> TierOneResult:
     """Independent oracle for `has_tier_one_element`: the certificate of the
     per-step Fraction propagation, else the first candidate of the seeded
@@ -499,10 +547,8 @@ def tier_one_oracle(family: LinearBlockFamily, seed: int = 0, random_samples: in
     certificate = _certify_zero_oracle(family, set(), family.dim_params)
     if certificate is not None:
         return TierOneResult("No", None, tuple(certificate))
-    mats = [mat.rows for mat in family.coeff_matrices]
     for point in _witness_candidates(family, seed, random_samples):
-        block = [[sum(v * mat[i][j] for v, mat in zip(point, mats)) for j in range(family.ncols)] for i in range(family.nrows)]
-        if any(point) and rank(QMatrix(block)) == 1:
+        if any(point) and rank(block_oracle(family, point)) == 1:
             return TierOneResult("Witness", point, None)
     return TierOneResult("Undecided", None, None)
 
