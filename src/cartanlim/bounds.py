@@ -7,10 +7,10 @@ the quadratic lower bound (k^2 - 8k + 12)/8, against the k^2 - k upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, InvalidShapeError, KTooSmallError
+from .exactq import _Frozen
 
 #: Most values of k that one `verify_bounds` call reports on.
 MAX_K_VALUES = 10_000
@@ -53,8 +53,7 @@ def upper_bound(k: int) -> int:
     return k * k - k
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Frozen):
     k: int
     best_m: int
     best_n: int

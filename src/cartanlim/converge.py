@@ -15,7 +15,6 @@ read from an integer form as `num / den`, which is correctly rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import sub
@@ -28,7 +27,7 @@ from .errors import (
     ScheduleError,
     ZeroFirstColumnError,
 )
-from .exactq import QMatrix, _cleared, rational
+from .exactq import QMatrix, _cleared, _Frozen, rational
 from .limits import GroupElementParams, SeedMatrix, rho
 
 #: Relative width at which bisection stops; a Newton polish follows.
@@ -173,13 +172,13 @@ def conjugated_element(
     return matrix
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(_Frozen):
     r_values: tuple[Fraction, ...]
     distances: tuple[float, ...]
     diag_entries: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not (len(self.r_values) == len(self.distances) == len(self.diag_entries)):
             raise ValueError("trace lists must have equal length")
 

@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 from itertools import combinations, compress
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -73,10 +74,58 @@ def _format_ratio(num: int, den: int) -> str:
 
 
 class _Frozen:
-    """Base of the immutable values: no attribute can be set or deleted, so
-    each subclass copies and pickles through its own `__reduce__`."""
+    """Base of every immutable value: an attribute is set only while the
+    value is built or a cache is filled (`_set`), and is never deleted.
+
+    Equality (same type, equal identity values), hash (of the identity
+    values) and copying and pickling (as the type called on the identity
+    values) are written here once.  A class names its identity attributes in
+    `_key`; caches stay out of it.  A record's fields, its class annotations,
+    are its identity, kept in the instance dict: it is built from them by
+    position or keyword, and prints as `Name(field=value, ...)`.  Other
+    subclasses bring their own `__init__` and `__repr__`, and their own
+    `__reduce__` where their constructor does not take the identity values.
+    """
 
     __slots__ = ()
+    _fields = _key = ()  # a record's field names; the identity attributes
+
+    def __init_subclass__(cls):
+        if fields := tuple(cls.__dict__.get("__annotations__", ())):
+            cls._fields = cls._key = fields
+        if cls._key:
+            cls._identity = attrgetter(*cls._key)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:  # the keyword values follow the positional ones in field order
+            args += tuple(kwargs.pop(name) for name in names[len(args) :] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(names)} once")
+        vars(self).update(zip(names, args))
+
+    def _set(self, /, **values) -> "_Frozen":
+        """Sets attributes of a value being built, or its caches; returns it.
+        `QMatrix._from_ints`, the most frequent constructor, sets its slots
+        itself, which saves the keyword call."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._identity(self) == self._identity(other)
+
+    def __hash__(self) -> int:
+        return hash(self._identity(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -95,6 +144,7 @@ class QMatrix(_Frozen):
     """
 
     __slots__ = ("_den", "_ints", "_ncols", "_rows")
+    _key = ("_ncols", "_den", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
         grid = tuple(tuple(rational(x) for x in row) for row in rows)
@@ -104,10 +154,7 @@ class QMatrix(_Frozen):
         if any(len(row) != width for row in grid):
             raise DimensionMismatchError("ragged rows")
         den, ints = _cleared(x for row in grid for x in row)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ints", tuple(ints))
-        object.__setattr__(self, "_ncols", width)
-        object.__setattr__(self, "_rows", grid)
+        self._set(_den=den, _ints=tuple(ints), _ncols=width, _rows=grid)
 
     @classmethod
     def _from_ints(cls, den: int, ints: Sequence[int], ncols: int) -> "QMatrix":
@@ -136,7 +183,7 @@ class QMatrix(_Frozen):
             den, width = self._den, self._ncols
             vals = [Fraction(x, den) if x else ZERO for x in self._ints]
             rows = tuple(tuple(vals[i : i + width]) for i in range(0, len(vals), width))
-            object.__setattr__(self, "_rows", rows)
+            self._set(_rows=rows)
         return rows
 
     def _int_rows(self) -> list[list[int]]:
@@ -171,17 +218,6 @@ class QMatrix(_Frozen):
         return QMatrix._from_ints(
             self._den, [x for j in range(width) for x in self._ints[j::width]], self.nrows
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self._ncols == other._ncols
-            and self._den == other._den
-            and self._ints == other._ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._ncols, self._den, self._ints))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if self.shape != other.shape:

@@ -4,7 +4,7 @@ Rationals travel as `p/q` strings, floats as 17-significant-digit decimals,
 and objects are emitted with sorted keys, so identical inputs always produce
 byte-identical documents.  The emitter knows the wire form of each library
 value type (points, matrices, cross-ratio tuples and sets, enums, frozensets
-and result dataclasses), so results are serialized as returned, with no
+and result records), so results are serialized as returned, with no
 per-type adapter.  Fractions are written from their numerator and
 denominator, points from their integer form, and strings and dict keys
 through the ASCII encoder of `json`.
@@ -13,14 +13,13 @@ through the ASCII encoder of `json`.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import ParseError
-from .exactq import QMatrix, _format_ratio, parse_rational
+from .exactq import QMatrix, _format_ratio, _Frozen, parse_rational
 from .limits import GroupElementParams, SeedMatrix
 from .obstruct import (
     LinearBlockFamily,
@@ -57,8 +56,8 @@ def _wire(obj: Any) -> Any:
         return obj.value
     if isinstance(obj, frozenset):
         return sorted(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, _Frozen) and obj._fields:  # a result record
+        return {name: getattr(obj, name) for name in obj._fields}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -104,7 +103,7 @@ def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, `p/q` rationals, 17-digit floats.
 
     Library values (`ProjPoint`, `QMatrix`, cross ratios, result
-    dataclasses) may appear anywhere in `obj`.
+    records, whose fields travel as an object) may appear anywhere in `obj`.
     """
     out: list[str] = []
     _emit(obj, out)

@@ -9,7 +9,6 @@ their dual exceptional-hyperplane configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -34,17 +33,14 @@ class SeedMatrix(_Frozen):
     """An immutable m x n rational matrix with no zero row, defining one limit group."""
 
     __slots__ = ("matrix", "_dual")  # _dual: the primitive rows and their minors, kept by `generic`
+    _key = ("matrix",)
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]] | QMatrix):
         matrix = rows if isinstance(rows, QMatrix) else QMatrix(rows)
         for idx, row in enumerate(matrix._int_rows()):
             if not any(row):
                 raise ZeroRowError(f"row {idx + 1} of the seed matrix is zero")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_dual", None)
-
-    def __reduce__(self):
-        return SeedMatrix, (self.matrix,)
+        self._set(matrix=matrix, _dual=None)
 
     @property
     def m(self) -> int:
@@ -64,7 +60,7 @@ class SeedMatrix(_Frozen):
         """True iff every n x n minor is nonzero: every n rows are independent."""
         if self._dual is None:
             rows = [_primitive(row) for row in self.matrix._int_rows()]
-            object.__setattr__(self, "_dual", (rows, exactq.maximal_minors(rows)))
+            self._set(_dual=(rows, exactq.maximal_minors(rows)))
         return self.m >= self.n and all(self._dual[1].values())
 
     def row(self, j: int) -> tuple[Fraction, ...]:
@@ -73,18 +69,11 @@ class SeedMatrix(_Frozen):
             raise IndexOutOfRangeError(f"row index {j} outside 1..{self.m}")
         return self.matrix.rows[j - 1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SeedMatrix) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
     def __repr__(self) -> str:
         return f"SeedMatrix({self.matrix!r})"
 
 
-@dataclass(frozen=True)
-class GroupElementParams:
+class GroupElementParams(_Frozen):
     """Parameter vector (a_1..a_m, b_1..b_n) of one group element."""
 
     a: tuple[Fraction, ...]
@@ -163,8 +152,7 @@ class OrbitKind(Enum):
     TYPICAL = "Typical"
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(_Frozen):
     kind: OrbitKind
     dim: int
     vanishing: frozenset[int]

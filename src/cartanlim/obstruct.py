@@ -18,7 +18,6 @@ certificate replay all run on that form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
@@ -54,8 +53,7 @@ class Poly(_Frozen):
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             clean[tuple(exps)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        self._set(nvars=nvars, terms=clean)
 
     def __reduce__(self):
         return Poly, (self.nvars, self.terms)
@@ -342,8 +340,7 @@ def builtin_block_family(name: str, seed: Optional[SeedMatrix] = None) -> Linear
 # --- flatness ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(_Frozen):
     verdict: str  # "Flat" or "NotFlat"
     hull_dim: int
     dim_params: int
@@ -399,8 +396,7 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
 # --- tier ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TierReport:
+class TierReport(_Frozen):
     tier: int
     witness: tuple[Fraction, ...]
 
@@ -461,11 +457,14 @@ def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
 # --- rank-one directions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TierOneResult:
+class TierOneResult(_Frozen):
     kind: str  # "No", "Witness" or "Undecided"
     witness: Optional[tuple[Fraction, ...]]
     certificate: Optional[tuple]
+
+    def __hash__(self) -> int:
+        # a "No" certificate holds dicts and lists; equal results share the rest
+        return hash((self.kind, self.witness))
 
 
 def _minor_table(family: LinearBlockFamily) -> list[tuple[tuple[int, int], tuple[int, int], list]]:

@@ -67,6 +67,7 @@ class ProjPoint(_Frozen):
     """A point of RP^{n-1}, keyed by its primitive integer vector `ints`."""
 
     __slots__ = ("ints",)
+    _key = ("ints",)
 
     def __init__(self, coords: Iterable[int | str | Fraction]):
         raw = [rational(c) for c in coords]
@@ -75,14 +76,12 @@ class ProjPoint(_Frozen):
         _, ints = _cleared(raw)
         if not any(ints):
             raise ZeroVectorError("all homogeneous coordinates are zero")
-        object.__setattr__(self, "ints", _primitive(ints))
+        self._set(ints=_primitive(ints))
 
     @classmethod
     def _from_ints(cls, ints: Sequence[int]) -> "ProjPoint":
         """The point of a nonzero integer vector."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "ints", _primitive(ints))
-        return point
+        return object.__new__(cls)._set(ints=_primitive(ints))
 
     def __reduce__(self):
         return ProjPoint._from_ints, (self.ints,)
@@ -107,12 +106,6 @@ class ProjPoint(_Frozen):
         pivot = next(x for x in self.ints if x)
         return tuple(_format_ratio(x, pivot) for x in self.ints)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjPoint) and self.ints == other.ints
-
-    def __hash__(self) -> int:
-        return hash(self.ints)
-
     def __repr__(self) -> str:
         return "[" + " : ".join(self.serialized()) + "]"
 
@@ -124,20 +117,19 @@ class ProjTransform(_Frozen):
     """
 
     __slots__ = ("ints",)
+    _key = ("ints",)
 
     def __init__(self, matrix: QMatrix):
         if matrix.nrows != matrix.ncols:
             raise DimensionMismatchError("projective transform matrix must be square")
         if exactq.det(matrix) == 0:
             raise SingularError("projective transform matrix must be invertible")
-        object.__setattr__(self, "ints", _primitive_matrix(matrix._int_rows()))
+        self._set(ints=_primitive_matrix(matrix._int_rows()))
 
     @classmethod
     def _from_ints(cls, rows: Sequence[Sequence[int]]) -> "ProjTransform":
         """The transform of an integer matrix the caller knows is invertible."""
-        transform = object.__new__(cls)
-        object.__setattr__(transform, "ints", _primitive_matrix(rows))
-        return transform
+        return object.__new__(cls)._set(ints=_primitive_matrix(rows))
 
     def __reduce__(self):
         return ProjTransform._from_ints, (self.ints,)
@@ -167,12 +159,6 @@ class ProjTransform(_Frozen):
         cols = list(zip(*other.ints))
         return ProjTransform._from_ints([_matvec(cols, row) for row in self.ints])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjTransform) and self.ints == other.ints
-
-    def __hash__(self) -> int:
-        return hash(self.ints)
-
     def __repr__(self) -> str:
         return f"ProjTransform({self.matrix!r})"
 
@@ -189,6 +175,7 @@ class AugmentedBasis(_Frozen):
     brackets: `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
 
     __slots__ = ("points", "n", "brackets")
+    _key = ("points",)
 
     def __init__(self, points: Iterable[ProjPoint]):
         pts = tuple(points)
@@ -203,21 +190,13 @@ class AugmentedBasis(_Frozen):
         brackets = exactq.maximal_minors([p.ints for p in pts])
         if not all(brackets.values()):
             raise NotAugmentedBasisError("points are not in general position")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "brackets", MappingProxyType(brackets))
+        self._set(points=pts, n=n, brackets=MappingProxyType(brackets))
 
     @classmethod
     def _from_brackets(cls, rows: Sequence[tuple[int, ...]], brackets: dict[int, int]) -> "AugmentedBasis":
         """The points of m >= n + 2 primitive rows, with a read-only view of their zero-free `maximal_minors(rows)`."""
-        basis = object.__new__(cls)
-        object.__setattr__(basis, "points", tuple(map(ProjPoint._from_ints, rows)))
-        object.__setattr__(basis, "n", len(rows[0]))
-        object.__setattr__(basis, "brackets", MappingProxyType(brackets))
-        return basis
-
-    def __reduce__(self):
-        return AugmentedBasis, (self.points,)
+        points = tuple(map(ProjPoint._from_ints, rows))
+        return object.__new__(cls)._set(points=points, n=len(rows[0]), brackets=MappingProxyType(brackets))
 
     @property
     def m(self) -> int:
@@ -225,12 +204,6 @@ class AugmentedBasis(_Frozen):
 
     def __iter__(self):
         return iter(self.points)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AugmentedBasis) and self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(self.points)
 
     def __repr__(self) -> str:
         return f"AugmentedBasis({list(self.points)!r})"
@@ -240,24 +213,16 @@ class CrossRatioTuple(_Frozen):
     """Ordered tuple of m-(n+1) points: one ordered cross-ratio value."""
 
     __slots__ = ("entries",)
+    _key = ("entries",)
 
     def __init__(self, entries: Iterable[ProjPoint]):
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __reduce__(self):
-        return CrossRatioTuple, (self.entries,)
+        self._set(entries=tuple(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CrossRatioTuple) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"CrossRatioTuple({list(self.entries)!r})"
@@ -272,21 +237,18 @@ class UnorderedCrossRatio(_Frozen):
     """
 
     __slots__ = ("_keys", "_tuples")
+    _key = ("_keys",)
 
     def __init__(self, tuples: Iterable[CrossRatioTuple | tuple[ProjPoint, ...]]):
         keys = frozenset(tuple(p.ints for p in t) for t in tuples)
         if not keys:
             raise ZeroVectorError("unordered cross ratio cannot be empty")
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_tuples", None)
+        self._set(_keys=keys, _tuples=None)
 
     @classmethod
     def _from_keys(cls, keys: Iterable[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
         """The set of the tuples of these point keys, given at least one."""
-        uc = object.__new__(cls)
-        object.__setattr__(uc, "_keys", frozenset(keys))
-        object.__setattr__(uc, "_tuples", None)
-        return uc
+        return object.__new__(cls)._set(_keys=frozenset(keys), _tuples=None)
 
     def __reduce__(self):
         return UnorderedCrossRatio._from_keys, (self._keys,)
@@ -302,7 +264,7 @@ class UnorderedCrossRatio(_Frozen):
             rank = {p.ints: r for r, p in enumerate(ordered)}
             ranked = sorted([tuple(map(rank.__getitem__, t)) for t in self._keys])
             tuples = tuple([CrossRatioTuple(map(ordered.__getitem__, r)) for r in ranked])
-            object.__setattr__(self, "_tuples", tuples)
+            self._set(_tuples=tuples)
         return tuples
 
     def __len__(self) -> int:
@@ -316,12 +278,6 @@ class UnorderedCrossRatio(_Frozen):
         if not all(isinstance(p, ProjPoint) for p in points):
             return False
         return tuple(p.ints for p in points) in self._keys
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnorderedCrossRatio) and self._keys == other._keys
-
-    def __hash__(self) -> int:
-        return hash(self._keys)
 
     def __repr__(self) -> str:
         return f"UnorderedCrossRatio({list(self.tuples)!r})"

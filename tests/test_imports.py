@@ -1,9 +1,13 @@
 """Every module-level import in the package is used by its module, every
 private function, class or method is used somewhere in the package, and every
 module-level name the package assigns is read in the package, its tests or
-its benchmark."""
+its benchmark.  A fresh `import cartanlim.cli` stays off the heavy stdlib
+modules it has no use for."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -158,3 +162,16 @@ def test_no_unread_module_assignments():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     readers = [p.read_text(encoding="utf-8") for folder in ("src", "tests", "bench") for p in (ROOT / folder).rglob("*.py")]
     assert unread_assignments(sources, readers) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the child diffs against its own start, so the interpreter's `site` is left out
+    code = "import sys; start = set(sys.modules); import cartanlim.cli; print(*sorted(set(sys.modules) - start))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=dict(os.environ, PYTHONPATH=path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cartanlim.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import random
-from dataclasses import fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
@@ -43,7 +42,7 @@ from cartanlim import (
 from cartanlim.cli import main
 from cartanlim.converge import _positive_root
 from cartanlim.errors import NotGenericError, RedundantParametersError, SampleCapExceededError, ZeroRowError
-from cartanlim.exactq import maximal_minors
+from cartanlim.exactq import _Frozen, maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -677,8 +676,8 @@ def _wire_oracle(obj):
         return obj.value
     if isinstance(obj, frozenset):
         return sorted(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, _Frozen) and obj._fields:
+        return {name: getattr(obj, name) for name in obj._fields}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
