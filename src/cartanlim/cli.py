@@ -161,12 +161,12 @@ def _flag(args, call: _Call):
 
 
 def _bounds(args, call: _Call):
-    parts = args.k_range.split(":")
-    if len(parts) != 2:
+    match = re.fullmatch(r"([+-]?\d+):([+-]?\d+)", args.k_range, re.ASCII)
+    if match is None:
         raise ParseError(f"bad k range {args.k_range!r}; expected lo:hi")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
+        lo, hi = int(match[1]), int(match[2])
+    except ValueError as exc:  # past the interpreter's integer digit limit
         raise ParseError(f"bad k range {args.k_range!r}: {exc}") from exc
     call.flags["k_range"] = f"{lo}:{hi}"
     reports = verify_bounds(lo, hi)

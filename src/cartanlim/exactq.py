@@ -3,7 +3,7 @@
 Scalars are `fractions.Fraction` (canonical by construction: reduced, positive
 denominator).  A matrix is immutable and kept in one canonical integer form, a
 common denominator and the row-major integer entries over it; products,
-inverses, sums and equality run on that form, and the Fraction rows are
+inverses and equality run on that form, and the Fraction rows are
 derived only when read.  The kernels follow the structure they are given: a
 product copies or scales the right row a unit left row picks, an inverse
 eliminates each connected component of the nonzero pattern on its own (a
@@ -30,7 +30,7 @@ from .errors import (
     SingularError,
 )
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 #: Shared 0 entry of derived rows (Fractions are immutable).
 ZERO = Fraction(0)
@@ -71,6 +71,13 @@ def _format_ratio(num: int, den: int) -> str:
 
         text = str(Decimal(num // g))
         return text if g == den else f"{text}/{Decimal(den // g)}"
+
+
+def _deprecated(name: str, instead: str) -> None:
+    """Warns the caller of the deprecated public `name`, two frames up, what to use instead."""
+    import warnings  # loaded only when a deprecated name is called
+
+    warnings.warn(f"cartanlim.{name} is deprecated; use {instead}", DeprecationWarning, stacklevel=3)
 
 
 class _Frozen:
@@ -205,10 +212,12 @@ class QMatrix(_Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
+        _deprecated("QMatrix.identity(n)", "QMatrix([[int(i == j) for j in range(n)] for i in range(n)])")
         return cls._from_ints(1, [int(i == j) for i in range(n) for j in range(n)], n)
 
     @classmethod
     def diagonal(cls, values: Sequence[int | str | Fraction]) -> "QMatrix":
+        _deprecated("QMatrix.diagonal(values)", "QMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])")
         den, ints = _cleared(rational(v) for v in values)
         n = len(ints)
         return cls._from_ints(den, [ints[i] if i == j else 0 for i in range(n) for j in range(n)], n)
@@ -220,18 +229,25 @@ class QMatrix(_Frozen):
         )
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        _deprecated("QMatrix.__add__ (a + b)", "QMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])")
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "QMatrix") -> "QMatrix":
+        _deprecated("QMatrix.__sub__ (a - b)", "QMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])")
+        return self._plus(other, -1)
+
+    def _plus(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign·other."""
         if self.shape != other.shape:
             raise DimensionMismatchError(f"cannot add {self.shape} and {other.shape}")
         den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
+        sa, sb = den // self._den, sign * (den // other._den)
         return QMatrix._from_ints(
             den, [a * sa + b * sb for a, b in zip(self._ints, other._ints)], self._ncols
         )
 
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "QMatrix":
+        _deprecated("QMatrix.__neg__ (-a)", "QMatrix([[-v for v in row] for row in a.rows])")
         return QMatrix._from_ints(self._den, [-x for x in self._ints], self._ncols)
 
     def __mul__(self, other):
@@ -241,6 +257,7 @@ class QMatrix(_Frozen):
                     f"cannot multiply {self.shape} by {other.shape}"
                 )
             return _product(self, other)
+        _deprecated("QMatrix scalar product (a * x, x * a)", "QMatrix([[x * v for v in row] for row in a.rows])")
         scalar = rational(other)
         return QMatrix._from_ints(
             self._den * scalar.denominator,
@@ -248,8 +265,7 @@ class QMatrix(_Frozen):
             self._ncols,
         )
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -260,6 +276,7 @@ class QMatrix(_Frozen):
 
 def block_diag(*mats: QMatrix) -> QMatrix:
     """Direct sum of square matrices."""
+    _deprecated("exactq.block_diag", "QMatrix of the blocks' rows, each padded with zeros to the total size")
     for m in mats:
         if m.nrows != m.ncols:
             raise NonSquareError("block_diag expects square blocks")

@@ -25,7 +25,7 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, _cleared, _Frozen, rational
+from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
 from .projgeo import AugmentedBasis, ProjPoint, _matvec, _primitive, projectively_equivalent
 
 
@@ -65,6 +65,7 @@ class SeedMatrix(_Frozen):
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         """Row j, 1-based."""
+        _deprecated("SeedMatrix.row(j)", "seed.matrix.rows[j - 1]")
         if not 1 <= j <= self.m:
             raise IndexOutOfRangeError(f"row index {j} outside 1..{self.m}")
         return self.matrix.rows[j - 1]
@@ -123,7 +124,10 @@ def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
 
 def phi(seed: SeedMatrix, j: int, w: Sequence[int | str | Fraction]) -> Fraction:
     """The j-th exceptional linear functional (1-based) on the tail coordinates."""
-    row = seed.row(j)
+    _deprecated("limits.phi", "sum(t * x for t, x in zip(seed.matrix.rows[j - 1], w))")
+    if not 1 <= j <= seed.m:
+        raise IndexOutOfRangeError(f"row index {j} outside 1..{seed.m}")
+    row = seed.matrix.rows[j - 1]
     vals = [rational(x) for x in w]
     if len(vals) != seed.n:
         raise DimensionMismatchError(f"expected {seed.n} tail coordinates")

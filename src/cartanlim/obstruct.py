@@ -32,7 +32,7 @@ from .errors import (
     SampleCapExceededError,
     UnknownNameError,
 )
-from .exactq import QMatrix, _cleared, _Frozen, rational
+from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
 from .limits import SeedMatrix
 
 class Poly(_Frozen):
@@ -84,6 +84,7 @@ class Poly(_Frozen):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        _deprecated("Poly.evaluate", "sum(c * math.prod(map(pow, point, e)) for e, c in poly.terms.items())")
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
@@ -112,7 +113,7 @@ class PolyParamGroup:
 
     The entries are compiled once into rho(v) = I + sum_mu mu(v) C_mu / D, with
     one integer vector C_mu of the k*k entries per nonconstant monomial mu;
-    `_from_coeffs` takes that form directly and derives `entries` from it.
+    `_from_coeffs` takes that form directly, and `entries` is derived from it.
     With check=True construction then checks, in this order, that every entry
     has total degree below `ambient` (an additive family is exp(sum v_i N_i)
     with commuting nilpotent N_i) and that rho(u)rho(v) = rho(u+v) holds as a
@@ -143,7 +144,6 @@ class PolyParamGroup:
                 if any(exps):
                     coeffs.setdefault(exps, {})[pos] = c.numerator * (den // c.denominator)
         self._compile(dim_params, ambient, den, coeffs, check)
-        self.entries = grid
 
     @classmethod
     def _from_coeffs(
@@ -169,8 +169,7 @@ class PolyParamGroup:
 
     @cached_property
     def entries(self) -> tuple[tuple[Poly, ...], ...]:
-        """The entry polynomials: the grid given to __init__, or for a group
-        built from its C_mu, derived from them on first read."""
+        """The entry polynomials, derived from the C_mu on first read."""
         k, d = self.ambient, self.dim_params
         cells = [{(0,) * d: int(pos % (k + 1) == 0)} for pos in range(k * k)]
         for mu, vec in self._coeffs.items():

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 import cartanlim.limits
-from cartanlim.exactq import QMatrix
-from cartanlim.obstruct import Poly
+from cartanlim.obstruct import PolyParamGroup
 from cartanlim.projgeo import ProjTransform
-from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, group_document, run_cli
+from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, group_document, identity_oracle, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
 PARAMS = str(FIXTURES / "params_ones.json")
@@ -105,6 +104,40 @@ def test_negative_rational_after_a_space_is_a_value():
     assert json.loads(spaced[1])["result"]["alpha"] == "-7/2"
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+def test_non_ascii_digits_exit_2(tmp_path, digit):
+    # "\u0663" and "\uff13" are Unicode digits three, which int() and \\d would read as 3
+    seed = write(tmp_path, "seed.json", {"m": 4, "n": 2, "rows": [["1", "0"], ["1", "1"], ["1", "2"], ["1", digit]]})
+    for argv in (
+        ["orbit-dim", seed, str(FIXTURES / "point_typical.json")],
+        ["alpha-orbit", "--alpha", digit],
+        ["alpha-orbit", "--alpha", f"1/{digit}"],
+        ["bounds", "--k-range", f"7:{digit}9"],
+        ["bounds", "--k-range", f"{digit}:9"],
+    ):
+        code, error = error_of(argv)
+        assert code == 2, argv
+        assert error["type"] == "ParseError", argv
+
+
+def test_ascii_forms_read_as_before():
+    # signs, leading zeros and p/q keep their meaning
+    for argv, key, value in (
+        (["alpha-orbit", "--alpha", "3"], "alpha", "3"),
+        (["alpha-orbit", "--alpha", "+06/4"], "alpha", "3/2"),
+        (["bounds", "--k-range", "+07:08"], "k_range", "7:8"),
+    ):
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        assert json.loads(out)["flags"][key] == value, argv
+    for k_range in ("7_0:8_0", "7:8:9", " 7:8", "7:", "0x7:8"):
+        code, error = error_of(["bounds", "--k-range", k_range])
+        assert code == 2 and error["type"] == "ParseError", k_range
+    code, error = error_of(["bounds", "--k-range", "1" * 5000 + ":8"])
+    assert code == 2 and error["type"] == "ParseError"
+    assert "digit" in error["message"]
+
+
 def test_bounds_range_over_the_limit_exits_3():
     code, error = error_of(["bounds", "--k-range", "7:100000000"])
     assert code == 3
@@ -131,10 +164,10 @@ def test_flat_on_redundant_parameters_exits_2(tmp_path):
 
 
 def test_group_degree_above_the_limit_exits_2_before_any_evaluation(tmp_path, monkeypatch):
-    def refuse(self, point):
+    def refuse(self, *args):
         raise AssertionError("an entry was evaluated before the degree check")
 
-    monkeypatch.setattr(Poly, "evaluate", refuse)
+    monkeypatch.setattr(PolyParamGroup, "_combine", refuse)
     path = tmp_path / "group.json"
     path.write_bytes(HUGE_DEGREE_GROUP)
     for subcommand in ("flat", "tier"):
@@ -258,7 +291,7 @@ def test_mixed_shape_family_exits_2(tmp_path):
 def test_failed_self_check_exits_4(monkeypatch):
     # a wrong dual witness: the identity moves the row (1, 3) of the alpha = 3
     # seed onto no row of the alpha = 5 seed
-    identity = ProjTransform(QMatrix.identity(2))
+    identity = ProjTransform(identity_oracle(2))
     monkeypatch.setattr(cartanlim.limits, "projectively_equivalent", lambda left, right: identity)
     code, out = run_cli(["seed-conjugate", SEED, str(FIXTURES / "seed_a5.json")])
     assert code == 4

@@ -22,7 +22,7 @@ from cartanlim.errors import (
 )
 from cartanlim.exactq import QMatrix, det, inverse
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
-from util import FIXTURES, inverse_pr_oracle, run_cli, trace_point_oracle
+from util import FIXTURES, identity_oracle, inverse_pr_oracle, run_cli, sub_oracle, trace_point_oracle
 
 
 def bisect_root(poly, lo, hi, iterations=200):
@@ -46,7 +46,7 @@ def test_build_pr_unipotent():
     t = alpha_seed(3)
     pr = build_Pr(t, F(7, 2))
     assert det(pr) == 1
-    assert pr * inverse(pr) == QMatrix.identity(7)
+    assert pr * inverse(pr) == identity_oracle(7)
 
 
 def test_inverse_pr_matches_fraction_construction():
@@ -198,7 +198,7 @@ def test_convergence_report_decay_and_diagonals():
 def test_target_is_unipotent():
     t = alpha_seed(3)
     p = GroupElementParams.make([1, 2, 3, 4], [5, 6])
-    nil = rho(t, p) - QMatrix.identity(7)
+    nil = sub_oracle(rho(t, p), identity_oracle(7))
     assert nil * nil == QMatrix([[0] * 7 for _ in range(7)])
 
 

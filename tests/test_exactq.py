@@ -18,7 +18,6 @@ from cartanlim.errors import (
 )
 from cartanlim.exactq import (
     QMatrix,
-    block_diag,
     det,
     format_rational,
     independent_rows,
@@ -27,7 +26,16 @@ from cartanlim.exactq import (
     rank,
 )
 from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
-from util import affine_hull_dim_oracle, incremental_basis_oracle, matmul_oracle, run_cli
+from util import (
+    affine_hull_dim_oracle,
+    block_diag_oracle,
+    diagonal_oracle,
+    identity_oracle,
+    incremental_basis_oracle,
+    matmul_oracle,
+    run_cli,
+    scale_oracle,
+)
 
 
 def gauss_rank_oracle(matrix: QMatrix) -> int:
@@ -143,7 +151,7 @@ def test_parse_rational_refuses_a_literal_past_the_int_digit_limit(tmp_path):
 
 
 def test_rank_examples():
-    assert rank(QMatrix.identity(3)) == 3
+    assert rank(identity_oracle(3)) == 3
     assert rank(QMatrix([[0, 0], [0, 0]])) == 0
     assert rank(QMatrix([[1, 2], [2, 4]])) == 1
 
@@ -164,8 +172,8 @@ def test_rank_product_bound(a, b):
 
 
 def test_det_examples():
-    assert det(QMatrix.identity(4)) == 1
-    assert det(QMatrix.diagonal([2, F(1, 2)])) == 1
+    assert det(identity_oracle(4)) == 1
+    assert det(diagonal_oracle([2, F(1, 2)])) == 1
     assert det(QMatrix([[0, 1], [1, 0]])) == -1
 
 
@@ -184,10 +192,8 @@ def test_det_multiplicative(a, b):
 
 
 def test_inverse_examples():
-    assert inverse(QMatrix.identity(5)) == QMatrix.identity(5)
-    assert inverse(QMatrix.diagonal([2, 3, F(1, 6)])) == QMatrix.diagonal(
-        [F(1, 2), F(1, 3), 6]
-    )
+    assert inverse(identity_oracle(5)) == identity_oracle(5)
+    assert inverse(diagonal_oracle([2, 3, F(1, 6)])) == diagonal_oracle([F(1, 2), F(1, 3), 6])
     assert inverse(QMatrix([[1, 1], [0, 1]])) == QMatrix([[1, -1], [0, 1]])
 
 
@@ -203,7 +209,7 @@ def test_inverse_roundtrip(m):
         return
     assert rank(m) == 3
     inv = inverse(m)
-    assert m * inv == QMatrix.identity(3)
+    assert m * inv == identity_oracle(3)
     assert inverse(inv) == m
 
 
@@ -222,8 +228,8 @@ def test_integer_adjugate_times_matrix_is_det(rows):
         return
     adj = exactq.integer_adjugate(rows)
     assert all(isinstance(x, int) for row in adj for x in row)
-    assert a * QMatrix(adj) == QMatrix.identity(len(rows)) * d
-    assert QMatrix(adj) == inverse(a) * d
+    assert a * QMatrix(adj) == scale_oracle(d, identity_oracle(len(rows)))
+    assert QMatrix(adj) == scale_oracle(d, inverse(a))
 
 
 def dense_inverse_oracle(matrix: QMatrix) -> QMatrix:
@@ -232,7 +238,7 @@ def dense_inverse_oracle(matrix: QMatrix) -> QMatrix:
     rows = [list(matrix._ints[i : i + matrix.ncols]) for i in range(0, len(matrix._ints), matrix.ncols)]
     adj = exactq.integer_adjugate(rows)
     d = sum(x * row[0] for x, row in zip(rows[0], adj))
-    return QMatrix(adj) * F(matrix._den, d)
+    return scale_oracle(F(matrix._den, d), QMatrix(adj))
 
 
 @st.composite
@@ -241,7 +247,7 @@ def permuted_block_diagonals(draw):
     1..3, with its rows and columns shuffled independently."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     blocks = [draw(st.lists(st.lists(small_fraction, min_size=s, max_size=s), min_size=s, max_size=s)) for s in sizes]
-    grid = block_diag(*(QMatrix(block) for block in blocks)).rows
+    grid = block_diag_oracle(*(QMatrix(block) for block in blocks)).rows
     k = len(grid)
     row_order = draw(st.permutations(range(k)))
     col_order = draw(st.permutations(range(k)))
@@ -258,7 +264,7 @@ def test_block_split_inverse_matches_fraction_oracle(case):
         return
     got = inverse(a)
     assert_same_matrix(got, gauss_jordan_inverse_oracle(a.rows))
-    assert got * a == QMatrix.identity(a.nrows)
+    assert got * a == identity_oracle(a.nrows)
     assert got == dense_inverse_oracle(a)
 
 
@@ -289,7 +295,7 @@ def test_block_split_inverse_examples():
     # a connected matrix is the one-component case: same result as one adjugate
     a = QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, F(4, 3)]])
     assert inverse(a) == dense_inverse_oracle(a)
-    assert inverse(a) * a == QMatrix.identity(3)
+    assert inverse(a) * a == identity_oracle(3)
 
 
 @pytest.mark.parametrize(
@@ -394,7 +400,7 @@ def column(values) -> QMatrix:
 
 def test_solve_examples():
     # A·x = b for an invertible A is inverse(A) times the column b
-    assert inverse(QMatrix.identity(2)) * column([3, 5]) == column([3, 5])
+    assert inverse(identity_oracle(2)) * column([3, 5]) == column([3, 5])
     assert inverse(QMatrix([[1, 0], [0, 2]])) * column([1, 1]) == column([1, F(1, 2)])
     with pytest.raises(SingularError):
         inverse(QMatrix([[1, 1], [1, 1]]))
@@ -402,7 +408,7 @@ def test_solve_examples():
 
 def test_solve_shape_check():
     with pytest.raises(DimensionMismatchError):
-        inverse(QMatrix.identity(2)) * column([1, 2, 3])
+        inverse(identity_oracle(2)) * column([1, 2, 3])
 
 
 # --- one elimination kernel ------------------------------------------------------
@@ -473,7 +479,7 @@ def test_inverse_exactly_when_det_nonzero(rows):
         with pytest.raises(SingularError):
             inverse(a)
     else:
-        assert a * inverse(a) == QMatrix.identity(a.nrows)
+        assert a * inverse(a) == identity_oracle(a.nrows)
 
 
 # --- affine hull ------------------------------------------------------------------------
@@ -503,9 +509,6 @@ def test_qmatrix_validation():
         QMatrix([])
     with pytest.raises(DimensionMismatchError):
         QMatrix([[1, 2], [3]])
-    for empty in (lambda: QMatrix.identity(0), lambda: QMatrix.diagonal([]), block_diag):
-        with pytest.raises(EmptyInputError):
-            empty()
 
 
 # --- matrix product --------------------------------------------------------------------
@@ -580,41 +583,6 @@ def test_product_shape_mismatch(data):
         a * b
 
 
-@given(st.data(), product_entry | st.integers(-5, 5))
-@settings(max_examples=50, deadline=None)
-def test_scalar_product_unchanged(data, scalar):
-    a = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
-    want = QMatrix([x * scalar for x in row] for row in a.rows)
-    assert a * scalar == want
-    assert scalar * a == want
-    assert all(type(x) is F for row in (a * scalar).rows for x in row)
-
-
-def test_shared_constants_match_fraction_constructions():
-    for n in range(1, 6):
-        assert QMatrix.identity(n).rows == tuple(
-            tuple(F(i == j) for j in range(n)) for i in range(n)
-        )
-    blocks = (QMatrix([[2, 3], [0, -1]]), QMatrix([[F(1, 2)]]), QMatrix.identity(2))
-    total = 5
-    old = [[F(0)] * total for _ in range(total)]
-    offset = 0
-    for block in blocks:
-        for i, row in enumerate(block.rows):
-            for j, x in enumerate(row):
-                old[offset + i][offset + j] = x
-        offset += block.nrows
-    assert block_diag(*blocks) == QMatrix(old)
-    assert QMatrix.diagonal([3, 0, F(-1, 2)]) == QMatrix(
-        [[3, 0, 0], [0, 0, 0], [0, 0, F(-1, 2)]]
-    )
-
-
-def test_block_diag():
-    got = block_diag(QMatrix.identity(2), QMatrix([[5]]))
-    assert got == QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
-
-
 def test_matvec_and_transpose():
     m = QMatrix([[1, 2], [3, 4]])
     assert m * column([1, 1]) == column([3, 7])
@@ -671,15 +639,7 @@ def test_derived_matrices_match_fraction_built_ones(data):
     zero = QMatrix([[0] * k] * n)
     assert_same_matrix(a * b, matmul_oracle(a, b).rows)
     assert_same_matrix(zero * b, [[0] * n] * n)
-    assert_same_matrix(a * 0, zero.rows)
     assert_same_matrix(a.transpose(), list(zip(*a.rows)))
-    assert_same_matrix(-a, [[-x for x in row] for row in a.rows])
-    assert_same_matrix(a - a, zero.rows)
-    assert_same_matrix(b.transpose() + a, [[x + y for x, y in zip(r, s)] for r, s in zip(zip(*b.rows), a.rows)])
-    assert_same_matrix(
-        block_diag(c, QMatrix.identity(1), QMatrix([[0]])),
-        [list(row) + [0, 0] for row in c.rows] + [[0] * n + [1, 0], [0] * (n + 2)],
-    )
     if det(c) != 0:
         assert_same_matrix(inverse(c), gauss_jordan_inverse_oracle(c.rows))
 
@@ -708,7 +668,7 @@ def test_rho_matches_fraction_oracle(rows, data):
 @settings(max_examples=30, deadline=None)
 def test_rows_and_integer_form_cannot_be_set(data):
     a = data.draw(sparse_matrices(data.draw(dims), 3))
-    for matrix in (a, a * QMatrix.identity(3)):
+    for matrix in (a, a * identity_oracle(3)):
         before = (matrix.rows, matrix._den, matrix._ints, matrix._ncols)
         for name in ("rows", "_den", "_ints", "_ncols"):
             with pytest.raises(AttributeError):

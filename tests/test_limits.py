@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cartanlim.errors import (
     DegenerateAlphaError,
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InternalError,
     NotGenericError,
     ShapeMismatchError,
@@ -16,7 +15,7 @@ from cartanlim.errors import (
     ZeroRowError,
 )
 from cartanlim import exactq, limits
-from cartanlim.exactq import QMatrix, block_diag, det, inverse
+from cartanlim.exactq import QMatrix, det, inverse
 from cartanlim.limits import (
     GroupElementParams,
     OrbitKind,
@@ -31,7 +30,6 @@ from cartanlim.limits import (
     group_action,
     normalized_slice_member,
     orbit_dimension,
-    phi,
     rho,
     seed_conjugator,
 )
@@ -39,16 +37,20 @@ from cartanlim.projgeo import AugmentedBasis, ProjPoint, ProjTransform, projecti
 
 from util import (
     assert_witness_verifies,
+    block_diag_oracle,
     conjugacy_witness_oracle,
     element_params_oracle,
+    identity_oracle,
     matvec_oracle,
     normalized_slice_oracle,
     orbit_hull_dim,
+    phi_oracle,
     random_fraction,
     random_generic_seed,
     random_invertible,
     random_params,
     random_rational_seed,
+    scale_oracle,
     seed_conjugator_oracle,
 )
 
@@ -77,7 +79,7 @@ def test_is_generic_too_few_rows():
 
 def test_rho_zero_is_identity():
     t = alpha_seed(3)
-    assert rho(t, GroupElementParams.zero(t)) == QMatrix.identity(7)
+    assert rho(t, GroupElementParams.zero(t)) == identity_oracle(7)
 
 
 def test_rho_smallest_case():
@@ -124,7 +126,7 @@ def test_rho_homomorphism():
     for _ in range(10):
         p, q = random_params(rng, t), random_params(rng, t)
         assert rho(t, p) * rho(t, q) == rho(t, p + q)
-    assert rho(t, GroupElementParams.zero(t)) == QMatrix.identity(7)
+    assert rho(t, GroupElementParams.zero(t)) == identity_oracle(7)
 
 
 def test_rho_dimension_mismatch():
@@ -153,7 +155,7 @@ def test_element_params_matches_rebuild_oracle(rows):
     for params in (GroupElementParams.zero(seed), random_params(rng, seed), random_params(rng, seed)):
         grid = [list(row) for row in rho(seed, params).rows]
         assert element_params(seed, QMatrix(grid)) == element_params_oracle(seed, QMatrix(grid)) == params
-        assert element_params(seed, QMatrix(grid) * 2) is None
+        assert element_params(seed, scale_oracle(2, QMatrix(grid))) is None
         # one entry bumped at a time: the diagonal, off the block, the bottom
         # identity rows, the block rows and row m (the b-row)
         for i in range(k):
@@ -174,24 +176,10 @@ def test_element_params_matches_rebuild_oracle(rows):
 
 def test_element_params_wrong_shape_is_none():
     seed = alpha_seed(3)
-    assert element_params(seed, QMatrix.identity(8)) is None
-    assert element_params(seed, QMatrix.identity(6)) is None
+    assert element_params(seed, identity_oracle(8)) is None
+    assert element_params(seed, identity_oracle(6)) is None
     assert element_params(seed, QMatrix([[0] * 8] * 7)) is None
     assert element_params(seed, QMatrix([[0] * 7] * 8)) is None
-
-
-# --- the linear functionals -----------------------------------------------------------
-
-
-def test_phi_examples():
-    t = SeedMatrix([[1, 0], [1, 1], [1, 2], [1, 3]])
-    assert phi(t, 1, [5, 7]) == 5
-    assert phi(t, 2, [0, 0]) == 0
-    assert phi(t, 3, [2, -1]) == 0
-    with pytest.raises(IndexOutOfRangeError):
-        phi(t, 5, [1, 1])
-    with pytest.raises(IndexOutOfRangeError):
-        phi(t, 0, [1, 1])
 
 
 # --- the projective action --------------------------------------------------------------
@@ -316,7 +304,7 @@ def test_orbit_dimension_matches_the_oracles_on_rational_seeds():
         assert oc.dim == orbit_hull_dim(t, x)
         tail = x.coords[t.m + 1 :]
         if any(tail):
-            assert oc.vanishing == {j for j in range(1, t.m + 1) if phi(t, j, tail) == 0}
+            assert oc.vanishing == {j for j in range(1, t.m + 1) if phi_oracle(t, j, tail) == 0}
         else:
             assert oc == limits.OrbitClass(OrbitKind.FIXED, 0, frozenset(range(1, t.m + 1)))
     assert kinds == set(OrbitKind)
@@ -380,7 +368,7 @@ def test_dual_of_conjugated_seed_is_equivalent():
 
 def test_conjugate_seed_examples():
     t = alpha_seed(3)
-    assert conjugate_seed(t, QMatrix.identity(2)) == t
+    assert conjugate_seed(t, identity_oracle(2)) == t
     scaled = conjugate_seed(t, QMatrix([[1, 0], [0, 2]]))
     assert scaled.matrix == QMatrix([[1, 0], [1, 2], [1, 4], [1, 6]])
 
@@ -432,7 +420,7 @@ def test_are_conjugate_roundtrip():
 def test_are_conjugate_wrong_dual_witness_is_internal_error(monkeypatch):
     # the identity moves the row (1, 3) of the alpha = 3 seed onto no row of
     # the alpha = 5 seed
-    identity = ProjTransform(QMatrix.identity(2))
+    identity = ProjTransform(identity_oracle(2))
     monkeypatch.setattr(limits, "projectively_equivalent", lambda left, right: identity)
     with pytest.raises(InternalError):
         are_conjugate(alpha_seed(3), alpha_seed(5))
@@ -481,7 +469,7 @@ def test_conjugacy_inverses_eliminate_at_most_n_by_n(monkeypatch, m, n):
     sizes = []
     original = exactq.integer_adjugate
     monkeypatch.setattr(exactq, "integer_adjugate", lambda rows: sizes.append(len(rows)) or original(rows))
-    assert inverse(block_diag(QMatrix.identity(m + 1), p_inv)) == block_diag(QMatrix.identity(m + 1), p)
+    assert inverse(block_diag_oracle(identity_oracle(m + 1), p_inv)) == block_diag_oracle(identity_oracle(m + 1), p)
     assert max(sizes, default=0) <= n
     sizes.clear()
     witness = are_conjugate(t, s)

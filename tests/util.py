@@ -28,7 +28,6 @@ from cartanlim import (
     TierReport,
     UnorderedCrossRatio,
     basis_transform,
-    block_diag,
     build_Pr,
     builtin_group,
     det,
@@ -41,7 +40,14 @@ from cartanlim import (
 )
 from cartanlim.cli import main
 from cartanlim.converge import _positive_root
-from cartanlim.errors import NotGenericError, RedundantParametersError, SampleCapExceededError, ZeroRowError
+from cartanlim.errors import (
+    DimensionMismatchError,
+    NonSquareError,
+    NotGenericError,
+    RedundantParametersError,
+    SampleCapExceededError,
+    ZeroRowError,
+)
 from cartanlim.exactq import _Frozen, maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
@@ -161,9 +167,67 @@ def assert_witness_verifies(left: SeedMatrix, right: SeedMatrix, witness: QMatri
         assert element_params(right, witness * rho(left, params) * w_inv) is not None
 
 
+def identity_oracle(n: int) -> QMatrix:
+    """Copy of the deprecated `QMatrix.identity`: the n x n identity from its Fraction rows."""
+    return QMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def diagonal_oracle(values) -> QMatrix:
+    """Copy of the deprecated `QMatrix.diagonal`, from its Fraction rows."""
+    vals = [Fraction(v) for v in values]
+    return QMatrix([[v if i == j else Fraction(0) for j in range(len(vals))] for i, v in enumerate(vals)])
+
+
+def block_diag_oracle(*mats: QMatrix) -> QMatrix:
+    """Copy of the deprecated `exactq.block_diag`: each block's Fraction rows
+    padded with zeros to the total size."""
+    if any(m.nrows != m.ncols for m in mats):
+        raise NonSquareError("block_diag expects square blocks")
+    total, offset, rows = sum(m.nrows for m in mats), 0, []
+    for m in mats:
+        rows += [[Fraction(0)] * offset + list(row) + [Fraction(0)] * (total - offset - m.ncols) for row in m.rows]
+        offset += m.ncols
+    return QMatrix(rows)
+
+
+def add_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Copy of the deprecated `a + b`: the entrywise Fraction sums."""
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"cannot add {a.shape} and {b.shape}")
+    return QMatrix([x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows))
+
+
+def sub_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Copy of the deprecated `a - b`: the entrywise Fraction differences."""
+    return add_oracle(a, neg_oracle(b))
+
+
+def neg_oracle(a: QMatrix) -> QMatrix:
+    """Copy of the deprecated `-a`: the negated Fraction entries."""
+    return QMatrix([-x for x in row] for row in a.rows)
+
+
+def scale_oracle(x, a: QMatrix) -> QMatrix:
+    """Copy of the deprecated scalar products `x * a` and `a * x`."""
+    x = Fraction(x)
+    return QMatrix([x * v for v in row] for row in a.rows)
+
+
+def phi_oracle(seed: SeedMatrix, j: int, w) -> Fraction:
+    """Copy of the deprecated `limits.phi`: row j (1-based) of the seed's
+    Fraction rows against the tail coordinates w."""
+    return sum((t * Fraction(x) for t, x in zip(seed.matrix.rows[j - 1], w, strict=True)), Fraction(0))
+
+
+def poly_evaluate_oracle(poly: Poly, point) -> Fraction:
+    """Copy of the deprecated `Poly.evaluate`: the sum of the terms at the
+    Fraction point."""
+    return sum((c * prod(Fraction(x) ** e for x, e in zip(point, exps)) for exps, c in poly.terms.items()), Fraction(0))
+
+
 def inverse_pr_oracle(pr: QMatrix) -> QMatrix:
     """P_r^-1 = I - N = 2I - P_r, since N = P_r - I has N^2 = 0."""
-    return QMatrix.identity(pr.nrows) * 2 - pr
+    return sub_oracle(scale_oracle(2, identity_oracle(pr.nrows)), pr)
 
 
 def trace_point_oracle(seed: SeedMatrix, params: GroupElementParams, r) -> tuple[list[float], list[list[float]]]:
@@ -177,14 +241,14 @@ def trace_point_oracle(seed: SeedMatrix, params: GroupElementParams, r) -> tuple
     cs += [-b / (r * r) for b in params.b]
     root = _positive_root([float(c) for c in cs])
     pr = build_Pr(seed, r)
-    exact = inverse_pr_oracle(pr) * QMatrix.diagonal(cs) * pr
+    exact = inverse_pr_oracle(pr) * diagonal_oracle(cs) * pr
     matrix = [[float(x) + (root if i == j else 0.0) for j, x in enumerate(row)] for i, row in enumerate(exact.rows)]
     return [row[i] for i, row in enumerate(matrix)], matrix
 
 
 def seed_conjugator_oracle(seed: SeedMatrix, p: QMatrix) -> QMatrix:
     """The dense construction of `seed_conjugator`: I_{m+1} (+) P^{-1}."""
-    return block_diag(QMatrix.identity(seed.m + 1), inverse(p))
+    return block_diag_oracle(identity_oracle(seed.m + 1), inverse(p))
 
 
 def conjugacy_witness_oracle(left: SeedMatrix, right: SeedMatrix):
@@ -238,7 +302,7 @@ def normalized_slice_oracle(free_rows: QMatrix) -> SeedMatrix:
     """Independent oracle for `normalized_slice_member`: the Fraction rows of
     I_n, the all-ones row and the free rows, stacked."""
     n = free_rows.ncols
-    rows = [*QMatrix.identity(n).rows, tuple(Fraction(1) for _ in range(n)), *free_rows.rows]
+    rows = [*identity_oracle(n).rows, tuple(Fraction(1) for _ in range(n)), *free_rows.rows]
     try:
         seed = SeedMatrix(rows)
     except ZeroRowError as exc:
@@ -289,7 +353,7 @@ def canonical_matrix_oracle(matrix: QMatrix) -> QMatrix:
     """Independent oracle for `ProjTransform.matrix`: the matrix divided by
     its first nonzero entry in row-major order."""
     pivot = next(x for row in matrix.rows for x in row if x != 0)
-    return matrix * (1 / pivot)
+    return scale_oracle(1 / pivot, matrix)
 
 
 def basis_transform_oracle(points) -> QMatrix:
@@ -401,10 +465,10 @@ def tier_oracle(group: PolyParamGroup) -> TierReport:
     points.append(tuple(Fraction(1) for _ in range(d)))
     rng = random.Random(0)
     points += [_random_rational_vector(rng, d) for _ in range(50)]
-    ident = QMatrix.identity(group.ambient)
+    ident = identity_oracle(group.ambient)
     best, best_point = -1, None
     for point in points:
-        r = rank(group.evaluate(point) - ident)
+        r = rank(sub_oracle(group.evaluate(point), ident))
         if r > best:
             best, best_point = r, point
     return TierReport(best, best_point)
@@ -416,7 +480,7 @@ def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
     all-ones prefix and 10 seeded random rationals), carried up the levels."""
     group = builtin_group("LT", seed_matrix)
     d = group.dim_params
-    ident = QMatrix.identity(group.ambient)
+    ident = identity_oracle(group.ambient)
     rng = random.Random(0)
     profile: list[int] = []
     best = 0
@@ -428,7 +492,7 @@ def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
         for _ in range(10):
             points.append(_random_rational_vector(rng, level) + (Fraction(0),) * (d - level))
         for point in points:
-            best = max(best, rank(group.evaluate(point) - ident))
+            best = max(best, rank(sub_oracle(group.evaluate(point), ident)))
         profile.append(best)
     return tuple(profile)
 
@@ -436,14 +500,14 @@ def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
 def flatness_oracle(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     """Independent oracle for `flatness_check`: the Fraction images of the
     grid of degree+1 values per variable, read entry by entry with
-    `Poly.evaluate`, and the points whose difference from the image of 0 is
+    `poly_evaluate_oracle`, and the points whose difference from the image of 0 is
     independent of the ones before, by rational elimination."""
     sizes = tuple(max(degs) + 1 for degs in zip(*(p.max_degrees() for row in group.entries for p in row)))
     total = prod(sizes)
     if total > cap:
         raise SampleCapExceededError(f"certifying grid has {total} points, above the cap of {cap}")
     points = [tuple(Fraction(x) for x in combo) for combo in product(*(range(s) for s in sizes))]
-    images = [[p.evaluate(point) for row in group.entries for p in row] for point in points]
+    images = [[poly_evaluate_oracle(p, point) for row in group.entries for p in row] for point in points]
     grew = incremental_basis_oracle([[x - y for x, y in zip(image, images[0])] for image in images])
     if len(grew) < group.dim_params:
         raise RedundantParametersError("image hull is smaller than the parameter count")
