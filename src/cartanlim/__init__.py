@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .bounds import BoundsReport, best_integer_split, dim_T, g_value, lower_bound, upper_bound, verify_bounds
 from .converge import ConvergenceTrace, build_Pr, conjugated_element, convergence_report, diagonal_for_target
-from .exactq import QMatrix, block_diag, det, format_rational, inverse, parse_rational, rank, rational
+from .exactq import QMatrix, det, format_rational, inverse, parse_rational, rank, rational
 from .limits import (
     GroupElementParams,
     OrbitClass,
@@ -28,7 +28,6 @@ from .limits import (
     group_action,
     normalized_slice_member,
     orbit_dimension,
-    phi,
     rho,
     seed_conjugator,
 )

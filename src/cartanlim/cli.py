@@ -173,8 +173,18 @@ def _bounds(args, call: _Call):
     return {"reports": reports, "all_ok": all(r.ok for r in reports)}
 
 
+def _ascii(convert):
+    """The argparse type `convert`, for ASCII text with no `_` and no surrounding space."""
+    def read(text: str):
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueError(text)
+        return convert(text)
+    read.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return read
+
+
 _BASIS, _SEED = "augmented basis JSON file", "seed JSON file"
-_SAMPLE_CAP = ("--sample-cap", {"type": int, "default": 2000, "help": "certifying-sample cap (default 2000)"})
+_SAMPLE_CAP = ("--sample-cap", {"type": _ascii(int), "default": 2000, "help": "certifying-sample cap (default 2000)"})
 
 # (name, help, handler, positional (name, help) pairs, extra option) of each
 # (sub)command, in help-page order.  A handler loads the inputs, adds its keys
@@ -219,9 +229,9 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str, commands: tuple) -
             p.add_argument(file_name, help=file_help)
         if option is not None:
             p.add_argument(option[0], **option[1])
-        p.add_argument("--cap", type=int, default=8, help="ordering-enumeration cap (default 8)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
-        p.add_argument("--tolerance", type=float, default=1e-12, help="numeric tolerance (default 1e-12)")
+        p.add_argument("--cap", type=_ascii(int), default=8, help="ordering-enumeration cap (default 8)")
+        p.add_argument("--seed", type=_ascii(int), default=0, help="seed for all sampling (default 0)")
+        p.add_argument("--tolerance", type=_ascii(float), default=1e-12, help="numeric tolerance (default 1e-12)")
         p.set_defaults(run=run)
 
 

@@ -69,7 +69,7 @@ class TooFewRowsError(CartanlimError):
 
 
 class IndexOutOfRangeError(CartanlimError):
-    pass
+    """Raised by no library function; kept so that existing `except` clauses still work."""
 
 
 class NotGenericError(CartanlimError):

@@ -73,13 +73,6 @@ def _format_ratio(num: int, den: int) -> str:
         return text if g == den else f"{text}/{Decimal(den // g)}"
 
 
-def _deprecated(name: str, instead: str) -> None:
-    """Warns the caller of the deprecated public `name`, two frames up, what to use instead."""
-    import warnings  # loaded only when a deprecated name is called
-
-    warnings.warn(f"cartanlim.{name} is deprecated; use {instead}", DeprecationWarning, stacklevel=3)
-
-
 class _Frozen:
     """Base of every immutable value: an attribute is set only while the
     value is built or a cache is filled (`_set`), and is never deleted.
@@ -210,45 +203,11 @@ class QMatrix(_Frozen):
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        _deprecated("QMatrix.identity(n)", "QMatrix([[int(i == j) for j in range(n)] for i in range(n)])")
-        return cls._from_ints(1, [int(i == j) for i in range(n) for j in range(n)], n)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int | str | Fraction]) -> "QMatrix":
-        _deprecated("QMatrix.diagonal(values)", "QMatrix([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])")
-        den, ints = _cleared(rational(v) for v in values)
-        n = len(ints)
-        return cls._from_ints(den, [ints[i] if i == j else 0 for i in range(n) for j in range(n)], n)
-
     def transpose(self) -> "QMatrix":
         width = self._ncols
         return QMatrix._from_ints(
             self._den, [x for j in range(width) for x in self._ints[j::width]], self.nrows
         )
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        _deprecated("QMatrix.__add__ (a + b)", "QMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])")
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        _deprecated("QMatrix.__sub__ (a - b)", "QMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])")
-        return self._plus(other, -1)
-
-    def _plus(self, other: "QMatrix", sign: int) -> "QMatrix":
-        """self + sign·other."""
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"cannot add {self.shape} and {other.shape}")
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        return QMatrix._from_ints(
-            den, [a * sa + b * sb for a, b in zip(self._ints, other._ints)], self._ncols
-        )
-
-    def __neg__(self) -> "QMatrix":
-        _deprecated("QMatrix.__neg__ (-a)", "QMatrix([[-v for v in row] for row in a.rows])")
-        return QMatrix._from_ints(self._den, [-x for x in self._ints], self._ncols)
 
     def __mul__(self, other):
         if isinstance(other, QMatrix):
@@ -257,40 +216,13 @@ class QMatrix(_Frozen):
                     f"cannot multiply {self.shape} by {other.shape}"
                 )
             return _product(self, other)
-        _deprecated("QMatrix scalar product (a * x, x * a)", "QMatrix([[x * v for v in row] for row in a.rows])")
-        scalar = rational(other)
-        return QMatrix._from_ints(
-            self._den * scalar.denominator,
-            [x * scalar.numerator for x in self._ints],
-            self._ncols,
-        )
-
-    __rmul__ = __mul__
+        return NotImplemented
 
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(format_rational(x) for x in row) for row in self.rows
         )
         return f"QMatrix[{body}]"
-
-
-def block_diag(*mats: QMatrix) -> QMatrix:
-    """Direct sum of square matrices."""
-    _deprecated("exactq.block_diag", "QMatrix of the blocks' rows, each padded with zeros to the total size")
-    for m in mats:
-        if m.nrows != m.ncols:
-            raise NonSquareError("block_diag expects square blocks")
-    total = sum(m.nrows for m in mats)
-    den = lcm(*(m._den for m in mats))
-    ints = [0] * (total * total)
-    offset = 0
-    for m in mats:
-        scale = den // m._den
-        for i, row in enumerate(m._int_rows()):
-            start = (offset + i) * total + offset
-            ints[start : start + len(row)] = [x * scale for x in row]
-        offset += m.nrows
-    return QMatrix._from_ints(den, ints, total)
 
 
 def _cleared(values: Iterable[Fraction]) -> tuple[int, list[int]]:

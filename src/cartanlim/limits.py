@@ -17,7 +17,6 @@ from . import exactq
 from .errors import (
     DegenerateAlphaError,
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InternalError,
     NotGenericError,
     ShapeMismatchError,
@@ -25,7 +24,7 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
+from .exactq import QMatrix, _cleared, _Frozen, rational
 from .projgeo import AugmentedBasis, ProjPoint, _matvec, _primitive, projectively_equivalent
 
 
@@ -62,13 +61,6 @@ class SeedMatrix(_Frozen):
             rows = [_primitive(row) for row in self.matrix._int_rows()]
             self._set(_dual=(rows, exactq.maximal_minors(rows)))
         return self.m >= self.n and all(self._dual[1].values())
-
-    def row(self, j: int) -> tuple[Fraction, ...]:
-        """Row j, 1-based."""
-        _deprecated("SeedMatrix.row(j)", "seed.matrix.rows[j - 1]")
-        if not 1 <= j <= self.m:
-            raise IndexOutOfRangeError(f"row index {j} outside 1..{self.m}")
-        return self.matrix.rows[j - 1]
 
     def __repr__(self) -> str:
         return f"SeedMatrix({self.matrix!r})"
@@ -120,18 +112,6 @@ def rho(seed: SeedMatrix, params: GroupElementParams) -> QMatrix:
         ints[j * k + m + 1 : (j + 1) * k] = [t * factor for t in row]
     ints[m * k + m + 1 : (m + 1) * k] = [seed_den * x for x in factors[m:]]
     return QMatrix._from_ints(den, ints, k)
-
-
-def phi(seed: SeedMatrix, j: int, w: Sequence[int | str | Fraction]) -> Fraction:
-    """The j-th exceptional linear functional (1-based) on the tail coordinates."""
-    _deprecated("limits.phi", "sum(t * x for t, x in zip(seed.matrix.rows[j - 1], w))")
-    if not 1 <= j <= seed.m:
-        raise IndexOutOfRangeError(f"row index {j} outside 1..{seed.m}")
-    row = seed.matrix.rows[j - 1]
-    vals = [rational(x) for x in w]
-    if len(vals) != seed.n:
-        raise DimensionMismatchError(f"expected {seed.n} tail coordinates")
-    return sum((t * x for t, x in zip(row, vals)), Fraction(0))
 
 
 def group_action(

@@ -32,7 +32,7 @@ from .errors import (
     SampleCapExceededError,
     UnknownNameError,
 )
-from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
+from .exactq import QMatrix, _cleared, _Frozen, rational
 from .limits import SeedMatrix
 
 class Poly(_Frozen):
@@ -82,17 +82,6 @@ class Poly(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        _deprecated("Poly.evaluate", "sum(c * math.prod(map(pow, point, e)) for e, c in poly.terms.items())")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(point, exps):
-                if e:
-                    term *= value**e
-            total += term
-        return total
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))

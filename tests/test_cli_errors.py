@@ -118,6 +118,12 @@ def test_non_ascii_digits_exit_2(tmp_path, digit):
         code, error = error_of(argv)
         assert code == 2, argv
         assert error["type"] == "ParseError", argv
+    # the numeric flags take ASCII only, with no `_` and no surrounding space
+    for flag in ("--seed", "--cap", "--sample-cap", "--tolerance"):
+        for value in (digit, f"1{digit}", "1_0", " 5 ", "5 "):
+            code, error = error_of(["obstruct", "flag", SEED, f"{flag}={value}"])
+            assert code == 2 and error["type"] == "ParseError", (flag, value)
+            assert f"argument {flag}: invalid" in error["message"], (flag, value)
 
 
 def test_ascii_forms_read_as_before():
@@ -126,6 +132,9 @@ def test_ascii_forms_read_as_before():
         (["alpha-orbit", "--alpha", "3"], "alpha", "3"),
         (["alpha-orbit", "--alpha", "+06/4"], "alpha", "3/2"),
         (["bounds", "--k-range", "+07:08"], "k_range", "7:8"),
+        (["bounds", "--k-range", "7:8", "--seed", "+07"], "seed", 7),
+        (["bounds", "--k-range", "7:8", "--cap", "08"], "cap", 8),
+        (["bounds", "--k-range", "7:8", "--tolerance", "1E-9"], "tolerance", 1e-9),
     ):
         code, out = run_cli(argv)
         assert code == 0, argv

@@ -26,6 +26,7 @@ from cartanlim.exactq import (
     rank,
 )
 from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
+from cartanlim.obstruct import Poly
 from util import (
     affine_hull_dim_oracle,
     block_diag_oracle,
@@ -581,6 +582,22 @@ def test_product_shape_mismatch(data):
     b = data.draw(sparse_matrices(other, p))
     with pytest.raises(DimensionMismatchError):
         a * b
+
+
+def test_removed_sums_scalars_and_helpers_are_gone():
+    a, b = QMatrix([[1, F(1, 2)], [0, -3]]), QMatrix([[2, 0], [F(-1, 3), 1]])
+    for call in (lambda: a + b, lambda: a - b, lambda: -a, lambda: a * 2, lambda: 2 * a, lambda: F(1, 2) * a):
+        with pytest.raises(TypeError):
+            call()
+    for owner, name in ((QMatrix, "identity"), (QMatrix, "diagonal"), (SeedMatrix, "row"), (Poly, "evaluate")):
+        assert not hasattr(owner, name)
+    with pytest.raises(ImportError):
+        from cartanlim import block_diag
+    with pytest.raises(ImportError):
+        from cartanlim.limits import phi
+    assert a * b == matmul_oracle(a, b)
+    with pytest.raises(DimensionMismatchError, match=r"cannot multiply \(2, 2\) by \(1, 2\)"):
+        a * QMatrix([[1, 2]])
 
 
 def test_matvec_and_transpose():

@@ -769,11 +769,11 @@ def test_exponential_reports_equal_the_fraction_oracles(nilpotent, nvars):
     assert tier(group) == tier_oracle(group)
 
 
-def test_obstructions_on_the_builtin_groups_evaluate_no_polynomial(monkeypatch):
+def test_obstructions_on_the_builtin_groups_evaluate_no_dense_element(monkeypatch):
     def refuse(self, point):
-        raise AssertionError("an entry polynomial was evaluated")
+        raise AssertionError("a group element was evaluated densely")
 
-    monkeypatch.setattr(Poly, "evaluate", refuse)
+    monkeypatch.setattr(PolyParamGroup, "evaluate", refuse)
     for name, seed in [("M5", None), ("M6", None), ("E", None), ("LT", alpha_seed(3))]:
         group = builtin_group(name, seed)
         flatness_check(group)

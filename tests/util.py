@@ -168,19 +168,19 @@ def assert_witness_verifies(left: SeedMatrix, right: SeedMatrix, witness: QMatri
 
 
 def identity_oracle(n: int) -> QMatrix:
-    """Copy of the deprecated `QMatrix.identity`: the n x n identity from its Fraction rows."""
+    """The n x n identity, from its Fraction rows."""
     return QMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
 
 def diagonal_oracle(values) -> QMatrix:
-    """Copy of the deprecated `QMatrix.diagonal`, from its Fraction rows."""
+    """The diagonal matrix of the values, from its Fraction rows."""
     vals = [Fraction(v) for v in values]
     return QMatrix([[v if i == j else Fraction(0) for j in range(len(vals))] for i, v in enumerate(vals)])
 
 
 def block_diag_oracle(*mats: QMatrix) -> QMatrix:
-    """Copy of the deprecated `exactq.block_diag`: each block's Fraction rows
-    padded with zeros to the total size."""
+    """The direct sum of square matrices: each block's Fraction rows padded
+    with zeros to the total size."""
     if any(m.nrows != m.ncols for m in mats):
         raise NonSquareError("block_diag expects square blocks")
     total, offset, rows = sum(m.nrows for m in mats), 0, []
@@ -190,38 +190,28 @@ def block_diag_oracle(*mats: QMatrix) -> QMatrix:
     return QMatrix(rows)
 
 
-def add_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Copy of the deprecated `a + b`: the entrywise Fraction sums."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add {a.shape} and {b.shape}")
-    return QMatrix([x + y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows))
-
-
 def sub_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Copy of the deprecated `a - b`: the entrywise Fraction differences."""
-    return add_oracle(a, neg_oracle(b))
-
-
-def neg_oracle(a: QMatrix) -> QMatrix:
-    """Copy of the deprecated `-a`: the negated Fraction entries."""
-    return QMatrix([-x for x in row] for row in a.rows)
+    """a - b: the entrywise Fraction differences."""
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"cannot subtract {b.shape} from {a.shape}")
+    return QMatrix([x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows))
 
 
 def scale_oracle(x, a: QMatrix) -> QMatrix:
-    """Copy of the deprecated scalar products `x * a` and `a * x`."""
+    """The scalar multiple x·a, from the Fraction entries."""
     x = Fraction(x)
     return QMatrix([x * v for v in row] for row in a.rows)
 
 
 def phi_oracle(seed: SeedMatrix, j: int, w) -> Fraction:
-    """Copy of the deprecated `limits.phi`: row j (1-based) of the seed's
-    Fraction rows against the tail coordinates w."""
+    """The j-th exceptional linear functional (1-based) at the tail
+    coordinates w: row j of the seed's Fraction rows against w."""
     return sum((t * Fraction(x) for t, x in zip(seed.matrix.rows[j - 1], w, strict=True)), Fraction(0))
 
 
 def poly_evaluate_oracle(poly: Poly, point) -> Fraction:
-    """Copy of the deprecated `Poly.evaluate`: the sum of the terms at the
-    Fraction point."""
+    """The polynomial's value at the point: the sum of its terms at the
+    Fraction coordinates."""
     return sum((c * prod(Fraction(x) ** e for x, e in zip(point, exps)) for exps, c in poly.terms.items()), Fraction(0))
 
 
