@@ -9,19 +9,21 @@ An augmented basis carries its bracket table: the C(m, n) n x n minors
 [p_i1 ... p_in] of its points (their Plücker coordinates), computed once, and
 general position means that none of them is zero.  Every frame is a ratio of
 brackets, so the unordered cross ratio (a complete invariant up to projective
-equivalence) and `projectively_equivalent` run on lookups, one cofactor
-table per sorted base.  Reordering a head's base only reorders its image
-coordinates, by one compiled move per order, so both map only the unordered
-heads (sorted base, last point), each image in the loop by a product, a gcd
-and a tuple.  The cross ratio is kept as the set of its tuples' point keys.
+equivalence) and `projectively_equivalent` run on lookups.  Reordering a
+head's base only reorders its image coordinates, by one compiled move per
+order, so both map only the unordered heads (sorted base, last point).  The
+cross ratio maps them all in whole columns, gathered by a plan built once per
+shape, and is kept as the set of its tuples' point keys; the equivalence
+search maps them head by head from one cofactor table per sorted base.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import gcd, prod
-from operator import itemgetter, mul, neg
+from operator import floordiv, itemgetter, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -274,7 +276,10 @@ class UnorderedCrossRatio(_Frozen):
         return iter(self.tuples)
 
     def __contains__(self, item) -> bool:
-        points = tuple(item)
+        try:
+            points = tuple(item)
+        except TypeError:  # not iterable
+            return False
         if not all(isinstance(p, ProjPoint) for p in points):
             return False
         return tuple(p.ints for p in points) in self._keys
@@ -314,8 +319,8 @@ def basis_transform(ordered: Sequence[ProjPoint]) -> ProjTransform:
 
 def _moves(n: int) -> Iterator[tuple[Callable, int]]:
     """Per order σ of n coordinates, lexicographic: a compiled getter of
-    coordinates σ(0), ..., σ(n-1) (`tuple` for n = 1, where `itemgetter`
-    returns a scalar) and σ(0), each built as it is read."""
+    coordinates (or coordinate columns) σ(0), ..., σ(n-1) (`tuple` for n = 1,
+    where `itemgetter` returns a scalar) and σ(0), each built as it is read."""
     return ((itemgetter(*order) if n > 1 else tuple, order[0]) for order in permutations(range(n)))
 
 
@@ -358,16 +363,33 @@ def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     return CrossRatioTuple([ProjPoint._from_ints(list(map(mul, rows[q], scale))) for q in rest[1:]])
 
 
+@lru_cache(maxsize=32)
+def _plan(m: int, n: int) -> tuple[Callable, tuple[Callable, ...], Callable, Callable]:
+    """The gather plan of shape (m, n), built at its first use: a getter of
+    the brackets in mask order; per slot k, a getter of c(p)_k (`_cofactors`)
+    for each sorted base and each point p off it, from the signed 1-based
+    bracket positions; and getters of the entries of the last point and of
+    the image point of each image, head by head."""
+    masks = [sum(1 << i for i in base) for base in combinations(range(m), n)]
+    at = {mask: i for i, mask in enumerate(masks, 1)}
+    off = [(base, full, p) for base, full in zip(combinations(range(m), n), masks) for p in range(m) if p not in base]
+    slots = [[at[full ^ 1 << base[k] | 1 << p] * (-1 if base[k] > p else 1) for base, full, p in off] for k in range(n)]
+    r = m - n
+    lasts, images = zip(*[(h + a, h + b) for h in range(0, len(off), r) for a in range(r) for b in range(r) if a != b])
+    return itemgetter(*masks), tuple(itemgetter(*slot) for slot in slots), itemgetter(*lasts), itemgetter(*images)
+
+
 def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP) -> UnorderedCrossRatio:
     """The set of ordered cross ratios over all m! orderings, deduplicated.
 
     Permutations factor through (ordered head) x (ordered tail), and
     reordering the base of a head by σ only reorders each image's coordinates
-    by σ, one compiled move.  So only the unordered heads (sorted base, last
-    point) are mapped, in the loop from C(m, n) cofactor tables of m - n rows:
-    per image one product, one gcd and one tuple, and one negation.  A move is
-    one `map` of the images, and each tail order one `zip` of the tail slots.
-    The result keeps its key set and sorts nothing.
+    by σ, one compiled move.  So only the images of the unordered heads (sorted
+    base, last point) are mapped, in whole columns from the shape's `_plan`:
+    per coordinate, a product of n gathered columns of signed brackets; then
+    one gcd pass, and per first coordinate one signed divisor list and n
+    divided columns.  A move is one `zip` of its columns, and each tail order
+    one `zip` of the tail slots.  The result keeps its key set and sorts nothing.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -375,20 +397,25 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
         raise CapExceededError(
             f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
         )
-    images: list[tuple[int, ...]] = []  # head by head, its m - n - 1 tail images in order
-    for _, rest, rows in _heads(basis.brackets, m, n):
-        for last in rest:
-            scale = _scale(rows[last])
-            for q in rest:
-                if q != last:
-                    v = list(map(mul, rows[q], scale))
-                    g = gcd(*v) if v[0] > 0 else -gcd(*v)  # in general position no coordinate is 0
-                    images.append(tuple([x // g for x in v]))
-    flipped = [tuple([-x for x in k]) for k in images]
-    signed = [images] + [[k if k[j] > 0 else f for k, f in zip(images, flipped)] for j in range(1, n)]
+    read, slots, last, image = _plan(m, n)
+    brackets = read(basis.brackets)
+    table = (0, *brackets, *map(neg, reversed(brackets)))  # ±(i + 1) holds ±bracket i
+    cofactors = [get(table) for get in slots]
+    lam = [last(c) for c in cofactors]
+    columns = []  # per coordinate k, c(q)_k ∏_{j != k} c(last)_j for each image (q; last)
+    for k, c in enumerate(cofactors):
+        column = image(c)
+        for other in lam[:k] + lam[k + 1 :]:
+            column = map(mul, column, other)
+        columns.append(list(column))
+    g = list(map(gcd, *columns))
+    signed = []  # per coordinate j, the primitive images with coordinate j positive
+    for column in columns:
+        divisors = [d if x > 0 else -d for d, x in zip(g, column)]  # in general position no coordinate is 0
+        signed.append([list(map(floordiv, c, divisors)) for c in columns])
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for get, first in _moves(n):
-        moved = list(map(get, signed[first]))
+        moved = list(zip(*get(signed[first])))
         for order in permutations([moved[c :: m - n - 1] for c in range(m - n - 1)]):
             seen.update(zip(*order))
     return UnorderedCrossRatio._from_keys(seen)

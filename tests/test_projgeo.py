@@ -1,10 +1,15 @@
 import copy
+import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb, gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -285,6 +290,15 @@ def test_uc_membership():
     assert ("not", "points") not in uc
 
 
+def test_uc_membership_of_other_operands():
+    # an operand that is not a tuple of points is not a member, iterable or not
+    uc = unordered_cross_ratio(alpha_points(3))
+    for operand in (None, 5, P(1, 2), "ab", ()):
+        assert operand not in uc
+    member = uc.tuples[0]
+    assert member in uc and tuple(member) in uc and list(member) in uc
+
+
 def test_uc_size_divides_six_on_line():
     for alpha in (F(3), F(2, 3), F(-5), F(9, 4)):
         uc = unordered_cross_ratio(alpha_points(alpha))
@@ -461,11 +475,34 @@ def test_enumerations_match_oracles_on_larger_shapes():
 EDGE_CASES = {
     "n1_m3": (lambda: [P(k) for k in (1, 2, -3)], 1),
     "n1_m4": (lambda: [P(k) for k in (1, -2, 3, 5)], 1),
+    "n1_m5": (lambda: [P(k) for k in (1, -2, 3, 5, -7)], 1),
     "one_tail_column_4x6": (lambda: random_augmented_basis(random.Random(46), 4, 6).points, None),
+    "one_tail_column_5x7": (lambda: random_augmented_basis(random.Random(57), 5, 7).points, None),
     "four_tail_columns_2x7": (lambda: random_augmented_basis(random.Random(27), 2, 7).points, None),
     "harmonic_2x4": (lambda: alpha_points(-1), 6),
     "symmetric_2x6": (lambda: [P(0, 1), *(P(1, x) for x in (0, 1, -1, 2, -2))], 180),
 }
+
+
+# SHA-256 of repr(sorted(uc._keys)) for random_augmented_basis(Random(10n + m), n, m),
+# recorded from the per-image enumeration that preceded the gather plan
+KEY_SET_DIGESTS = {
+    (2, 4): "8d2bb926a8932ce941d7b37cabd4fa8b31887b6f93e1507cb002e0dcb9b28ede",
+    (2, 5): "14581aa94a643f57b3d9f203c610f3a7e516348e7f1ac7c436554279f5e93ec3",
+    (2, 6): "ac22d1529f773123169738c122b9d8353db7de64a6400a43dcf36c2cbb2db546",
+    (3, 5): "db8a226e0fc73adc96028d91bd590636e38c769974155f5bbd05e9bf8ce7a282",
+    (3, 6): "3ffdb00f013e3dfb1fae43babcf2134f00621f0f4084e7baff3d3e5f1bb96b82",
+    (2, 7): "eb3c0468edae067baa0ec4fc4b6a520f7a19b2838e29c45e37cd4485b2716764",
+    (3, 7): "8fca3c632fdf234b739a942d66b8188f70b792120145773cf788ff7cee614e20",
+    (4, 7): "6930a9782a1814a1922d8622fed829099e7b6879720972af18821f9655f42f0f",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(KEY_SET_DIGESTS))
+def test_uc_key_sets_are_pinned(n, m):
+    # the same key sets, so the same equality, hashes and pickles
+    uc = unordered_cross_ratio(random_augmented_basis(random.Random(n * 10 + m), n, m))
+    assert hashlib.sha256(repr(sorted(uc._keys)).encode()).hexdigest() == KEY_SET_DIGESTS[n, m]
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
@@ -694,17 +731,39 @@ def test_basis_computes_each_bracket_once(work, monkeypatch, n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)])
 def test_uc_tries_every_ordered_head_once(work, n, m):
-    basis = random_augmented_basis(random.Random(n * 10 + m), n, m)
-    brackets = CountingDict(basis.brackets)
-    object.__setattr__(basis, "brackets", brackets)
-    work.clear()
-    uc = unordered_cross_ratio(basis)
-    # one cofactor table per sorted base, of m - n rows of n lookups, and one
-    # head per (sorted base, last point) mapped from it: no frame is built
-    # and no elimination runs; the n! base orders permute coordinates
-    assert work == (["base"] + ["head"] * (m - n)) * comb(m, n)
-    assert brackets.reads == comb(m, n) * (m - n) * n
-    assert [t.entries for t in uc] == uc_oracle(basis)
+    # every unordered head (sorted base, last point) is mapped in whole
+    # columns from the shape's gather plan, built at the first call of the
+    # shape and reused after it.  A call reads each of the C(m, n) brackets
+    # once, builds no cofactor table, Cramer scale or frame and runs no
+    # elimination; the n! base orders permute columns
+    projgeo._plan.cache_clear()
+    rng = random.Random(n * 10 + m)
+    for _ in range(2):
+        basis = random_augmented_basis(rng, n, m)
+        brackets = CountingDict(basis.brackets)
+        object.__setattr__(basis, "brackets", brackets)
+        work.clear()
+        uc = unordered_cross_ratio(basis)
+        assert work == [] and brackets.reads == comb(m, n)
+        assert projgeo._plan.cache_info().misses == 1
+        assert [t.entries for t in uc] == uc_oracle(basis)
+
+
+def test_uc_plans_are_built_on_first_use():
+    # importing the package builds no plan; two bases of one shape build one
+    code = (
+        "from cartanlim import cli, projgeo; print(projgeo._plan.cache_info().currsize);"
+        "[projgeo.unordered_cross_ratio(projgeo.ProjPoint([1, x]) for x in xs) for xs in ((0, 1, 2, 3), (0, 1, 2, 5))];"
+        "print(projgeo._plan.cache_info())"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(projgeo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=dict(os.environ, PYTHONPATH=path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0"
+    assert lines[-1] == "CacheInfo(hits=1, misses=1, maxsize=32, currsize=1)"
 
 
 def test_equivalent_negative_tries_every_head(work):
