@@ -35,7 +35,7 @@ from .limits import (
     orbit_dimension,
 )
 from .obstruct import flag_tier_profile, flatness_check, has_tier_one_element, tier
-from .projgeo import ordered_cross_ratio, projectively_equivalent, unordered_cross_ratio
+from .projgeo import _check_cap, ordered_cross_ratio, projectively_equivalent, unordered_cross_ratio
 
 TOOL = "cartanlim"
 
@@ -85,7 +85,10 @@ class _Call:
 
 
 def _cross_ratio(args, call: _Call):
-    basis = call.load(args.basis, jsonio.read_basis)
+    def read(obj):  # an over-cap point list is refused before its brackets decide general position
+        _check_cap(len(obj["points"]) if isinstance(obj, dict) and isinstance(obj.get("points"), list) else 0, args.cap)
+        return jsonio.read_basis(obj)
+    basis = call.load(args.basis, read)
     ordered, uc = ordered_cross_ratio(basis), unordered_cross_ratio(basis, cap=args.cap)
     return {"m": basis.m, "n": basis.n, "ordered": ordered, "unordered": uc}
 

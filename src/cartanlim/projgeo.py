@@ -11,18 +11,19 @@ general position means that none of them is zero.  Every frame is a ratio of
 brackets, so the unordered cross ratio (a complete invariant up to projective
 equivalence) and `projectively_equivalent` run on lookups.  Reordering a
 head's base only reorders its image coordinates, by one compiled move per
-order, so both map only the unordered heads (sorted base, last point).  The
-cross ratio maps them all in whole columns, gathered by a plan built once per
-shape, and is kept as the set of its tuples' point keys; the equivalence
-search maps them head by head from one cofactor table per sorted base.
+order, so both map only the unordered heads (sorted base, last point), in
+whole columns gathered by a plan built once per shape.  The cross ratio maps
+every image and keeps the set of its tuples' point keys; the equivalence
+search, past the least head, screens each head's first image, and builds its
+witness from the right brackets with one adjugate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations
-from math import gcd, prod
+from itertools import combinations, compress, count, islice, permutations
+from math import comb, gcd, prod
 from operator import floordiv, itemgetter, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -346,37 +347,61 @@ def _scale(lam: Sequence[int]) -> list[int]:
     return [p // x for x in lam]
 
 
-def _heads(brackets: Mapping[int, int], m: int, n: int) -> Iterator[tuple[tuple[int, ...], list[int], dict]]:
-    """Per sorted base, in lexicographic order: the base, the other points in order
-    and their cofactor table; each of them is the last point of one unordered head."""
-    for base in combinations(range(m), n):
-        rest = [q for q in range(m) if q not in base]
-        yield base, rest, _cofactors(brackets, base, rest)
-
-
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     """Images of the trailing points under the transform normalizing the
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
-    _, rest, rows = next(_heads(basis.brackets, basis.m, basis.n))  # the head 0, 1, ..., n
-    scale = _scale(rows[basis.n])
-    return CrossRatioTuple([ProjPoint._from_ints(list(map(mul, rows[q], scale))) for q in rest[1:]])
+    rows = _cofactors(basis.brackets, range(basis.n), range(basis.n, basis.m))  # the head 0, 1, ..., n
+    scale = _scale(rows.pop(basis.n))
+    return CrossRatioTuple([ProjPoint._from_ints(list(map(mul, row, scale))) for row in rows.values()])
 
 
 @lru_cache(maxsize=32)
-def _plan(m: int, n: int) -> tuple[Callable, tuple[Callable, ...], Callable, Callable]:
-    """The gather plan of shape (m, n), built at its first use: a getter of
-    the brackets in mask order; per slot k, a getter of c(p)_k (`_cofactors`)
-    for each sorted base and each point p off it, from the signed 1-based
-    bracket positions; and getters of the entries of the last point and of
-    the image point of each image, head by head."""
-    masks = [sum(1 << i for i in base) for base in combinations(range(m), n)]
+def _plan(m: int, n: int) -> tuple[Callable, tuple[Callable, ...], Callable, list[tuple[int, ...]]]:
+    """The plan of shape (m, n) over its unordered heads (sorted base; last
+    point p off it) in lexicographic order, built at its first use: a getter
+    of the brackets in mask order; per slot k, a getter of each head's c(p)_k
+    (`_cofactors`) from the signed 1-based bracket positions; a getter of each
+    head's entry of its first tail point; and the sorted bases."""
+    bases = list(combinations(range(m), n))
+    masks = [sum(1 << i for i in base) for base in bases]
     at = {mask: i for i, mask in enumerate(masks, 1)}
-    off = [(base, full, p) for base, full in zip(combinations(range(m), n), masks) for p in range(m) if p not in base]
+    off = [(base, full, p) for base, full in zip(bases, masks) for p in range(m) if p not in base]
     slots = [[at[full ^ 1 << base[k] | 1 << p] * (-1 if base[k] > p else 1) for base, full, p in off] for k in range(n)]
     r = m - n
-    lasts, images = zip(*[(h + a, h + b) for h in range(0, len(off), r) for a in range(r) for b in range(r) if a != b])
-    return itemgetter(*masks), tuple(itemgetter(*slot) for slot in slots), itemgetter(*lasts), itemgetter(*images)
+    first = itemgetter(*[h - h % r + (h % r == 0) for h in range(len(off))])
+    return itemgetter(*masks), tuple(itemgetter(*slot) for slot in slots), first, bases
+
+
+@lru_cache(maxsize=32)
+def _image_plan(m: int, n: int) -> tuple[Callable, Callable]:
+    """Getters of the `_plan` head entries of the last point and of the image
+    point of each image (q; last), head by head, for the capped cross ratio."""
+    r = m - n
+    lasts, images = zip(*[(h + a, h + b) for h in range(0, comb(m, n) * r, r) for a, b in permutations(range(r), 2)])
+    return itemgetter(*lasts), itemgetter(*images)
+
+
+def _columns(basis: AugmentedBasis, image: Callable, lam: Optional[Callable] = None) -> tuple[list, list[list[int]]]:
+    """The columns c_k of c(p)_k over the heads of the basis's `_plan` and, by Cramer's rule, per
+    coordinate k, image(c_k) times the product over j != k of lam(c_j), by default c_j itself."""
+    read, slots, _, _ = _plan(basis.m, basis.n)
+    brackets = read(basis.brackets)
+    table = (0, *brackets, *map(neg, reversed(brackets)))  # ±(i + 1) holds ±bracket i
+    cofactors = [get(table) for get in slots]
+    factors = list(map(lam, cofactors)) if lam else cofactors
+    columns = []
+    for k, column in enumerate(map(image, cofactors)):
+        for other in factors[:k] + factors[k + 1 :]:
+            column = map(mul, column, other)
+        columns.append(list(column))
+    return cofactors, columns
+
+
+def _check_cap(m: int, cap: int) -> None:
+    """Raise CapExceededError when the m! orderings of m points exceed `cap` points."""
+    if m > cap:
+        raise CapExceededError(f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly")
 
 
 def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP) -> UnorderedCrossRatio:
@@ -385,7 +410,7 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     Permutations factor through (ordered head) x (ordered tail), and
     reordering the base of a head by σ only reorders each image's coordinates
     by σ, one compiled move.  So only the images of the unordered heads (sorted
-    base, last point) are mapped, in whole columns from the shape's `_plan`:
+    base, last point) are mapped, in whole columns from the shape's plans:
     per coordinate, a product of n gathered columns of signed brackets; then
     one gcd pass, and per first coordinate one signed divisor list and n
     divided columns.  A move is one `zip` of its columns, and each tail order
@@ -393,21 +418,9 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
-    if m > cap:
-        raise CapExceededError(
-            f"{m}! orderings exceed the cap of {cap} points; raise the cap explicitly"
-        )
-    read, slots, last, image = _plan(m, n)
-    brackets = read(basis.brackets)
-    table = (0, *brackets, *map(neg, reversed(brackets)))  # ±(i + 1) holds ±bracket i
-    cofactors = [get(table) for get in slots]
-    lam = [last(c) for c in cofactors]
-    columns = []  # per coordinate k, c(q)_k ∏_{j != k} c(last)_j for each image (q; last)
-    for k, c in enumerate(cofactors):
-        column = image(c)
-        for other in lam[:k] + lam[k + 1 :]:
-            column = map(mul, column, other)
-        columns.append(list(column))
+    _check_cap(m, cap)
+    last, image = _image_plan(m, n)
+    _, columns = _columns(basis, image, last)  # per coordinate k, c(q)_k ∏_{j != k} c(last)_j of each image (q; last)
     g = list(map(gcd, *columns))
     signed = []  # per coordinate j, the primitive images with coordinate j positive
     for column in columns:
@@ -424,15 +437,17 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
 def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[ProjTransform]:
     """A transform mapping the left point set onto the right one, or None.
 
-    The search runs right to left: any witness W has an inverse sending some
-    ordered head, n+1 of the right points, to the first n+1 left points, and
-    each head determines a unique candidate for it.  The left points are
-    mapped once, by the first left head, and screened by their sorted absolute
-    coordinates, which no base order changes.  Each unordered right head
-    is mapped in the loop from its base's cofactor table up to an image that
-    fails; if none does, its base orders are tried by compiled moves, in order,
+    Any witness W has an inverse sending some ordered head, n+1 right points,
+    to the first n+1 left points, and each head determines one candidate.  The
+    left points are mapped by the first left head and screened by their sorted
+    absolute coordinates, which no base order changes.  The least head 0..n
+    hits when the two ordered cross ratios are one set; else the first image
+    of every unordered right head is mapped in columns from the shape's `_plan`
+    and screened.  A head that passes maps its other images up to one that
+    fails; if none does, it tries its base orders by compiled moves, in order,
     up to a hit.  Heads run in lexicographic order until one passes the least
-    hit (the first hit of an ordered search); W is built from its two frames.
+    hit.  W is the right head's frame (its span times Cramer factors read off
+    the right brackets) after the left head's `basis_transform`: one adjugate.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -440,30 +455,37 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
         raise SizeMismatchError(
             f"configurations of shape (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
         )
-    n, m = a.n, a.m
+    n, m, r = a.n, a.m, a.m - a.n
     # head points land on the standard basis; no other point does unless n = 1
     target = {p.ints for p in ordered_cross_ratio(a)}
     screen = {tuple(sorted(map(abs, k))) for k in target}
     hits: list[tuple[int, ...]] = []  # per head, its least ordering that maps right onto left
-    for base, rest, rows in _heads(b.brackets, m, n):
-        for last in rest:
+    if {p.ints for p in ordered_cross_ratio(b)} == target:
+        hits.append(tuple(range(n + 1)))
+    else:
+        _, _, first, bases = _plan(m, n)
+        cofactors, columns = _columns(b, first)
+        g = list(map(gcd, *columns))
+        keys = map(tuple, map(sorted, zip(*[map(floordiv, map(abs, c), g) for c in columns])))
+        for h in compress(count(), map(screen.__contains__, keys)):  # the heads whose first image passes
+            base = bases[h // r]
+            last = [q for q in range(m) if q not in base][h % r]
             if hits and (*base, last) > min(hits):
-                break  # every ordering of its base comes later still
-            scale = _scale(rows[last])
+                break  # every ordering of its base comes later still, and so does every later head
+            scale = _scale([c[h] for c in cofactors])
             images = []
-            for q in rest:
-                if q != last:
-                    v = list(map(mul, rows[q], scale))
-                    g = gcd(*v)
-                    images.append(tuple([x // g for x in v]))
-                    if tuple(sorted(map(abs, images[-1]))) not in screen:
-                        break
+            for e in filter(h.__ne__, range(h - h % r, h - h % r + r)):  # the head's tail points
+                images.append(_primitive([c[e] * s for c, s in zip(cofactors, scale)]))
+                if tuple(sorted(map(abs, images[-1]))) not in screen:
+                    break
             else:
                 moves = (move for move in _moves(n) if target.issuperset(_moved(images, *move)))
                 hits += [(*get(base), last) for get, _ in islice(moves, 1)]
-        if hits and min(hits)[:n] <= base:
-            break  # so does every head on a later base
     if not hits:
         return None
-    to_right = basis_transform([b.points[i] for i in min(hits)]).inverse()
-    return to_right.compose(basis_transform(a.points[: n + 1]))
+    *head, last = min(hits)
+    # Cramer's rule: λ_k is the bracket of the head with last in slot k, signed by the parity of its slot order
+    orders = [[*head[:k], last, *head[k + 1 :]] for k in range(n)]
+    lam = [(-1) ** sum(x > y for x, y in combinations(o, 2)) * b.brackets[sum(1 << i for i in o)] for o in orders]
+    frame = [[b.points[j].ints[i] * x for j, x in zip(head, lam)] for i in range(n)]  # e_k -> λ_k p_{head k}
+    return ProjTransform._from_ints(frame).compose(basis_transform(a.points[: n + 1]))

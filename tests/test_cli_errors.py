@@ -96,6 +96,24 @@ def test_zero_caps_stay_legal():
     assert code == 0 and json.loads(out)["flags"]["sample_cap"] == 0
 
 
+def test_cross_ratio_checks_the_cap_before_the_brackets(tmp_path, monkeypatch):
+    # 26 points of RP^11 have C(26, 12), about 9.7 million, brackets: the
+    # point count is refused first, so none is computed.  An over-cap list of
+    # points not in general position is refused by the cap as well
+    tables = []
+    minors = cartanlim.exactq.maximal_minors
+    monkeypatch.setattr(cartanlim.exactq, "maximal_minors", lambda rows: tables.append(len(rows)) or minors(rows))
+    wide = {"n": 12, "points": [[str((i + 1) ** j) for j in range(12)] for i in range(26)]}
+    repeated = {"n": 2, "points": [["1", "1"]] * 9}
+    for doc in (wide, repeated):
+        code, error = error_of(["cross-ratio", write(tmp_path, "basis.json", doc)])
+        assert code == 3 and error["type"] == "CapExceededError"
+        assert error["message"] == f"{len(doc['points'])}! orderings exceed the cap of 8 points; raise the cap explicitly"
+    assert tables == []
+    code, error = error_of(["cross-ratio", write(tmp_path, "basis.json", repeated), "--cap", "9"])
+    assert code == 2 and error["type"] == "NotAugmentedBasisError" and tables == [9]
+
+
 def test_negative_rational_after_a_space_is_a_value():
     # argparse reads "-7/2" as an unknown option unless told otherwise
     spaced = run_cli(["alpha-orbit", "--alpha", "-7/2"])

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb, gcd
@@ -617,11 +618,47 @@ def test_equivalent_symmetric_configuration_takes_least_head():
             assert witness == to_right.compose(basis_transform(left.points[:3]))
 
 
+def test_equivalent_symmetric_configuration_of_twelve_takes_least_head():
+    # e1, e2, e3, (1,1,1), (1,2,3), (2,1,3) has 12 projective symmetries, so
+    # every right order has 12 hitting heads; the witness is the least one's
+    left = AugmentedBasis(P(*c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)))
+    assert len(hitting_heads(left, left)) == 12
+    rng = random.Random(12)
+    q = ProjTransform(random_invertible(rng, 3))
+    for _ in range(30):
+        order = rng.sample(range(left.m), left.m)
+        right = AugmentedBasis(q(left.points[i]) for i in order)
+        hits = hitting_heads(left, right)
+        assert len(hits) == 12
+        witness = projectively_equivalent(left, right)
+        assert witness.ints == equivalence_oracle(left, right).ints
+        to_right = basis_transform([right.points[i] for i in min(hits)]).inverse()
+        assert witness == to_right.compose(basis_transform(left.points[:4]))
+
+
+@pytest.mark.parametrize("n,m", [(2, 10), (3, 9)])
+def test_equivalent_matches_oracle_above_the_cross_ratio_cap(n, m):
+    # the search has no cap: shuffled positive pairs and negative pairs, both ways round
+    rng = random.Random(n * 100 + m)
+    for _ in range(2):
+        left = random_augmented_basis(rng, n, m)
+        q = ProjTransform(random_invertible(rng, n))
+        shuffled = rng.sample(left.points, m)
+        positive, negative = AugmentedBasis(q(p) for p in shuffled), random_augmented_basis(rng, n, m)
+        for pair in ((left, positive), (positive, left), (left, negative), (negative, left)):
+            got, want = projectively_equivalent(*pair), equivalence_oracle(*pair)
+            assert (got is None) == (want is None) == (negative in pair)
+            assert got is None or got.ints == want.ints
+    with pytest.raises(CapExceededError):
+        unordered_cross_ratio(left)
+
+
 def test_equivalent_screen_leaves_sign_patterns_to_the_moves(monkeypatch):
     # the screen reads sorted absolute coordinates, so it is only a necessary
     # condition: four heads of alpha -6 map to (4 : -3) or (3 : -4), which
     # pass the screen of the alpha 3 target (4 : 3), and the moves reject them
     left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(-6))
+    projgeo._plan(right.m, right.n)  # built before the count, so only moves call `itemgetter`
     moves = []
     itemgetter = projgeo.itemgetter
     monkeypatch.setattr(projgeo, "itemgetter", lambda *order: moves.append(order) or itemgetter(*order))
@@ -639,8 +676,12 @@ def test_one_coordinate_points(m):
     basis = AugmentedBasis(P(k) for k in range(1, m + 1))
     assert [t.entries for t in unordered_cross_ratio(basis)] == [(P(1),) * (m - 2)]
     identity = ProjTransform(QMatrix([[1]]))
-    assert projectively_equivalent(basis, basis) == identity
-    assert projectively_equivalent(basis, AugmentedBasis(P(-k) for k in range(1, m + 1))) == identity
+    for right in (basis, AugmentedBasis(P(-k) for k in range(1, m + 1))):
+        assert projectively_equivalent(basis, right) == identity == equivalence_oracle(basis, right)
+    # every pair hits at the least head, so the column screen is checked on
+    # its own: each head's first image is the one point [1]
+    _, columns = projgeo._columns(basis, projgeo._plan(m, 1)[2])
+    assert len(columns) == 1 and len(columns[0]) == m * (m - 1) and all(columns[0])
 
 
 # --- brackets ----------------------------------------------------------------------
@@ -751,9 +792,15 @@ def test_uc_tries_every_ordered_head_once(work, n, m):
 
 def test_uc_plans_are_built_on_first_use():
     # importing the package builds no plan; two bases of one shape build one
+    # of each; the equivalence search builds the head plan of its shape, not
+    # the per-image one
     code = (
-        "from cartanlim import cli, projgeo; print(projgeo._plan.cache_info().currsize);"
-        "[projgeo.unordered_cross_ratio(projgeo.ProjPoint([1, x]) for x in xs) for xs in ((0, 1, 2, 3), (0, 1, 2, 5))];"
+        "from cartanlim import cli, projgeo; from cartanlim.projgeo import ProjPoint, AugmentedBasis;"
+        "plans = projgeo._plan, projgeo._image_plan; print(*(p.cache_info().currsize for p in plans));"
+        "[projgeo.unordered_cross_ratio(ProjPoint([1, x]) for x in xs) for xs in ((0, 1, 2, 3), (0, 1, 2, 5))];"
+        "print(projgeo._image_plan.cache_info());"
+        "pair = [AugmentedBasis(ProjPoint([1, x]) for x in xs) for xs in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5))];"
+        "print(projgeo.projectively_equivalent(*pair)); print(*(p.cache_info().currsize for p in plans));"
         "print(projgeo._plan.cache_info())"
     )
     path = os.pathsep.join(filter(None, [str(Path(projgeo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
@@ -762,32 +809,65 @@ def test_uc_plans_are_built_on_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "0"
-    assert lines[-1] == "CacheInfo(hits=1, misses=1, maxsize=32, currsize=1)"
+    assert lines[0] == "0 0"
+    assert lines[1] == "CacheInfo(hits=1, misses=1, maxsize=32, currsize=1)"
+    assert lines[2:4] == ["None", "2 1"]
+    assert lines[-1] == "CacheInfo(hits=2, misses=2, maxsize=32, currsize=2)"
+
+
+def test_equivalent_keeps_no_image_sized_state():
+    # the search has no cap, and its plan and lists grow with the C(m, n)(m - n)
+    # heads, not with the images, (m - n - 1) times as many: on a (2,20)
+    # negative pair the head plan it builds and keeps stays under 1 MB
+    rng = random.Random(20)
+    left, right = random_augmented_basis(rng, 2, 20), random_augmented_basis(rng, 2, 20)
+    projgeo._plan.cache_clear()
+    projgeo._image_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert projectively_equivalent(left, right) is None
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
+    assert projgeo._plan.cache_info().currsize == 1 and projgeo._image_plan.cache_info().currsize == 0
 
 
 def test_equivalent_negative_tries_every_head(work):
-    # the first left head, then each unordered right head (sorted base, last
-    # point) once: its base orders only reorder the image coordinates
-    left, right = AugmentedBasis(alpha_points(3)), AugmentedBasis(alpha_points(5))
-    work.clear()
-    assert projectively_equivalent(left, right) is None
-    assert work == ["base", "head"] + (["base"] + ["head"] * (4 - 2)) * comb(4, 2)
+    # the two ordered cross ratios (the first head of each side), then every
+    # unordered right head (sorted base, last point) is screened in whole
+    # columns by its first image, with no table per base; only a head that
+    # passes is mapped further (four heads of alpha -6 do, see below), and no
+    # frame is built
+    left = AugmentedBasis(alpha_points(3))
+    for alpha, passing in ((5, 0), (-6, 4)):
+        right = AugmentedBasis(alpha_points(alpha))
+        target = {p.ints for p in ordered_cross_ratio(left)}
+        screen = {tuple(sorted(map(abs, k))) for k in target}
+        heads = [(*base, last) for base in combinations(range(4), 2) for last in range(4) if last not in base]
+        firsts = [next(q for q in range(4) if q not in head) for head in heads]
+        frames = [basis_transform([right.points[i] for i in head]) for head in heads]
+        images = [frame(right.points[q]).ints for frame, q in zip(frames, firsts)]
+        assert sum(tuple(sorted(map(abs, image))) in screen for image in images) == passing
+        work.clear()
+        assert projectively_equivalent(left, right) is None
+        assert work == ["base", "head", "base", "head"] + ["head"] * passing
 
 
 def test_equivalent_identity_stops_at_first_head(work):
     basis = AugmentedBasis(alpha_points(3))
     work.clear()
     assert projectively_equivalent(basis, basis) is not None
-    # two heads by lookups; the two frames of the witness are built at the hit
-    assert work[:4] == ["base", "head", "base", "head"]
-    assert work[4:].count("frame") == 2 and {"base", "head"}.isdisjoint(work[4:])
+    # the two ordered cross ratios agree, so the least head hits; the witness
+    # is one frame, the left one, and one elimination
+    assert work == ["base", "head", "base", "head", "frame", "elim"]
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_equivalent_order_preserving_pair_is_bounded_in_n(work, monkeypatch, n):
-    # a transformed copy in the same point order hits at the first head and
-    # its first coordinate order: two heads mapped and one move built, not n!
+    # a transformed copy in the same point order hits at the least head,
+    # found from the two ordered cross ratios: two heads mapped, no move
     rng = random.Random(n)
     left = random_augmented_basis(rng, n, n + 2)
     q = ProjTransform(random_invertible(rng, n))
@@ -799,4 +879,5 @@ def test_equivalent_order_preserving_pair_is_bounded_in_n(work, monkeypatch, n):
         moves.clear()
         witness = projectively_equivalent(left, right)
         assert witness == (q if right is not left else ProjTransform(identity_oracle(n)))
-        assert work.count("base") == work.count("head") == 2 and moves == [tuple(range(n))]
+        assert work.count("base") == work.count("head") == 2 and moves == []
+        assert work.count("frame") == 1
