@@ -1,19 +1,19 @@
 """Deterministic batch interface with JSON input and output.
 
 Every invocation prints one JSON document embedding the tool version, the
-seed, and a hash of the inputs.  Negative mathematical verdicts are data and
+seed, and a SHA-256 hash of the inputs from the interpreter's built-in module,
+so that a run loads no OpenSSL.  Negative mathematical verdicts are data and
 exit 0; malformed input and a closed stdout exit 2; capped or undecided
 outcomes exit 3; a failed internal self-check exits 4.  Library results go
 into the document as returned: `jsonio` knows how each value looks on the
-wire.  One table, `_COMMANDS`, declares every (sub)command, and the parser
-is built from it once per process.
+wire.  One table, `_COMMANDS`, declares every (sub)command, and the parser is
+built from it once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -21,6 +21,14 @@ import re
 import sys
 from pathlib import Path
 from typing import Optional
+
+try:  # the interpreter's own SHA-256; `hashlib` would load OpenSSL
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, jsonio
 from .bounds import verify_bounds
@@ -263,7 +271,7 @@ def _run(args: argparse.Namespace, command: str) -> tuple[dict, int]:
             raise ParseError(f"--{flag.replace('_', '-')} must not be negative, got {getattr(args, flag)}")
     call = _Call(args)
     result = args.run(args, call)
-    digest = hashlib.sha256(jsonio.dumps(call.flags).encode("utf-8"))
+    digest = sha256(jsonio.dumps(call.flags).encode("utf-8"))
     for raw in call.raw_inputs:
         digest.update(b"\x00" + raw)
     document = _document(command, args.seed, flags=call.flags, input_hash=digest.hexdigest(), result=result)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 from cartanlim import exactq
 from cartanlim.exactq import QMatrix, inverse
 from cartanlim.limits import GroupElementParams, SeedMatrix, element_params, rho
-from util import FIXTURES, manifest_cases, resolve_argv, run_cli
+from util import FIXTURES, child_env, manifest_cases, resolve_argv, run_cli
 
 REGEN = os.environ.get("REGEN_FIXTURES") == "1"
 
@@ -31,8 +32,7 @@ def console_command() -> tuple[list[str], dict | None]:
     script = shutil.which("cartanlim")
     if script:
         return [script], None
-    path = os.pathsep.join(filter(None, [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")]))
-    return [sys.executable, "-m", "cartanlim.cli"], dict(os.environ, PYTHONPATH=path)
+    return [sys.executable, "-m", "cartanlim.cli"], child_env()
 
 
 @pytest.mark.parametrize("case", manifest_cases(), ids=lambda c: c["name"])
@@ -43,6 +43,44 @@ def test_console_script_replays_fixture(case):
         [*command, *resolve_argv(case["argv"])], capture_output=True, encoding="utf-8", timeout=120, env=env
     )
     assert proc.returncode == case["exit_code"]
+    assert proc.stdout == (FIXTURES / case["expected"]).read_text(encoding="utf-8")
+
+
+def flags_text(document: str) -> str:
+    """The document's `flags` object as the document spells it, which is
+    the dumped form the input hash starts from."""
+    start = document.index('"flags": ') + len('"flags": ')
+    _, end = json.JSONDecoder().raw_decode(document, start)
+    return document[start:end]
+
+
+@pytest.mark.parametrize("case", manifest_cases(), ids=lambda c: c["name"])
+def test_input_hash_matches_hashlib(case):
+    # an oracle that reads neither cli nor jsonio: the dumped flags, then a
+    # zero byte and the bytes of each input file, in argument order
+    document = (FIXTURES / case["expected"]).read_text(encoding="utf-8")
+    digest = hashlib.sha256(flags_text(document).encode("utf-8"))
+    for arg in case["argv"]:
+        if arg.endswith(".json") and (FIXTURES / arg).is_file():
+            digest.update(b"\x00" + (FIXTURES / arg).read_bytes())
+    assert json.loads(document)["input_hash"] == digest.hexdigest()
+
+
+def test_hashlib_fallback_replays_fixture():
+    # with neither built-in SHA-256 module importable, cli takes `hashlib`'s
+    case = next(c for c in manifest_cases() if c["name"] == "equivalent_permuted")
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; from cartanlim import cli;"
+        "assert cli.sha256 is sys.modules['hashlib'].sha256; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *resolve_argv(case["argv"])],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+        env=child_env(),
+    )
+    assert proc.returncode == case["exit_code"], proc.stderr
     assert proc.stdout == (FIXTURES / case["expected"]).read_text(encoding="utf-8")
 
 

@@ -4,14 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import cartanlim.limits
 from cartanlim.obstruct import PolyParamGroup
 from cartanlim.projgeo import ProjTransform
-from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, group_document, identity_oracle, run_cli
+from util import FIXTURES, HUGE_DEGREE_GROUP, NONGROUPS, child_env, group_document, identity_oracle, run_cli
 
 SEED = str(FIXTURES / "seed_a3.json")
 PARAMS = str(FIXTURES / "params_ones.json")
@@ -342,9 +341,7 @@ def test_closed_stdout_exits_2_without_traceback():
     # Stdout stays block-buffered (no PYTHONUNBUFFERED), so that without a flush
     # inside `main` the small document would fail only at the exit flush.  A
     # help page is written the same way.
-    src = str(Path(cartanlim.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = child_env("PYTHONUNBUFFERED")
     for argv in (["bounds", "--k-range", "7:12"], ["--help"], ["obstruct", "tier", "--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)

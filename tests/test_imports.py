@@ -1,17 +1,20 @@
 """Every module-level import in the package is used by its module, every
 private function, class or method is used somewhere in the package, and every
 module-level name the package assigns is read in the package, its tests or
-its benchmark.  A fresh `import cartanlim.cli` stays off the heavy stdlib
-modules it has no use for."""
+its benchmark.  A fresh `import cartanlim.cli` and one run of it stay off the
+heavy stdlib modules they have no use for, OpenSSL's `hashlib` among them."""
 
 import ast
-import os
+import functools
+import importlib.util
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from util import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cartanlim"
@@ -164,14 +167,31 @@ def test_no_unread_module_assignments():
     assert unread_assignments(sources, readers) == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # the child diffs against its own start, so the interpreter's `site` is left out
-    code = "import sys; start = set(sys.modules); import cartanlim.cli; print(*sorted(set(sys.modules) - start))"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=dict(os.environ, PYTHONPATH=path)
+@functools.cache
+def modules_of_a_cli_run() -> tuple[set[str], set[str]]:
+    """The modules a fresh interpreter loads for `import cartanlim.cli` and
+    one `bounds` run, and every module it holds afterwards.  The first set
+    is diffed against the child's own start, so its `site` is left out."""
+    code = (
+        "import sys; start = set(sys.modules); import cartanlim.cli;"
+        "assert cartanlim.cli.main(['bounds', '--k-range', '7:12']) == 0;"
+        "print(*sorted(set(sys.modules) - start)); print(*sorted(sys.modules))"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded, held = proc.stdout.splitlines()[-2:]
+    return set(loaded.split()), set(held.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    loaded, _ = modules_of_a_cli_run()
     assert "cartanlim.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_cli_run_loads_no_openssl():
+    # the input hash comes from the interpreter's own SHA-256 module when it has one
+    _, held = modules_of_a_cli_run()
+    assert "cartanlim.cli" in held
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert not held & {"hashlib", "_hashlib"}

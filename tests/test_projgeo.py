@@ -1,16 +1,15 @@
 import copy
 import hashlib
-import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb, gcd
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +42,7 @@ from util import (
     basis_transform_oracle,
     canonical_coords_oracle,
     canonical_matrix_oracle,
+    child_env,
     equivalence_oracle,
     general_position_oracle,
     identity_oracle,
@@ -279,6 +279,16 @@ def test_uc_equals_brute_force_enumeration():
     rng = random.Random(11)
     basis = random_augmented_basis(rng, 3, 5)
     assert unordered_cross_ratio(basis) == brute_force_uc(basis.points)
+
+
+def test_random_augmented_basis_refuses_rp0_at_once():
+    # every point of RP^0 is [1]: a draw of m >= 2 distinct points would never
+    # end, so n = 1 is refused before any point is drawn
+    for m in (1, 2, 5):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            random_augmented_basis(random.Random(m), 1, m)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_uc_membership():
@@ -803,10 +813,7 @@ def test_uc_plans_are_built_on_first_use():
         "print(projgeo.projectively_equivalent(*pair)); print(*(p.cache_info().currsize for p in plans));"
         "print(projgeo._plan.cache_info())"
     )
-    path = os.pathsep.join(filter(None, [str(Path(projgeo.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=dict(os.environ, PYTHONPATH=path)
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8", timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "0 0"

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
 from enum import Enum
 from fractions import Fraction
@@ -52,6 +53,7 @@ from cartanlim.exactq import _Frozen, maximal_minors
 from cartanlim.obstruct import _E_BLOCK, _E_VARS, _witness_candidates
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 # A 2 x 2 group with one entry x^1000000000: about 100 bytes, and one
 # evaluation at 2 would expand 2^(10^9); the degree limit rejects it first.
@@ -85,6 +87,14 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def child_env(*drop: str) -> dict[str, str]:
+    """This process's environment for a child interpreter, less the `drop`
+    variables, with `src` first on PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def manifest_cases() -> list[dict]:
     manifest = json.loads((FIXTURES / "manifest.json").read_text())
     return manifest["cases"]
@@ -112,6 +122,9 @@ def random_point(rng: random.Random, n: int) -> ProjPoint:
 
 
 def random_augmented_basis(rng: random.Random, n: int, m: int) -> AugmentedBasis:
+    if n < 2:
+        # RP^0 has one point, so m >= 2 distinct points would never be found
+        raise ValueError(f"an augmented basis needs n >= 2, got n = {n}")
     while True:
         points = []
         seen = set()
