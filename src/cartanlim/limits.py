@@ -25,7 +25,7 @@ from .errors import (
     ZeroRowError,
 )
 from .exactq import QMatrix, _cleared, _Frozen, rational
-from .projgeo import AugmentedBasis, ProjPoint, _matvec, _primitive, projectively_equivalent
+from .projgeo import AugmentedBasis, ProjPoint, _brackets, _matvec, _primitive, projectively_equivalent
 
 
 class SeedMatrix(_Frozen):
@@ -59,7 +59,7 @@ class SeedMatrix(_Frozen):
         """True iff every n x n minor is nonzero: every n rows are independent."""
         if self._dual is None:
             rows = [_primitive(row) for row in self.matrix._int_rows()]
-            self._set(_dual=(rows, exactq.maximal_minors(rows)))
+            self._set(_dual=(rows, _brackets(rows)))
         return self.m >= self.n and all(self._dual[1].values())
 
     def __repr__(self) -> str:

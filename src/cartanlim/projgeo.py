@@ -6,25 +6,25 @@ so equality of points, tuples and invariant sets is structural equality on
 integers; the rational `coords` and `matrix` are derived only when read.
 
 An augmented basis carries its bracket table: the C(m, n) n x n minors
-[p_i1 ... p_in] of its points (their Plücker coordinates), computed once, and
-general position means that none of them is zero.  Every frame is a ratio of
-brackets, so the unordered cross ratio (a complete invariant up to projective
-equivalence) and `projectively_equivalent` run on lookups.  Reordering a
-head's base only reorders its image coordinates, by one compiled move per
-order, so both map only the unordered heads (sorted base, last point), in
-whole columns gathered by a plan built once per shape.  The cross ratio maps
-every image and keeps the set of its tuples' point keys; the equivalence
-search, past the least head, screens each head's first image, and builds its
-witness from the right brackets with one adjugate.
+[p_i1 ... p_in] of its points (their Plücker coordinates), computed once (at
+most MAX_BRACKETS), and general position means that none of them is zero.
+Every frame is a ratio of brackets, so the unordered cross ratio (a complete
+invariant up to projective equivalence) and `projectively_equivalent` run on
+lookups.  Reordering a head's base only reorders its image coordinates, by
+one compiled move per order, so both map only the unordered heads (sorted
+base, last point), in whole columns gathered by a plan built once per shape.
+The cross ratio maps every image and keeps one key per tail orbit, its tail
+sorted; the equivalence search, past the least head, screens each head's
+first image, and builds its witness from the right brackets with one adjugate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count, islice, permutations
-from math import comb, gcd, prod
-from operator import floordiv, itemgetter, mul, neg
+from itertools import chain, combinations, compress, count, islice, permutations
+from math import comb, factorial, gcd, prod
+from operator import floordiv, itemgetter, lt, mul, neg, not_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -40,8 +40,9 @@ from .errors import (
 )
 from .exactq import QMatrix, _cleared, _format_ratio, _Frozen, rational
 
-#: Largest m for which unordered_cross_ratio will enumerate all m! orderings.
+#: Largest m for which unordered_cross_ratio will run: its value stands for all m! orderings.
 DEFAULT_PERMUTATION_CAP = 8
+MAX_BRACKETS = 4000  #: Most brackets C(m, n) of one basis or seed; a larger table is refused before any is computed.
 
 
 def _primitive(values: Sequence[int]) -> tuple[int, ...]:
@@ -173,6 +174,12 @@ def _common_dimension(points: Sequence[ProjPoint]) -> int:
     return n
 
 
+def _brackets(rows: Sequence[Sequence[int]]) -> dict[int, int]:
+    if comb(len(rows), len(rows[0])) > MAX_BRACKETS:
+        raise CapExceededError(f"C({len(rows)}, {len(rows[0])}) brackets exceed the budget of {MAX_BRACKETS}")
+    return exactq.maximal_minors(rows)
+
+
 class AugmentedBasis(_Frozen):
     """m >= n+2 points of RP^{n-1} in general position, with their read-only
     brackets: `brackets[mask]` is [p_i1 ... p_in], i1 < ... < in the bits of mask."""
@@ -190,7 +197,7 @@ class AugmentedBasis(_Frozen):
                 f"augmented basis in RP^{n - 1} needs at least {n + 2} points, got {len(pts)}"
             )
         _common_dimension(pts)
-        brackets = exactq.maximal_minors([p.ints for p in pts])
+        brackets = _brackets([p.ints for p in pts])
         if not all(brackets.values()):
             raise NotAugmentedBasisError("points are not in general position")
         self._set(points=pts, n=n, brackets=MappingProxyType(brackets))
@@ -234,44 +241,47 @@ class CrossRatioTuple(_Frozen):
 class UnorderedCrossRatio(_Frozen):
     """Deduplicated set of cross-ratio tuples over all orderings.
 
-    Kept as the frozenset of the tuples' point keys (`ProjPoint.ints`), which
-    equality, hashing, `len` and `in` read directly.  `tuples`, sorted by the
-    lexicographic order on serialized rationals, is derived on first read.
+    Kept as one key per orbit of reordering a tuple, its sorted point keys (`ProjPoint.ints`), which equality and
+    hashing read directly.  `in` sorts the query; `len` counts (m - n - 1)! orders per key, one in RP^0 (all [1]).
+    `tuples`, every order of each key by the lexicographic order on serialized rationals, is derived on first read.
     """
 
     __slots__ = ("_keys", "_tuples")
     _key = ("_keys",)
 
     def __init__(self, tuples: Iterable[CrossRatioTuple | tuple[ProjPoint, ...]]):
-        keys = frozenset(tuple(p.ints for p in t) for t in tuples)
+        keys = {tuple(p.ints for p in t) for t in tuples}
         if not keys:
             raise ZeroVectorError("unordered cross ratio cannot be empty")
-        self._set(_keys=keys, _tuples=None)
+        self._set(_keys=frozenset(map(tuple, map(sorted, keys))), _tuples=None)
+        if len(self) != len(keys) or len(set(map(len, keys))) > 1:
+            raise SizeMismatchError(f"{len(keys)} tuples are not every order of {len(self._keys)} tuples of one length")
 
     @classmethod
     def _from_keys(cls, keys: Iterable[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
-        """The set of the tuples of these point keys, given at least one."""
-        return object.__new__(cls)._set(_keys=frozenset(keys), _tuples=None)
+        """The set of the tuples of these point keys and of their reorderings, given at least one."""
+        return object.__new__(cls)._set(_keys=frozenset(map(tuple, map(sorted, keys))), _tuples=None)
 
     def __reduce__(self):
         return UnorderedCrossRatio._from_keys, (self._keys,)
 
     @property
     def tuples(self) -> tuple[CrossRatioTuple, ...]:
-        """The tuples in order.  Each distinct point is serialized once, and
-        its rank is its sort key."""
+        """The tuples in order, every order of each key.  Each distinct point
+        is serialized once, and its rank is its sort key."""
         tuples = self._tuples
         if tuples is None:
             points = map(ProjPoint._from_ints, set().union(*self._keys))
             ordered = sorted(points, key=ProjPoint.serialized)
             rank = {p.ints: r for r, p in enumerate(ordered)}
-            ranked = sorted([tuple(map(rank.__getitem__, t)) for t in self._keys])
+            ranked = sorted({r for t in self._keys for r in permutations(map(rank.__getitem__, t))})
             tuples = tuple([CrossRatioTuple(map(ordered.__getitem__, r)) for r in ranked])
             self._set(_tuples=tuples)
         return tuples
 
     def __len__(self) -> int:
-        return len(self._keys)
+        key = next(iter(self._keys))
+        return len(self._keys) * (factorial(len(key)) if len(key) > 1 and len(key[0]) > 1 else 1)
 
     def __iter__(self):
         return iter(self.tuples)
@@ -283,7 +293,7 @@ class UnorderedCrossRatio(_Frozen):
             return False
         if not all(isinstance(p, ProjPoint) for p in points):
             return False
-        return tuple(p.ints for p in points) in self._keys
+        return tuple(sorted(p.ints for p in points)) in self._keys
 
     def __repr__(self) -> str:
         return f"UnorderedCrossRatio({list(self.tuples)!r})"
@@ -398,6 +408,15 @@ def _columns(basis: AugmentedBasis, image: Callable, lam: Optional[Callable] = N
     return cofactors, columns
 
 
+def _sorted_tails(slots: list[list[tuple[int, ...]]]) -> Iterable[tuple[tuple[int, ...], ...]]:
+    """Per head, its tail images (one per slot) sorted in whole columns: zipped, compared per pair, or sorted."""
+    if len(slots) != 2:
+        return zip(*slots) if len(slots) == 1 else map(tuple, map(sorted, zip(*slots)))
+    a, b = slots
+    low = list(map(lt, a, b))
+    return chain(zip(compress(a, low), compress(b, low)), zip(compress(b, map(not_, low)), compress(a, map(not_, low))))
+
+
 def _check_cap(m: int, cap: int) -> None:
     """Raise CapExceededError when the m! orderings of m points exceed `cap` points."""
     if m > cap:
@@ -413,8 +432,8 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     base, last point) are mapped, in whole columns from the shape's plans:
     per coordinate, a product of n gathered columns of signed brackets; then
     one gcd pass, and per first coordinate one signed divisor list and n
-    divided columns.  A move is one `zip` of its columns, and each tail order
-    one `zip` of the tail slots.  The result keeps its key set and sorts nothing.
+    divided columns.  A move is one `zip` of its columns, and one pass over the
+    tail slots of all moves sorts each head's tail: one key per tail orbit.
     """
     basis = _as_basis(points)
     m, n = basis.m, basis.n
@@ -426,12 +445,10 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     for column in columns:
         divisors = [d if x > 0 else -d for d, x in zip(g, column)]  # in general position no coordinate is 0
         signed.append([list(map(floordiv, c, divisors)) for c in columns])
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for get, first in _moves(n):
-        moved = list(zip(*get(signed[first])))
-        for order in permutations([moved[c :: m - n - 1] for c in range(m - n - 1)]):
-            seen.update(zip(*order))
-    return UnorderedCrossRatio._from_keys(seen)
+    t = m - n - 1  # tail slots
+    images = list(chain.from_iterable(zip(*get(signed[first])) for get, first in _moves(n)))  # move by move
+    keys = frozenset(_sorted_tails([images[c::t] for c in range(t)]))
+    return object.__new__(UnorderedCrossRatio)._set(_keys=keys, _tuples=None)
 
 
 def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[ProjTransform]:

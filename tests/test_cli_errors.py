@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +112,25 @@ def test_cross_ratio_checks_the_cap_before_the_brackets(tmp_path, monkeypatch):
     assert tables == []
     code, error = error_of(["cross-ratio", write(tmp_path, "basis.json", repeated), "--cap", "9"])
     assert code == 2 and error["type"] == "NotAugmentedBasisError" and tables == [9]
+
+
+@pytest.mark.parametrize("command", ["equivalent", "seed-conjugate"])
+def test_inputs_past_the_bracket_budget_exit_3_before_any_minor(tmp_path, monkeypatch, command):
+    # 15 points of RP^6, or a 15 x 7 seed, have C(15, 7) = 6435 brackets,
+    # past the budget of 4000: the input is refused before any minor is
+    # computed, in well under a second
+    tables = []
+    minors = cartanlim.exactq.maximal_minors
+    monkeypatch.setattr(cartanlim.exactq, "maximal_minors", lambda rows: tables.append(len(rows)) or minors(rows))
+    rows = [[str((i + 1) ** j) for j in range(7)] for i in range(15)]  # Vandermonde rows, in general position
+    doc = {"n": 7, "points": rows} if command == "equivalent" else {"m": 15, "n": 7, "rows": rows}
+    path = write(tmp_path, "input.json", doc)
+    start = time.perf_counter()
+    code, error = error_of([command, path, path])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and error["type"] == "CapExceededError"
+    assert error["message"] == "C(15, 7) brackets exceed the budget of 4000"
+    assert tables == []
 
 
 def test_negative_rational_after_a_space_is_a_value():

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -36,7 +36,7 @@ from cartanlim.projgeo import (
     unordered_cross_ratio,
 )
 from cartanlim.exactq import QMatrix, format_rational
-from cartanlim.limits import alpha_orbit
+from cartanlim.limits import SeedMatrix, alpha_orbit
 
 from util import (
     basis_transform_oracle,
@@ -47,6 +47,7 @@ from util import (
     general_position_oracle,
     identity_oracle,
     matvec_oracle,
+    ordered_keys,
     random_augmented_basis,
     random_invertible,
     scale_oracle,
@@ -495,8 +496,10 @@ EDGE_CASES = {
 }
 
 
-# SHA-256 of repr(sorted(uc._keys)) for random_augmented_basis(Random(10n + m), n, m),
-# recorded from the per-image enumeration that preceded the gather plan
+# SHA-256 of repr(sorted(ordered_keys(uc))) for random_augmented_basis(Random(10n + m), n, m):
+# the full key set of every ordered tuple, as the value kept it before it kept one
+# key per tail orbit; recorded from the per-image enumeration that preceded the
+# gather plan, and (2,8), (3,8) from the column enumeration of every tail order
 KEY_SET_DIGESTS = {
     (2, 4): "8d2bb926a8932ce941d7b37cabd4fa8b31887b6f93e1507cb002e0dcb9b28ede",
     (2, 5): "14581aa94a643f57b3d9f203c610f3a7e516348e7f1ac7c436554279f5e93ec3",
@@ -506,14 +509,16 @@ KEY_SET_DIGESTS = {
     (2, 7): "eb3c0468edae067baa0ec4fc4b6a520f7a19b2838e29c45e37cd4485b2716764",
     (3, 7): "8fca3c632fdf234b739a942d66b8188f70b792120145773cf788ff7cee614e20",
     (4, 7): "6930a9782a1814a1922d8622fed829099e7b6879720972af18821f9655f42f0f",
+    (2, 8): "b993a7bb0bd897ac5d4ee92604fa9696cf03a8362d1584a786e79a99e424fcec",
+    (3, 8): "397336454c20cedef78ee8ac80f661fa41408aa891ec92974a1726455c3e76ac",
 }
 
 
 @pytest.mark.parametrize("n,m", sorted(KEY_SET_DIGESTS))
 def test_uc_key_sets_are_pinned(n, m):
-    # the same key sets, so the same equality, hashes and pickles
+    # the same full key sets, so the same values, equality and `tuples`
     uc = unordered_cross_ratio(random_augmented_basis(random.Random(n * 10 + m), n, m))
-    assert hashlib.sha256(repr(sorted(uc._keys)).encode()).hexdigest() == KEY_SET_DIGESTS[n, m]
+    assert hashlib.sha256(repr(sorted(ordered_keys(uc))).encode()).hexdigest() == KEY_SET_DIGESTS[n, m]
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_CASES))
@@ -523,7 +528,8 @@ def test_uc_edge_shapes(case):
     n, m = basis.n, basis.m
     uc = unordered_cross_ratio(basis)
     assert [t.entries for t in uc] == uc_oracle(basis)
-    assert size is None or len(uc) == size
+    assert ordered_keys(uc) == {tuple(p.ints for p in t) for t in uc_oracle(basis)}
+    assert len(uc) == len(ordered_keys(uc)) and (size is None or len(uc) == size)
     rebuilt = UnorderedCrossRatio(uc.tuples)
     assert rebuilt == uc and hash(rebuilt) == hash(uc) and len(rebuilt) == len(uc)
     assert all(t in uc for t in uc.tuples)
@@ -537,6 +543,64 @@ def test_uc_edge_shapes(case):
         member = uc.tuples[len(uc) // 2]
         assert CrossRatioTuple([*member.entries[:-1], ProjPoint([1] * n)]) not in uc
         assert unordered_cross_ratio(random_augmented_basis(rng, n, m)) != uc
+
+
+class PickledBeforeTailOrbits:
+    """Pickles as an unordered cross ratio did when it kept every ordered tuple's key."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __reduce__(self):
+        return UnorderedCrossRatio._from_keys, (self.keys,)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (2, 6), (3, 6), (2, 7), (3, 7), (4, 7)])
+def test_uc_keeps_one_key_per_tail_orbit(n, m):
+    # for n >= 2 the tail points of a tuple are distinct, so each kept key,
+    # its tail sorted, stands for (m - n - 1)! tuples, and no two keys share one
+    rng = random.Random(n * 100 + m)
+    basis = random_augmented_basis(rng, n, m)
+    uc = unordered_cross_ratio(basis)
+    full = ordered_keys(uc)
+    assert all(list(key) == sorted(key) for key in uc._keys)
+    assert len(uc) == len(uc._keys) * factorial(m - n - 1) == len(full) == len(uc.tuples)
+    assert {tuple(p.ints for p in t) for t in uc.tuples} == full
+    # every tail order of a member is a member; the image of a head's last
+    # point, [1 : ... : 1], is never a tail image
+    member = uc.tuples[rng.randrange(len(uc))]
+    near_miss = [*member.entries[:-1], ProjPoint([1] * n)]
+    for order, missed in zip(permutations(member.entries), permutations(near_miss)):
+        assert order in uc and CrossRatioTuple(order) in uc
+        assert missed not in uc and CrossRatioTuple(missed) not in uc
+    # a relabelled, transformed copy has the same keys
+    q = ProjTransform(random_invertible(rng, n))
+    moved = unordered_cross_ratio(AugmentedBasis(q(p) for p in rng.sample(basis.points, m)))
+    assert moved == uc and hash(moved) == hash(uc) and moved._keys == uc._keys
+    # copies, pickles (also one made when the value kept every ordered key)
+    # and the public constructor give the same value
+    old = pickle.loads(pickle.dumps(PickledBeforeTailOrbits(frozenset(full))))
+    for clone in (copy.copy(uc), copy.deepcopy(uc), pickle.loads(pickle.dumps(uc)), old, UnorderedCrossRatio(uc.tuples)):
+        assert type(clone) is UnorderedCrossRatio and clone == uc and hash(clone) == hash(uc)
+        assert clone._keys == uc._keys and len(clone) == len(uc) and clone.tuples == uc.tuples
+    # the public constructor refuses a set that is not closed under reordering
+    with pytest.raises(SizeMismatchError):
+        UnorderedCrossRatio(uc.tuples[1:])
+
+
+def test_uc_constructor_refuses_what_is_not_every_order():
+    # a tuple with a repeated point (n >= 2) has fewer orders than its
+    # length allows, and no cross ratio holds one; tuples of two lengths are
+    # not one cross ratio either.  In RP^0 every point is [1]: one tuple
+    # stands for itself
+    a, b, c = P(1, 2), P(1, 3), P(2, 5)
+    assert len(UnorderedCrossRatio([(a, b), (b, a)])) == 2
+    for tuples in ([(a, b)], [(a, a)], [(a, b), (b, a), (c,)], [(a, b, c)]):
+        with pytest.raises(SizeMismatchError):
+            UnorderedCrossRatio(tuples)
+    assert len(UnorderedCrossRatio([(P(1), P(1), P(1))])) == 1 == len(UnorderedCrossRatio([()]))
+    with pytest.raises(ZeroVectorError):
+        UnorderedCrossRatio([])
 
 
 # --- coordinate orders -------------------------------------------------------------
@@ -567,19 +631,20 @@ def test_reordered_base_moves_image_coordinates(basis, rnd):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.integers(n + 2, n + 3).flatmap(lambda m: configurations(n, m))))
 def test_inline_images_are_frame_images(basis):
-    # the unordered cross ratio maps each image inside its head loop, signed
-    # by coordinate 0; its first move, the identity, hands the tail slots of
-    # all heads, in head order, to `permutations`
+    # the unordered cross ratio maps each image inside its head loop and
+    # hands the tail slots of every base order to one `_sorted_tails` call:
+    # per order, in lexicographic order, all heads in head order, each image
+    # the frame image of the head with its base in that order
     n, m = basis.n, basis.m
     slots = []
+    sorted_tails = projgeo._sorted_tails
 
-    def recording(items, *args):
-        if isinstance(items, list):
-            slots.append(items)
-        return permutations(items, *args)
+    def recording(columns):
+        slots.append(columns)
+        return sorted_tails(columns)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(projgeo, "permutations", recording)
+        patch.setattr(projgeo, "_sorted_tails", recording)
         unordered_cross_ratio(basis)
     heads = [
         ((*base, last), [q for q in rest if q != last])
@@ -587,11 +652,14 @@ def test_inline_images_are_frame_images(basis):
         for rest in [[q for q in range(m) if q not in base]]
         for last in rest
     ]
-    assert len(slots[0]) == m - n - 1 and all(len(slot) == len(heads) for slot in slots[0])
-    for h, (head, tail) in enumerate(heads):
-        frame = basis_transform([basis.points[i] for i in head])
-        for slot, q in zip(slots[0], tail):
-            assert all(slot[h]) and slot[h] == frame(basis.points[q]).ints
+    assert len(slots) == 1 and len(slots[0]) == m - n - 1
+    assert all(len(slot) == len(heads) * factorial(n) for slot in slots[0])
+    images = iter(zip(*slots[0]))
+    for order in permutations(range(n)):
+        for (*base, last), tail in heads:
+            frame = basis_transform([basis.points[i] for i in [*(base[j] for j in order), last]])
+            for image, q in zip(next(images), tail):
+                assert all(image) and image == frame(basis.points[q]).ints
     first = basis_transform(basis.points[: n + 1])
     assert ordered_cross_ratio(basis).entries == tuple(map(first, basis.points[n + 1 :]))
 
@@ -684,7 +752,8 @@ def test_one_coordinate_points(m):
     # every point of RP^0 is [1]; the move of one coordinate is `tuple`, since
     # `itemgetter` of one index returns a scalar
     basis = AugmentedBasis(P(k) for k in range(1, m + 1))
-    assert [t.entries for t in unordered_cross_ratio(basis)] == [(P(1),) * (m - 2)]
+    uc = unordered_cross_ratio(basis)
+    assert [t.entries for t in uc] == [(P(1),) * (m - 2)] and len(uc) == 1
     identity = ProjTransform(QMatrix([[1]]))
     for right in (basis, AugmentedBasis(P(-k) for k in range(1, m + 1))):
         assert projectively_equivalent(basis, right) == identity == equivalence_oracle(basis, right)
@@ -713,6 +782,23 @@ def test_brackets_are_minors_and_decide_general_position(coords):
         else:
             with pytest.raises(NotAugmentedBasisError):
                 AugmentedBasis(points)
+
+
+def test_bracket_budget_is_checked_before_any_minor(monkeypatch):
+    # C(14, 7) = 3432 brackets are within the budget, C(15, 7) = 6435 are not:
+    # a basis or a seed past it is refused before its table is computed
+    assert comb(14, 7) <= projgeo.MAX_BRACKETS < comb(15, 7)
+    tables = []
+    original = exactq.maximal_minors
+    monkeypatch.setattr(exactq, "maximal_minors", lambda rows: tables.append(len(rows)) or original(rows))
+    rows = [[(i + 1) ** j for j in range(7)] for i in range(15)]
+    with pytest.raises(CapExceededError, match=r"^C\(15, 7\) brackets exceed the budget of 4000$"):
+        AugmentedBasis(ProjPoint(row) for row in rows)
+    with pytest.raises(CapExceededError):
+        SeedMatrix(rows).generic
+    assert tables == []
+    assert len(AugmentedBasis(ProjPoint(row) for row in rows[:14]).brackets) == comb(14, 7)
+    assert SeedMatrix(rows[:14]).generic and tables == [14, 14]
 
 
 def test_brackets_are_read_only_and_survive_copy_and_pickle():

@@ -383,6 +383,13 @@ def uc_oracle(basis: AugmentedBasis) -> list[tuple[ProjPoint, ...]]:
     return sorted(seen, key=lambda tail: [p.serialized() for p in tail])
 
 
+def ordered_keys(uc: UnorderedCrossRatio) -> set[tuple[tuple[int, ...], ...]]:
+    """The full key set of an unordered cross ratio: the point keys
+    (`ProjPoint.ints`) of every tuple, each kept tail-sorted key in every
+    order of its points."""
+    return {order for key in uc._keys for order in permutations(key)}
+
+
 def equivalence_oracle(left: AugmentedBasis, right: AugmentedBasis):
     """Independent oracle for `projectively_equivalent`: per ordered right
     head, the candidate from_std ∘ basis_transform(head), checked on every
