@@ -10,8 +10,9 @@ eliminates each connected component of the nonzero pattern on its own (a
 permuted block-diagonal matrix never meets a dense elimination), and the
 maximal minors come from one Laplace pass over column prefixes whenever no
 level of that pass outgrows the answer.  Elimination is fraction-free in the
-Bareiss style, so nothing in this module ever touches floating point and
-every equality test downstream is a structural comparison.
+Bareiss style (on a stream of rows, one whole row per step), so nothing in
+this module ever touches floating point and every equality test downstream
+is a structural comparison.
 """
 
 from __future__ import annotations
@@ -263,30 +264,20 @@ def _product(left: QMatrix, right: QMatrix) -> QMatrix:
 
 
 def _fraction_free_echelon(
-    rows: list[list[int]], pivot_limit: Optional[int] = None, pivot_cols: Optional[list[int]] = None
+    rows: list[list[int]], pivot_limit: Optional[int] = None
 ) -> tuple[int, int, int, list[int]]:
     """Bareiss forward elimination in place.
 
     Pivots are searched in the first `pivot_limit` columns (all columns when
     None).  Intermediate entries stay integer minors of the input, so the
-    two-step division is exact.  An entry below a pivot keeps the head it was
-    cleared by, so the echelon holds its own steps: given back the
-    `pivot_cols` it returned, after every row has grown by one column, it
-    takes that column through those steps and goes on from there.  Returns
-    (rank, sign of this call's swaps, last pivot, pivot column indices).
+    two-step division is exact.  Returns (rank, sign of the swaps, last
+    pivot, pivot column indices).
     """
     m = len(rows)
     width = len(rows[0])
-    limit = width if pivot_limit is None else pivot_limit
-    start, pivot_cols = (0, []) if pivot_cols is None else (width - 1, pivot_cols)
     prev = sign = 1
-    for r, c in enumerate(pivot_cols):  # the steps so far, on the new last column
-        top, pivot = rows[r], rows[r][c]
-        for row in rows[r + 1 :]:
-            row[-1] = (row[-1] * pivot - row[c] * top[-1]) // prev
-        prev = pivot
-    r = len(pivot_cols)
-    for c in range(start, limit):
+    r, pivot_cols = 0, []
+    for c in range(width if pivot_limit is None else pivot_limit):
         if r == m:
             break
         piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
@@ -437,21 +428,30 @@ def inverse(matrix: QMatrix) -> QMatrix:
 def independent_rows(rows: Iterable[Sequence[int | Fraction]], stop: Optional[int] = None) -> list[int]:
     """Indices of the rows that are independent of the rows before them.
 
-    These are the pivot columns of the echelon form of the transpose, which
-    takes the rows in one column at a time: no row is read after the
-    `stop`-th independent one, or once the rows reach full rank.
+    Incremental Bareiss: a row read goes through the kept rows' steps in
+    order, one whole row per step and the columns in lead order, so each
+    division is exact; it is kept when a nonzero entry, its lead, remains.
+    No row is read after the `stop`-th independent one, or once the rows
+    reach full rank; a row of another width than the first raises
+    DimensionMismatchError.
     """
     kept: list[int] = []
+    steps: list[tuple[int, Sequence[int], int]] = []  # (lead column, reduced row, lead)
     for i, row in enumerate(() if stop == 0 else rows):
-        ints = _cleared(row)[1]
-        if i == 0:
-            coords = [[] for _ in ints]  # the rows of the transpose, before any swap
-            work = list(coords)
-        for entries, x in zip(coords, ints):
-            entries.append(x)
-        if not ints:
-            break
-        _fraction_free_echelon(work, pivot_cols=kept)
-        if len(kept) in (stop, len(work)):
-            break
+        if not i:
+            width = len(row)
+        elif len(row) != width:
+            raise DimensionMismatchError("ragged rows")
+        vec = row if all(type(x) is int for x in row) else _cleared(row)[1]
+        prev = 1
+        for c, top, pivot in steps:
+            head = vec[c]
+            vec = [(u * pivot - head * w) // prev for u, w in zip(vec, top)]
+            prev = pivot
+        lead = next((c for c, x in enumerate(vec) if x), None)
+        if lead is not None:
+            steps.append((lead, vec, vec[lead]))
+            kept.append(i)
+            if len(kept) in (stop, width):
+                break
     return kept

@@ -2,12 +2,13 @@
 
 Rationals travel as `p/q` strings, floats as 17-significant-digit decimals,
 and objects are emitted with sorted keys, so identical inputs always produce
-byte-identical documents.  The emitter knows the wire form of each library
-value type (points, matrices, cross-ratio tuples and sets, enums, frozensets
-and result records), so results are serialized as returned, with no
-per-type adapter.  Fractions are written from their numerator and
-denominator, points from their integer form, and strings and dict keys
-through the ASCII encoder of `json`.
+byte-identical documents.  The emitter looks up the exact type of each value
+in one table; a value of any other type (matrices, cross-ratio tuples and
+sets, enums, frozensets and result records) is written as its wire form, so
+results are serialized as returned.  Integers and Fractions share a formatter
+that falls back to `decimal` past the interpreter's integer digit limit; each
+distinct point is written once per document, from its integer form; strings
+and dict keys go through the ASCII encoder of `json`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .projgeo import AugmentedBasis, CrossRatioTuple, ProjPoint, UnorderedCrossR
 
 # --- canonical emission -------------------------------------------------------
 
-# The attribute a library value travels as; a ProjPoint travels as its coords,
-# written by `_emit` straight from its integer form.
+# The attribute a library value travels as (`_point_text` writes a ProjPoint).
 _WIRE_ATTR = {
     QMatrix: "rows",
     CrossRatioTuple: "entries",
@@ -41,10 +41,10 @@ _WIRE_ATTR = {
 }
 
 
-def _float_literal(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+def _float_text(obj: float, points: dict) -> str:
+    if not math.isfinite(obj):
         raise ValueError("cannot serialize non-finite float")
-    return format(value, ".17g")
+    return format(obj, ".17g")
 
 
 def _wire(obj: Any) -> Any:
@@ -61,42 +61,44 @@ def _wire(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            if i:
-                out.append(", ")
-            out.append(encode_basestring_ascii(key) + ": ")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, ProjPoint):
-        out.append("[" + ", ".join(['"' + x + '"' for x in obj.serialized()]) + "]")
-    elif isinstance(obj, float):
-        out.append(_float_literal(obj))
-    elif isinstance(obj, Fraction):  # Fraction is an ABC, slow to miss: so it comes last
-        out.append('"' + _format_ratio(obj.numerator, obj.denominator) + '"')
-    else:
-        _emit(_wire(obj), out)
+def _list_text(obj: list | tuple, points: dict) -> str:
+    return "[" + ", ".join([_TEXT.get(type(x), _wire_text)(x, points) for x in obj]) + "]"
+
+
+def _dict_text(obj: dict, points: dict) -> str:
+    items = []
+    for key in sorted(obj):
+        if not isinstance(key, str):
+            raise TypeError(f"non-string key {key!r}")
+        value = obj[key]
+        items.append(encode_basestring_ascii(key) + ": " + _TEXT.get(type(value), _wire_text)(value, points))
+    return "{" + ", ".join(items) + "}"
+
+
+def _point_text(obj: ProjPoint, points: dict) -> str:
+    if (text := points.get(obj.ints)) is None:
+        text = points[obj.ints] = "[" + ", ".join(['"' + x + '"' for x in obj.serialized()]) + "]"
+    return text
+
+
+def _wire_text(obj: Any, points: dict) -> str:
+    return _TEXT.get(type(wire := _wire(obj)), _wire_text)(wire, points)
+
+
+# The text of a value by its exact type; `points` maps the integer form of
+# each point written so far in the document to its text.
+_TEXT = {
+    type(None): lambda obj, points: "null",
+    bool: lambda obj, points: "true" if obj else "false",
+    int: lambda obj, points: _format_ratio(obj, 1),
+    str: lambda obj, points: encode_basestring_ascii(obj),
+    float: _float_text,
+    Fraction: lambda obj, points: '"' + _format_ratio(obj.numerator, obj.denominator) + '"',
+    ProjPoint: _point_text,
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+}
 
 
 def dumps(obj: Any) -> str:
@@ -105,9 +107,7 @@ def dumps(obj: Any) -> str:
     Library values (`ProjPoint`, `QMatrix`, cross ratios, result
     records, whose fields travel as an object) may appear anywhere in `obj`.
     """
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    return _TEXT.get(type(obj), _wire_text)(obj, {})
 
 
 # --- parsing helpers -------------------------------------------------------------

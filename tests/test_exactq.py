@@ -463,6 +463,48 @@ def test_streamed_independent_rows_read_up_to_the_stop_rank(rows, stop):
         assert len(read) == len(rows)
 
 
+def seeded_rows(rng: random.Random, nrows: int, ncols: int, rank: int) -> list[list]:
+    """`rank` rows with random leads, so the leads come out of column order,
+    and the rest combinations of up to three rows before them, shuffled so
+    that a dependent row may come before the rows it depends on.  A third of
+    the rows are scaled by a Fraction, their integral entries made ints."""
+    rows = []
+    for _ in range(rank):
+        zeros = rng.randrange(ncols)
+        rows.append([0] * zeros + [rng.choice((-3, -1, 1, 2, 7))] + [rng.randint(-9, 9) for _ in range(ncols - zeros - 1)])
+    while len(rows) < nrows:
+        picks = rng.sample(rows, min(3, len(rows)))
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in picks]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, picks)), F(0)) for j in range(ncols)])
+    rng.shuffle(rows)
+    for i in rng.sample(range(nrows), nrows // 3):
+        scale = F(rng.randint(1, 9), rng.randint(2, 9))
+        rows[i] = [int(v) if (v := x * scale).denominator == 1 else v for x in rows[i]]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, rank, seed",
+    [(12, 12, 7, 0), (12, 12, 12, 1), (18, 24, 10, 2), (24, 18, 18, 3), (20, 20, 13, 4), (30, 30, 21, 5), (30, 30, 30, 6)],
+)
+def test_independent_rows_match_the_oracle_on_seeded_large_inputs(nrows, ncols, rank, seed):
+    rows = seeded_rows(random.Random(seed), nrows, ncols, rank)
+    kept = independent_rows(rows)
+    assert kept == incremental_basis_oracle(rows)
+    assert len(kept) == gauss_rank_oracle(QMatrix(rows)) <= rank
+
+
+def test_independent_rows_reject_ragged_rows():
+    for rows in ([[1, 2], [3]], [[0, 0], [1]], [[1, 0], [2, 0, 1]], [[], [1]], [[F(0)], [F(1, 2), 1]]):
+        with pytest.raises(DimensionMismatchError):
+            independent_rows(rows)
+        with pytest.raises(DimensionMismatchError):
+            independent_rows(iter(rows))
+    # a row past full rank or past the stop rank is never read
+    assert independent_rows([[1, 0], [0, 1], [1]]) == [0, 1]
+    assert independent_rows([[1, 0], [1]], 1) == [0]
+
+
 def test_streamed_independent_rows_examples():
     rows = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 0], [5, 5, 0], [0, 0, 1]]
     assert independent_rows(iter(rows)) == independent_rows(rows) == [1, 3, 5]

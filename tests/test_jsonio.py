@@ -2,6 +2,9 @@
 
 import json
 import math
+import random
+from collections import Counter, defaultdict, namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,7 @@ from cartanlim.jsonio import dumps
 from cartanlim.limits import OrbitClass, OrbitKind
 from cartanlim.obstruct import TierReport
 from cartanlim.projgeo import AugmentedBasis, ProjPoint, unordered_cross_ratio
-from util import dumps_oracle, run_cli
+from util import dumps_oracle, random_augmented_basis, run_cli
 
 # Blocks [[v0, v0, v1], [v1, v0, v1], [v1, 0, v1]]: the minors leave v0*v1,
 # so the certificate branches, and each case forces the other variable to 0.
@@ -52,22 +55,56 @@ def test_orbit_class_emits_enum_value_and_sorted_frozenset():
 
 
 def test_unsupported_objects_raise_type_error():
-    for obj in (object(), {3}, OrbitClass, {1: "x"}):
+    subclasses = (defaultdict(int), namedtuple("Pair", "a b")(1, 2), type("Text", (str,), {})("x"))
+    for obj in (object(), {3}, OrbitClass, {1: "x"}, [1, {"a": object()}], {"a": [{"b": 1, 2: 3}]}, (None, {(1,): 2}), *subclasses):
         with pytest.raises(TypeError):
             dumps(obj)
 
 
 def test_non_finite_floats_raise_value_error():
     for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            dumps([value])
+        for obj in ([value], value, {"a": (1, [value])}):
+            with pytest.raises(ValueError):
+                dumps(obj)
 
 
+def test_ints_past_the_digit_limit_are_written_in_full():
+    for value in (10**5000, -(10**5000) - 7, 3**9000 + 1):
+        digits = str(Decimal(value))
+        assert dumps([value]) == "[" + digits + "]"
+        assert dumps({"k": (value, Fraction(value, 3))}) == '{"k": [' + digits + ', "' + digits + '/3"]}'
+
+
+def test_each_distinct_point_is_serialized_once_per_document(monkeypatch):
+    uc = unordered_cross_ratio(random_augmented_basis(random.Random(28), 2, 8))
+    expected = dumps(uc)
+    calls = Counter()
+    serialized = ProjPoint.serialized
+
+    def spy(point):
+        calls[point] += 1
+        return serialized(point)
+
+    monkeypatch.setattr(ProjPoint, "serialized", spy)
+    for _ in range(2):  # the text is kept for one document only
+        calls.clear()
+        assert dumps(uc) == expected
+        assert set(calls) == {p for t in uc for p in t.entries}
+        assert max(calls.values()) == 1
+
+
+huge_ints = st.builds(lambda k, sign: sign * (10**k + 7), st.integers(4290, 4400), st.sampled_from((-1, 1)))
 fractions = st.one_of(
     st.fractions(),
     st.integers(-10**6, 10**6).map(Fraction),
     st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(10**20, 10**40)),
+    st.builds(Fraction, huge_ints, st.integers(1, 10**5)),
 )
+small_ucs = [
+    unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, 2])])),
+    unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, -1], [2, 3])])),
+    unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3])])),
+]
 library_values = st.one_of(
     st.sampled_from(OrbitKind),
     st.frozensets(st.integers(-5, 5)),
@@ -75,19 +112,19 @@ library_values = st.one_of(
     st.builds(TierReport, st.integers(0, 9), st.lists(fractions, max_size=3).map(tuple)),
     st.lists(st.lists(fractions, min_size=2, max_size=2), min_size=1, max_size=3).map(QMatrix),
     st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any).map(ProjPoint),
-    st.sampled_from([
-        unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, 2])])),
-        unordered_cross_ratio(AugmentedBasis([ProjPoint(p) for p in ([1, 0], [0, 1], [1, 1], [1, -1], [2, 3])])),
-    ]),
+    st.sampled_from(small_ucs),
+    st.sampled_from([t for uc in small_ucs for t in uc]),
 )
 leaves = st.one_of(
     fractions,
     st.integers(),
+    huge_ints,
     st.booleans(),
     st.none(),
     st.floats(),
     st.sampled_from([-0.0, 1e-30, math.nan, math.inf, -math.inf]),
     st.text(),
+    st.text(st.characters(min_codepoint=0x80), min_size=1),
     library_values,
 )
 values = st.recursive(
@@ -96,6 +133,7 @@ values = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.lists(st.one_of(st.booleans(), children), max_size=4),
         st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 2)), children, max_size=3),
     ),
     max_leaves=12,

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import random
+import re
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
@@ -741,63 +743,55 @@ def builtin_poly_group_oracle(name: str, seed: SeedMatrix | None = None) -> Poly
     return PolyParamGroup(d, p + q, grid)
 
 
-def _wire_oracle(obj):
-    """The plain value that a library object is emitted as."""
-    attr = {ProjPoint: "coords", QMatrix: "rows", CrossRatioTuple: "entries", UnorderedCrossRatio: "tuples"}.get(type(obj))
-    if attr is not None:
-        return getattr(obj, attr)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    if isinstance(obj, _Frozen) and obj._fields:
-        return {name: getattr(obj, name) for name in obj._fields}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_oracle(obj) -> str:
-    """Independent oracle for `jsonio.dumps`: one isinstance chain, strings
-    and keys through `json.dumps`, library values through their Fraction
-    wire form."""
-    out: list[str] = []
+    """Independent oracle for `jsonio.dumps`: `json.dumps(sort_keys=True)` of
+    the document with each library value replaced by its wire form, written
+    out by hand, and each float and int by a placeholder string; the
+    placeholders are then replaced by the floats written as `.17g` and the
+    ints through `Decimal`, which has no digit limit.  JSON types are matched
+    exactly, so a subclass of one that is not an Enum raises TypeError."""
+    raw: list[str] = []
 
-    def emit(obj) -> None:
-        if obj is None:
-            out.append("null")
-        elif obj is True:
-            out.append("true")
-        elif obj is False:
-            out.append("false")
-        elif isinstance(obj, Fraction):
-            out.append(json.dumps(f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)))
-        elif isinstance(obj, int):
-            out.append(str(obj))
-        elif isinstance(obj, float):
+    def placeholder(text: str) -> str:
+        raw.append(text)
+        return f"\x00raw{len(raw) - 1}\x00"
+
+    def rational(num: int, den: int) -> str:
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+    def plain(obj):
+        if isinstance(obj, Enum):
+            return obj.value
+        if obj is None or type(obj) in (bool, str):
+            return obj
+        if type(obj) is int:
+            return placeholder(str(Decimal(obj)))
+        if type(obj) is float:
             if math.isnan(obj) or math.isinf(obj):
                 raise ValueError("cannot serialize non-finite float")
-            out.append(format(obj, ".17g"))
-        elif isinstance(obj, str):
-            out.append(json.dumps(obj, ensure_ascii=True))
-        elif isinstance(obj, (list, tuple)):
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(", ")
-                emit(item)
-            out.append("]")
-        elif isinstance(obj, dict):
-            out.append("{")
-            for i, key in enumerate(sorted(obj)):
-                if not isinstance(key, str):
-                    raise TypeError(f"non-string key {key!r}")
-                if i:
-                    out.append(", ")
-                out.append(json.dumps(key, ensure_ascii=True))
-                out.append(": ")
-                emit(obj[key])
-            out.append("}")
-        else:
-            emit(_wire_oracle(obj))
+            return placeholder(format(obj, ".17g"))
+        if isinstance(obj, Fraction):
+            return rational(obj.numerator, obj.denominator)
+        if isinstance(obj, ProjPoint):
+            return [rational(x.numerator, x.denominator) for x in obj.coords]
+        if isinstance(obj, QMatrix):
+            return [[plain(x) for x in row] for row in obj.rows]
+        if isinstance(obj, CrossRatioTuple):
+            return [plain(p) for p in obj.entries]
+        if isinstance(obj, UnorderedCrossRatio):
+            return [plain(t) for t in obj.tuples]
+        if isinstance(obj, frozenset):
+            return [plain(x) for x in sorted(obj)]
+        if type(obj) in (list, tuple):
+            return [plain(x) for x in obj]
+        if type(obj) is dict:
+            keys = sorted(obj)  # values in key order, so the first error raised is the same
+            if not all(isinstance(key, str) for key in keys):
+                raise TypeError("non-string key")
+            return {key: plain(obj[key]) for key in keys}
+        if isinstance(obj, _Frozen) and obj._fields:
+            return {name: plain(getattr(obj, name)) for name in obj._fields}
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-    emit(obj)
-    return "".join(out)
+    text = json.dumps(plain(obj), sort_keys=True)
+    return re.sub(r'"\\u0000raw(\d+)\\u0000"', lambda match: raw[int(match[1])], text)
