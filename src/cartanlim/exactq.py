@@ -148,6 +148,9 @@ class QMatrix(_Frozen):
     _key = ("_ncols", "_den", "_ints")
 
     def __init__(self, rows: Iterable[Iterable[int | str | Fraction]]):
+        rows = tuple(rows)
+        if any(isinstance(row, (str, bytes, bytearray)) for row in rows):  # would be read one character at a time
+            raise TypeError("a matrix row must be a sequence of rationals, not a str or bytes")
         grid = tuple(tuple(rational(x) for x in row) for row in rows)
         if not grid or not grid[0]:
             raise EmptyInputError("matrix needs at least one row and one column")

@@ -8,14 +8,14 @@ integers; the rational `coords` and `matrix` are derived only when read.
 An augmented basis carries its bracket table: the C(m, n) n x n minors
 [p_i1 ... p_in] of its points (their Plücker coordinates), computed once (at
 most MAX_BRACKETS), and general position means that none of them is zero.
-Every frame is a ratio of brackets, so the unordered cross ratio (a complete
-invariant up to projective equivalence) and `projectively_equivalent` run on
-lookups.  Reordering a head's base only reorders its image coordinates, by
-one compiled move per order, so both map only the unordered heads (sorted
-base, last point), in whole columns gathered by a plan built once per shape.
-The cross ratio maps every image and keeps one key per tail orbit, its tail
-sorted; the equivalence search, past the least head, screens each head's
-first image, and builds its witness from the right brackets with one adjugate.
+Every frame is a ratio of brackets: cofactor columns under one sign rule,
+mapped by Cramer's rule.  So the unordered cross ratio (a complete invariant up
+to projective equivalence) and `projectively_equivalent` run on lookups.
+Reordering a head's base only reorders its image coordinates, by one compiled
+move per order, so both map only the unordered heads (sorted base, last point),
+in whole columns gathered by a plan built once per shape.  The cross ratio keeps
+one key per tail orbit, its tail sorted; the search screens each head's first
+image, and its witness reads its Cramer factors off the same columns.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class ProjPoint(_Frozen):
     _key = ("ints",)
 
     def __init__(self, coords: Iterable[int | str | Fraction]):
+        if isinstance(coords, (str, bytes, bytearray)):  # would be read one character at a time
+            raise TypeError(f"cannot interpret {coords!r} as a coordinate vector")
         raw = [rational(c) for c in coords]
         if not raw:
             raise ZeroVectorError("empty coordinate vector")
@@ -168,10 +170,10 @@ class ProjTransform(_Frozen):
 
 
 def _common_dimension(points: Sequence[ProjPoint]) -> int:
-    n = points[0].n
-    if any(p.n != n for p in points):
-        raise DimensionMismatchError("points live in different projective spaces")
-    return n
+    counts = {p.n for p in points}
+    if len(counts) != 1:
+        raise DimensionMismatchError(f"points need one common coordinate count, got {sorted(counts)}")
+    return counts.pop()
 
 
 def _brackets(rows: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -340,47 +342,45 @@ def _moved(keys: Iterable[tuple[int, ...]], get: Callable, first: int) -> list[t
     return [get(k) if k[first] > 0 else tuple(map(neg, get(k))) for k in keys]
 
 
-def _cofactors(brackets: Mapping[int, int], base: Sequence[int], points: Iterable[int]) -> dict[int, list[int]]:
-    """The cofactor table of a base b_1, ..., b_n: q -> c(q) for each q of
-    `points`, c(q)_k = ±[b_1..q..b_n] with q in slot k.  Sorting the slots
-    signs the bracket by a factor of q alone, by (-1)^k, and by -1 where
-    b_k > q; c keeps the last, since the others leave every image key alone."""
+def _cofactors(brackets: Mapping[int, int], base: Sequence[int], points: Sequence[int]) -> list[list[int]]:
+    """The cofactor columns of a base b_1, ..., b_n: per slot k, c(q)_k = ±[b_1..q..b_n], q in slot k, for each
+    q of `points` in order, from any map of bracket masks (`_plan` passes one to 1-based positions).  Sorting the slots
+    signs the bracket by a factor of q alone, by (-1)^k, and by -1 where b_k > q; c keeps the last, since the
+    others leave every image key alone."""
     full = sum(1 << i for i in base)
-    slots = [(full ^ 1 << i, i) for i in base]
-    return {q: [brackets[rest | 1 << q] * (-1 if i > q else 1) for rest, i in slots] for q in points}
+    return [[brackets[full ^ 1 << i | 1 << q] * (-1 if i > q else 1) for q in points] for i in base]
 
 
-def _scale(lam: Sequence[int]) -> list[int]:
-    """Cramer's rule for the head (b_1..b_n, last), λ = c(last): coordinate k
-    of the image of q is c(q)_k times the product over j != k of λ_j."""
-    p = prod(lam)
-    return [p // x for x in lam]
+def _images(cofactors: Sequence[Sequence[int]], h: int, tail: Iterable[int]) -> list[tuple[int, ...]]:
+    """Cramer's rule for the head (b_1..b_n, last) at entry h of cofactor
+    columns, λ = c(last): the primitive image of each entry of `tail`, whose
+    coordinate k is c_k times the product over j != k of λ_j."""
+    lam = [c[h] for c in cofactors]
+    scale = [prod(lam) // x for x in lam]
+    return [_primitive([c[e] * s for c, s in zip(cofactors, scale)]) for e in tail]
 
 
 def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     """Images of the trailing points under the transform normalizing the
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
-    rows = _cofactors(basis.brackets, range(basis.n), range(basis.n, basis.m))  # the head 0, 1, ..., n
-    scale = _scale(rows.pop(basis.n))
-    return CrossRatioTuple([ProjPoint._from_ints(list(map(mul, row, scale))) for row in rows.values()])
+    columns = _cofactors(basis.brackets, range(basis.n), range(basis.n, basis.m))  # the head 0, 1, ..., n at entry 0
+    return CrossRatioTuple(map(ProjPoint._from_ints, _images(columns, 0, range(1, basis.m - basis.n))))
 
 
 @lru_cache(maxsize=32)
 def _plan(m: int, n: int) -> tuple[Callable, tuple[Callable, ...], Callable, list[tuple[int, ...]]]:
-    """The plan of shape (m, n) over its unordered heads (sorted base; last
-    point p off it) in lexicographic order, built at its first use: a getter
-    of the brackets in mask order; per slot k, a getter of each head's c(p)_k
-    (`_cofactors`) from the signed 1-based bracket positions; a getter of each
-    head's entry of its first tail point; and the sorted bases."""
+    """The plan of shape (m, n) over its unordered heads (sorted base; last point p off it) in lexicographic
+    order, built at its first use: a getter of the brackets in mask order; per slot k, a getter of each head's
+    c(p)_k from its signed 1-based bracket position (`_cofactors` of the positions); a getter of each head's
+    entry of its first tail point; and the sorted bases."""
     bases = list(combinations(range(m), n))
     masks = [sum(1 << i for i in base) for base in bases]
     at = {mask: i for i, mask in enumerate(masks, 1)}
-    off = [(base, full, p) for base, full in zip(bases, masks) for p in range(m) if p not in base]
-    slots = [[at[full ^ 1 << base[k] | 1 << p] * (-1 if base[k] > p else 1) for base, full, p in off] for k in range(n)]
+    tables = (_cofactors(at, base, [p for p in range(m) if p not in base]) for base in bases)
+    slots = tuple(itemgetter(*chain.from_iterable(slot)) for slot in zip(*tables))
     r = m - n
-    first = itemgetter(*[h - h % r + (h % r == 0) for h in range(len(off))])
-    return itemgetter(*masks), tuple(itemgetter(*slot) for slot in slots), first, bases
+    return itemgetter(*masks), slots, itemgetter(*[h - h % r + (h % r == 0) for h in range(len(bases) * r)]), bases
 
 
 @lru_cache(maxsize=32)
@@ -454,17 +454,14 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
 def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[ProjTransform]:
     """A transform mapping the left point set onto the right one, or None.
 
-    Any witness W has an inverse sending some ordered head, n+1 right points,
-    to the first n+1 left points, and each head determines one candidate.  The
-    left points are mapped by the first left head and screened by their sorted
-    absolute coordinates, which no base order changes.  The least head 0..n
-    hits when the two ordered cross ratios are one set; else the first image
-    of every unordered right head is mapped in columns from the shape's `_plan`
-    and screened.  A head that passes maps its other images up to one that
-    fails; if none does, it tries its base orders by compiled moves, in order,
-    up to a hit.  Heads run in lexicographic order until one passes the least
-    hit.  W is the right head's frame (its span times Cramer factors read off
-    the right brackets) after the left head's `basis_transform`: one adjugate.
+    Any witness W has an inverse sending some ordered head, n+1 right points, to the first n+1 left points,
+    and each head determines one candidate.  The left points are mapped by the first left head and screened by
+    their sorted absolute coordinates, which no base order changes.  The least head 0..n hits when the two
+    ordered cross ratios are one set; else the first image of every unordered right head is mapped in columns
+    from the shape's `_plan` and screened.  A head that passes maps its whole tail and screens it; if that
+    passes, it tries its base orders by compiled moves, in order, up to a hit.  Heads run in lexicographic
+    order until one passes the least hit.  W is the right head's frame (its span times the Cramer factors in
+    the hit's cofactor columns) after the left head's `basis_transform`: one adjugate.
     """
     a = _as_basis(left)
     b = _as_basis(right)
@@ -476,9 +473,10 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
     # head points land on the standard basis; no other point does unless n = 1
     target = {p.ints for p in ordered_cross_ratio(a)}
     screen = {tuple(sorted(map(abs, k))) for k in target}
-    hits: list[tuple[int, ...]] = []  # per head, its least ordering that maps right onto left
-    if {p.ints for p in ordered_cross_ratio(b)} == target:
-        hits.append(tuple(range(n + 1)))
+    cofactors = _cofactors(b.brackets, range(n), range(n, m))  # the least head 0, 1, ..., n at entry 0
+    hits: list[tuple] = []  # per head, (its least ordering that maps right onto left, its entry, that order's move)
+    if set(_images(cofactors, 0, range(1, r))) == target:
+        hits.append((tuple(range(n + 1)), 0, tuple))
     else:
         _, _, first, bases = _plan(m, n)
         cofactors, columns = _columns(b, first)
@@ -487,22 +485,16 @@ def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[Pro
         for h in compress(count(), map(screen.__contains__, keys)):  # the heads whose first image passes
             base = bases[h // r]
             last = [q for q in range(m) if q not in base][h % r]
-            if hits and (*base, last) > min(hits):
+            if hits and (*base, last) > min(hits)[0]:
                 break  # every ordering of its base comes later still, and so does every later head
-            scale = _scale([c[h] for c in cofactors])
-            images = []
-            for e in filter(h.__ne__, range(h - h % r, h - h % r + r)):  # the head's tail points
-                images.append(_primitive([c[e] * s for c, s in zip(cofactors, scale)]))
-                if tuple(sorted(map(abs, images[-1]))) not in screen:
-                    break
-            else:
+            images = _images(cofactors, h, [e for e in range(h - h % r, h - h % r + r) if e != h])  # its tail
+            if all(tuple(sorted(map(abs, image))) in screen for image in images):
                 moves = (move for move in _moves(n) if target.issuperset(_moved(images, *move)))
-                hits += [(*get(base), last) for get, _ in islice(moves, 1)]
+                hits += [((*get(base), last), h, get) for get, _ in islice(moves, 1)]
     if not hits:
         return None
-    *head, last = min(hits)
-    # Cramer's rule: λ_k is the bracket of the head with last in slot k, signed by the parity of its slot order
-    orders = [[*head[:k], last, *head[k + 1 :]] for k in range(n)]
-    lam = [(-1) ** sum(x > y for x, y in combinations(o, 2)) * b.brackets[sum(1 << i for i in o)] for o in orders]
+    (*head, last), h, get = min(hits)
+    # Cramer's rule: λ_k = (-1)^(J+k+1) c_k for the sorted base, J = #{b_j < last}; (-1)^(J+1) is common to all k
+    lam = get([-c[h] if k % 2 else c[h] for k, c in enumerate(cofactors)])
     frame = [[b.points[j].ints[i] * x for j, x in zip(head, lam)] for i in range(n)]  # e_k -> λ_k p_{head k}
     return ProjTransform._from_ints(frame).compose(basis_transform(a.points[: n + 1]))

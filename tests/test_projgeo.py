@@ -5,11 +5,11 @@ import random
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import comb, factorial, gcd
-from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -615,9 +615,9 @@ def test_reordered_base_moves_image_coordinates(basis, rnd):
     *base, last, q = rnd.sample(range(m), n + 2)
 
     def frame(base):
-        # the cofactor formula holds for a base in any order
-        rows = projgeo._cofactors(basis.brackets, base, (last, q))
-        return projgeo._primitive(list(map(mul, rows[q], projgeo._scale(rows[last]))))
+        # the cofactor formula holds for a base in any order: the image of q
+        # (entry 1) under the head with last at entry 0
+        return projgeo._images(projgeo._cofactors(basis.brackets, base, (last, q)), 0, [1])[0]
 
     image = frame(base)
     assert all(image)
@@ -757,10 +757,15 @@ def test_one_coordinate_points(m):
     identity = ProjTransform(QMatrix([[1]]))
     for right in (basis, AugmentedBasis(P(-k) for k in range(1, m + 1))):
         assert projectively_equivalent(basis, right) == identity == equivalence_oracle(basis, right)
-    # every pair hits at the least head, so the column screen is checked on
-    # its own: each head's first image is the one point [1]
-    _, columns = projgeo._columns(basis, projgeo._plan(m, 1)[2])
+    # every pair hits at the least head, so the column screen and the tail
+    # map of a passing head are checked on their own: each head's first
+    # image, and every image of its tail, is the one point [1]
+    cofactors, columns = projgeo._columns(basis, projgeo._plan(m, 1)[2])
     assert len(columns) == 1 and len(columns[0]) == m * (m - 1) and all(columns[0])
+    r = m - 1
+    for h in range(m * r):
+        tail = [e for e in range(h - h % r, h - h % r + r) if e != h]
+        assert projgeo._images(cofactors, h, tail) == [(1,)] * (m - 2)
 
 
 # --- brackets ----------------------------------------------------------------------
@@ -822,18 +827,22 @@ def test_brackets_are_read_only_and_survive_copy_and_pickle():
 @pytest.fixture
 def work(monkeypatch):
     """One entry per unit of work, in call order: "frame" per call to
-    `projgeo.basis_transform`, "base" per cofactor table read off the
-    brackets (`projgeo._cofactors`), "head" per head mapped from such a table
-    (its Cramer factors, `projgeo._scale`), "elim" per fraction-free elimination."""
+    `projgeo.basis_transform`, "base" per cofactor table read off a basis's
+    brackets (`projgeo._cofactors`; a plan compile, which reads bracket
+    positions through it, is not one), "head" per head whose images are
+    mapped by Cramer's rule (`projgeo._images`), "elim" per fraction-free
+    elimination."""
     calls = []
+    plan = projgeo._plan.__wrapped__.__code__
     for module, name, label in (
         (projgeo, "basis_transform", "frame"),
         (projgeo, "_cofactors", "base"),
-        (projgeo, "_scale", "head"),
+        (projgeo, "_images", "head"),
         (exactq, "_fraction_free_echelon", "elim"),
     ):
         def counting(*args, _original=getattr(module, name), _label=label, **kwargs):
-            calls.append(_label)
+            if not any(frame.f_code is plan for frame, _ in traceback.walk_stack(None)):
+                calls.append(_label)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
@@ -974,3 +983,54 @@ def test_equivalent_order_preserving_pair_is_bounded_in_n(work, monkeypatch, n):
         assert witness == (q if right is not left else ProjTransform(identity_oracle(n)))
         assert work.count("base") == work.count("head") == 2 and moves == []
         assert work.count("frame") == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_witness_sign_under_every_base_order(work, monkeypatch, n):
+    # the witness reads its Cramer factors off the hit's cofactor columns, up
+    # to a sign common to all of them; right is q(left) with the first n points
+    # reordered by σ.  At σ = id the least head decides, with no move; every
+    # other σ is found through a base-order move of the sorted head 0..n
+    rng = random.Random(34 + n)
+    left = random_augmented_basis(rng, n, n + 3)
+    q = ProjTransform(random_invertible(rng, n))
+    projgeo._plan(left.m, n)  # built before the count, so only moves call `itemgetter`
+    moves = []
+    itemgetter = projgeo.itemgetter
+    monkeypatch.setattr(projgeo, "itemgetter", lambda *order: moves.append(order) or itemgetter(*order))
+    for sigma in permutations(range(n)):
+        right = AugmentedBasis(q(p) for p in [*(left.points[i] for i in sigma), *left.points[n:]])
+        work.clear()
+        moves.clear()
+        witness = projectively_equivalent(left, right)
+        if sigma == tuple(range(n)):
+            assert work == ["base", "head", "base", "head", "frame", "elim"] and moves == []
+        else:
+            assert work.count("head") > 2 and moves
+        assert witness == q and witness.ints == equivalence_oracle(left, right).ints
+
+
+def test_basis_transform_of_no_points_is_a_dimension_mismatch():
+    # as a wrong point count is; it raised a bare IndexError
+    with pytest.raises(DimensionMismatchError, match=r"^points need one common coordinate count, got \[\]$"):
+        basis_transform([])
+    with pytest.raises(DimensionMismatchError, match=r"^expected 3 points, got 2$"):
+        basis_transform([P(1, 0), P(0, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"got \[2, 3\]$"):
+        basis_transform([P(1, 0), P(0, 1, 0), P(1, 1)])
+
+
+@pytest.mark.parametrize("make", [ProjPoint, lambda row: QMatrix([row, [3, 4]]), lambda row: SeedMatrix([[3, 4], row])])
+def test_text_is_not_read_as_a_vector(make):
+    # a str or bytes was read one character at a time: ProjPoint("12") was
+    # [1 : 2], ProjPoint(b"12") [1 : 50/49], QMatrix(["12", "34"]) [[1, 2], [3, 4]]
+    for text in ("12", b"12", bytearray(b"12")):
+        with pytest.raises(TypeError):
+            make(text)
+    assert make(["1", "2"]) == make([1, 2])
+    with pytest.raises(TypeError):
+        make([0.5, 1])
+    with pytest.raises(TypeError):
+        QMatrix(iter(["12", "34"]))
+    with pytest.raises(TypeError):
+        SeedMatrix("12")
