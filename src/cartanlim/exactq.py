@@ -1,18 +1,12 @@
-"""Exact rational scalars and exact linear algebra.
+"""Exact rational scalars and exact linear algebra on `QMatrix`.
 
-Scalars are `fractions.Fraction` (canonical by construction: reduced, positive
-denominator).  A matrix is immutable and kept in one canonical integer form, a
-common denominator and the row-major integer entries over it; products,
-inverses and equality run on that form, and the Fraction rows are
-derived only when read.  The kernels follow the structure they are given: a
-product copies or scales the right row a unit left row picks, an inverse
-eliminates each connected component of the nonzero pattern on its own (a
-permuted block-diagonal matrix never meets a dense elimination), and the
-maximal minors come from one Laplace pass over column prefixes whenever no
-level of that pass outgrows the answer.  Elimination is fraction-free in the
-Bareiss style (on a stream of rows, one whole row per step), so nothing in
-this module ever touches floating point and every equality test downstream
-is a structural comparison.
+A product copies or scales the right row a unit left row picks; an inverse
+takes each connected component of the nonzero pattern on its own; the
+maximal minors come from one Laplace pass over column prefixes unless a
+level of it would outgrow the answer.  Everything else that eliminates runs
+through one incremental Bareiss elimination of integer rows, `_eliminate`, so
+nothing here touches floating point and every equality downstream is
+structural.
 """
 
 from __future__ import annotations
@@ -266,90 +260,91 @@ def _product(left: QMatrix, right: QMatrix) -> QMatrix:
     return QMatrix._from_ints(left._den * right._den, ints, width)
 
 
-def _fraction_free_echelon(
-    rows: list[list[int]], pivot_limit: Optional[int] = None
-) -> tuple[int, int, int, list[int]]:
-    """Bareiss forward elimination in place.
+def _eliminate(rows: Iterable[Sequence[int]], limit: Optional[int] = None, stop: Optional[int] = None) -> list:
+    """Incremental Bareiss elimination of integer rows of one width.
 
-    Pivots are searched in the first `pivot_limit` columns (all columns when
-    None).  Intermediate entries stay integer minors of the input, so the
-    two-step division is exact.  Returns (rank, sign of the swaps, last
-    pivot, pivot column indices).
+    A row read goes through the kept rows' steps in order, one whole row per
+    step: kept row E with lead c and pivot p = E[c] maps v to
+    (p·v − v[c]·E) / p', p' the pivot before (1 at the first); a zero v[c]
+    only rescales v.  Each entry stays a minor of the input, so each division
+    is exact.  A row is kept, as (index, lead, reduced row, pivot), when a
+    nonzero entry, its lead, remains in its first `limit` columns (all when
+    None).  No row is read after the `stop`-th kept one or at full rank; a
+    row of another width than the first raises DimensionMismatchError.
     """
-    m = len(rows)
-    width = len(rows[0])
-    prev = sign = 1
-    r, pivot_cols = 0, []
-    for c in range(width if pivot_limit is None else pivot_limit):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        pivot = rows[r][c]
-        for i in range(r + 1, m):
-            head = rows[i][c]
-            for j in range(c + 1, width):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
-        prev = pivot
-        pivot_cols.append(c)
-        r += 1
-    return r, sign, prev, pivot_cols
+    kept = []
+    for i, vec in enumerate(() if stop == 0 else rows):
+        if not i:
+            width = len(vec)
+            leads = range(width if limit is None else limit)
+        elif len(vec) != width:
+            raise DimensionMismatchError("ragged rows")
+        prev = 1
+        for _, c, top, pivot in kept:
+            head = vec[c]
+            if head:
+                vec = [(u * pivot - head * w) // prev for u, w in zip(vec, top)]
+            elif pivot != prev:
+                vec = [u * pivot // prev for u in vec]
+            prev = pivot
+        lead = next(compress(leads, vec), None)
+        if lead is not None:
+            kept.append((i, lead, vec, vec[lead]))
+            if len(kept) in (stop, len(leads)):
+                break
+    return kept
+
+
+def _det(kept: list, n: int) -> int:
+    """The determinant of n rows on n columns from their kept rows: 0 unless
+    all n are kept, else the last pivot, which takes the columns in lead
+    order, signed by the parity of that order."""
+    if len(kept) < n:
+        return 0
+    minor, leads = kept[-1][3], []
+    for _, lead, _, _ in kept:
+        for earlier in leads:
+            if earlier > lead:
+                minor = -minor
+        leads.append(lead)
+    return minor
 
 
 def rank(matrix: QMatrix) -> int:
     """Exact row rank over the rationals."""
-    r, _, _, _ = _fraction_free_echelon(matrix._int_rows())
-    return r
+    return len(_eliminate(matrix._int_rows()))
 
 
 def det(matrix: QMatrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if matrix.nrows != matrix.ncols:
         raise NonSquareError(f"determinant of a {matrix.shape} matrix")
-    r, sign, last, _ = _fraction_free_echelon(matrix._int_rows())
-    if r < matrix.nrows:
-        return ZERO
-    return Fraction(sign * last, matrix._den ** matrix.nrows)
-
-
-def _back_substitute(
-    rows: list[list[int]], r: int, d: int, pivot_cols: list[int], ncols: int
-) -> list[list[int]]:
-    """d·X for an echelon form of [A | B] with A·X = B consistent.
-
-    Free variables are set to zero.  With d the last pivot, d·X is an
-    integer matrix by Cramer's rule, so every division is exact.
-    """
-    width = len(rows[0]) - ncols
-    y = [[0] * width for _ in range(ncols)]
-    for i in reversed(range(r)):
-        row = rows[i]
-        later = pivot_cols[i + 1 :]
-        for t in range(width):
-            acc = d * row[ncols + t] - sum(row[j] * y[j][t] for j in later)
-            y[pivot_cols[i]][t] = acc // row[pivot_cols[i]]
-    return y
+    return Fraction(_det(_eliminate(matrix._int_rows()), matrix._ncols), matrix._den**matrix._ncols)
 
 
 def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The adjugate Y of an invertible integer matrix A, so A·Y = det(A)·I.
-
-    One fraction-free elimination of [A | I]; no Fraction is created.
-    Raises SingularError when det(A) = 0.
+    """The adjugate Y of an invertible integer matrix A, so A·Y = det(A)·I:
+    one elimination of [A | I] with its leads in A, then back-substitution.
+    No rows raise EmptyInputError, a row whose width is not the row count
+    NonSquareError, and det(A) = 0 SingularError.
     """
     n = len(rows)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    r, sign, d, pivot_cols = _fraction_free_echelon(work, pivot_limit=n)
-    if r < n:
+    if not n:
+        raise EmptyInputError("matrix needs at least one row and one column")
+    if any(len(row) != n for row in rows):
+        raise NonSquareError(f"adjugate of {n} rows of widths {sorted({len(row) for row in rows})}")
+    kept = _eliminate([[*row, *[0] * i, 1, *[0] * (n - i - 1)] for i, row in enumerate(rows)], n)
+    d, y, solved = _det(kept, n), [[]] * n, []
+    if not d:
         raise SingularError("matrix is not invertible")
-    # The echelon runs on P·A with sign = det(P), so d = sign·det(A) and the
-    # back-substitution yields d·A⁻¹ = sign·adj(A).
-    y = _back_substitute(work, r, d, pivot_cols, n)
-    return y if sign > 0 else [[-x for x in row] for row in y]
+    # a kept row is zero on the earlier rows' leads: solve A·Y = d·I upwards
+    for _, lead, row, pivot in reversed(kept):
+        acc = [d * x for x in row[n:]]
+        for c, y_c in solved:
+            acc = [a - row[c] * v for a, v in zip(acc, y_c)]
+        y[lead] = y_lead = [a // pivot for a in acc]
+        solved.append((lead, y_lead))
+    return y
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -360,16 +355,19 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
     minor of rows S on the first k + 1 columns expands along column k into
     the level-k minors of S without one row.  No level then holds more than
     the C(m, n) minors of the answer; for larger n the middle levels would,
-    so each subset gets one fraction-free elimination instead.  m < n gives
-    no minor.
+    so each subset gets one elimination instead.  m < n gives no minor.  No
+    rows raise EmptyInputError, ragged rows DimensionMismatchError.
     """
+    if not rows:
+        raise EmptyInputError("matrix needs at least one row")
     m, n = len(rows), len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatchError("ragged rows")
     if 2 * n > m + 1:
-        minors = {}
-        for subset in combinations(range(m), n):
-            r, sign, last, _ = _fraction_free_echelon([list(rows[i]) for i in subset])
-            minors[sum(1 << i for i in subset)] = sign * last if r == n else 0
-        return minors
+        return {
+            sum(1 << i for i in subset): _det(_eliminate([rows[i] for i in subset]), n)
+            for subset in combinations(range(m), n)
+        }
     bits = [1 << i for i in range(m)]
     minors = {0: 1}
     for k in range(n):
@@ -429,32 +427,9 @@ def inverse(matrix: QMatrix) -> QMatrix:
 
 
 def independent_rows(rows: Iterable[Sequence[int | Fraction]], stop: Optional[int] = None) -> list[int]:
-    """Indices of the rows that are independent of the rows before them.
-
-    Incremental Bareiss: a row read goes through the kept rows' steps in
-    order, one whole row per step and the columns in lead order, so each
-    division is exact; it is kept when a nonzero entry, its lead, remains.
-    No row is read after the `stop`-th independent one, or once the rows
-    reach full rank; a row of another width than the first raises
-    DimensionMismatchError.
-    """
-    kept: list[int] = []
-    steps: list[tuple[int, Sequence[int], int]] = []  # (lead column, reduced row, lead)
-    for i, row in enumerate(() if stop == 0 else rows):
-        if not i:
-            width = len(row)
-        elif len(row) != width:
-            raise DimensionMismatchError("ragged rows")
-        vec = row if all(type(x) is int for x in row) else _cleared(row)[1]
-        prev = 1
-        for c, top, pivot in steps:
-            head = vec[c]
-            vec = [(u * pivot - head * w) // prev for u, w in zip(vec, top)]
-            prev = pivot
-        lead = next((c for c, x in enumerate(vec) if x), None)
-        if lead is not None:
-            steps.append((lead, vec, vec[lead]))
-            kept.append(i)
-            if len(kept) in (stop, width):
-                break
-    return kept
+    """Indices of the rows independent of the rows before them: the kept rows
+    of one `_eliminate` stream, a row with a non-`int` entry cleared first.
+    No row is read after the `stop`-th independent one or at full rank; a row
+    of another width than the first raises DimensionMismatchError."""
+    ints = (row if all(type(x) is int for x in row) else _cleared(row)[1] for row in rows)
+    return [i for i, _, _, _ in _eliminate(ints, stop=stop)]

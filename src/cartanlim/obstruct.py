@@ -432,7 +432,7 @@ def tier(group: PolyParamGroup, *, seed: int = 0) -> TierReport:
     best_point: Optional[tuple[Fraction, ...]] = None
     for scale, ws in _tier_sample(group, seed):
         block = group._combine(scale, ws, forms, len(at))
-        r = exactq._fraction_free_echelon([block[i : i + q] for i in range(0, len(block), q)])[0] if block else 0
+        r = len(exactq._eliminate([block[i : i + q] for i in range(0, len(block), q)])) if block else 0
         if r > best:
             best = r
             best_point = tuple(Fraction(w, scale) for w in ws)

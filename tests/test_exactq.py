@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanlim import exactq
+from cartanlim import exactq, obstruct
 from cartanlim.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -512,6 +512,118 @@ def test_streamed_independent_rows_examples():
     assert independent_rows(iter(rows), 0) == []
     assert independent_rows(iter([[], []])) == []
     assert independent_rows(iter([[F(1, 2), 1], [1, 2], [1, 3], [1, 4]])) == [0, 2]
+
+
+def lead_order_cases():
+    """Integer matrices whose elimination leads leave column order: the 24
+    permutation matrices of size 4 times a seeded nonzero diagonal, a matrix
+    with a zero first column, and a singular one whose last row is dependent."""
+    rng = random.Random(35)
+    cases = []
+    for k, perm in enumerate(permutations(range(4))):
+        scales = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(4)]
+        rows = [[scales[i] if j == perm[i] else 0 for j in range(4)] for i in range(4)]
+        cases.append(pytest.param(rows, id=f"perm{k}"))
+    cases.append(pytest.param([[0, 0, 3], [0, 2, 1], [0, 1, 5]], id="zero-first-column"))
+    cases.append(pytest.param([[0, 1, 2], [3, 0, 1], [1, 2, 0]], id="leads-1-0-2"))
+    cases.append(pytest.param([[2, 1, 0], [1, -3, 4], [3, -2, 4]], id="dependent-last-row"))
+    return cases
+
+
+@pytest.mark.parametrize("rows", lead_order_cases())
+def test_det_and_adjugate_when_leads_leave_column_order(rows):
+    n, d = len(rows), fraction_det_oracle(rows)
+    assert det(QMatrix(rows)) == d
+    if d == 0:
+        with pytest.raises(SingularError):
+            exactq.integer_adjugate(rows)
+        return
+    adj = exactq.integer_adjugate(rows)
+    assert QMatrix(rows) * QMatrix(adj) == scale_oracle(d, identity_oracle(n))
+    assert QMatrix(adj) == scale_oracle(d, QMatrix(gauss_jordan_inverse_oracle([[F(x) for x in row] for row in rows])))
+
+
+@pytest.mark.parametrize("rows", lead_order_cases())
+def test_rank_counts_independent_rows_when_leads_leave_column_order(rows):
+    # every other row made Fractions, so the stream clears those rows first
+    mixed = [[F(x, 3) for x in row] if i % 2 else row for i, row in enumerate(rows)]
+    for case in (rows, mixed):
+        kept = independent_rows(case)
+        assert rank(QMatrix(case)) == len(kept) == gauss_rank_oracle(QMatrix(case))
+        assert kept == incremental_basis_oracle(case)
+
+
+@pytest.mark.parametrize(
+    "call, rows, error",
+    [
+        (exactq.integer_adjugate, [[1, 2, 3], [4, 5, 6]], NonSquareError),
+        (exactq.integer_adjugate, [[1, 2], [3, 4], [5, 7]], NonSquareError),
+        (exactq.integer_adjugate, [[1, 2], [3]], NonSquareError),
+        (exactq.integer_adjugate, [], EmptyInputError),
+        (exactq.maximal_minors, [], EmptyInputError),
+        (exactq.maximal_minors, [[1, 2], [3], [4, 5]], DimensionMismatchError),  # the Laplace pass
+        (exactq.maximal_minors, [[1, 2, 3], [4, 5], [6, 7, 8]], DimensionMismatchError),  # one elimination per subset
+        (exactq.maximal_minors, [[1, 2, 3], [4, 5]], DimensionMismatchError),  # m < n
+    ],
+)
+def test_adjugate_and_minors_refuse_bad_shapes(call, rows, error):
+    with pytest.raises(error):
+        call(rows)
+    if error is not NonSquareError:  # the error QMatrix raises for the same rows
+        with pytest.raises(error):
+            QMatrix(rows)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """One entry per run of the elimination kernel `exactq._eliminate`."""
+    runs = []
+    original = exactq._eliminate
+
+    def counting(*args, **kwargs):
+        runs.append("elim")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactq, "_eliminate", counting)
+    return runs
+
+
+def test_each_exact_routine_runs_one_elimination(eliminations):
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    for call in (
+        lambda: rank(QMatrix(rows)),
+        lambda: det(QMatrix(rows)),
+        lambda: exactq.integer_adjugate(rows),
+        lambda: independent_rows(iter(rows + [[F(1, 2), 0, 1]])),
+    ):
+        eliminations.clear()
+        call()
+        assert eliminations == ["elim"]
+
+
+def test_tier_runs_one_elimination_per_sample_point(eliminations, monkeypatch):
+    walked, sample = [], obstruct._tier_sample
+    monkeypatch.setattr(obstruct, "_tier_sample", lambda *args: (walked.append(p) or p for p in sample(*args)))
+    group = obstruct.builtin_group("E")
+    eliminations.clear()
+    obstruct.tier(group)
+    assert len(eliminations) == len(walked) == 24
+
+
+@pytest.mark.parametrize(
+    "rows, blocks",
+    [
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 0),  # 1 x 1 components only
+        ([[0, 1, 2], [5, 0, 0], [0, 3, 4]], 1),  # a 2 x 2 component and a 1 x 1 one
+        ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 1),  # one dense component
+        ([[0, 1, 0, 2], [3, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], 2),  # two permuted 2 x 2 ones
+    ],
+)
+def test_inverse_runs_one_elimination_per_component_larger_than_1x1(eliminations, rows, blocks):
+    a = QMatrix(rows)
+    eliminations.clear()
+    assert inverse(a) * a == identity_oracle(len(rows))
+    assert len(eliminations) == blocks
 
 
 @settings(max_examples=60)

@@ -830,15 +830,15 @@ def work(monkeypatch):
     `projgeo.basis_transform`, "base" per cofactor table read off a basis's
     brackets (`projgeo._cofactors`; a plan compile, which reads bracket
     positions through it, is not one), "head" per head whose images are
-    mapped by Cramer's rule (`projgeo._images`), "elim" per fraction-free
-    elimination."""
+    mapped by Cramer's rule (`projgeo._images`), "elim" per run of the
+    elimination kernel (`exactq._eliminate`)."""
     calls = []
     plan = projgeo._plan.__wrapped__.__code__
     for module, name, label in (
         (projgeo, "basis_transform", "frame"),
         (projgeo, "_cofactors", "base"),
         (projgeo, "_images", "head"),
-        (exactq, "_fraction_free_echelon", "elim"),
+        (exactq, "_eliminate", "elim"),
     ):
         def counting(*args, _original=getattr(module, name), _label=label, **kwargs):
             if not any(frame.f_code is plan for frame, _ in traceback.walk_stack(None)):
