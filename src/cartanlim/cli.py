@@ -35,13 +35,7 @@ from .bounds import verify_bounds
 from .converge import convergence_report
 from .errors import CartanlimError, OutputError, ParseError
 from .exactq import parse_rational
-from .limits import (
-    alpha_conjugacy_class,
-    alpha_orbit,
-    are_conjugate,
-    exceptional_dual_basis,
-    orbit_dimension,
-)
+from .limits import _conjugate_params, alpha_orbit, are_conjugate, exceptional_dual_basis, orbit_dimension
 from .obstruct import flag_tier_profile, flatness_check, has_tier_one_element, tier
 from .projgeo import _check_cap, ordered_cross_ratio, projectively_equivalent, unordered_cross_ratio
 
@@ -136,7 +130,7 @@ def _alpha_orbit(args, call: _Call):
     points = alpha_orbit(alpha)
     affine_values = [p.affine_value() for p in points]
     return {"alpha": alpha, "points": points, "affine_values": affine_values,
-            "conjugate_params": alpha_conjugacy_class(alpha)}
+            "conjugate_params": _conjugate_params(points)}
 
 
 def _converge(args, call: _Call):

@@ -328,6 +328,11 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     No rows raise EmptyInputError, a row whose width is not the row count
     NonSquareError, and det(A) = 0 SingularError.
     """
+    return _adjugate(rows)[1]
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det(A), `integer_adjugate(A)`), the determinant read off the same elimination."""
     n = len(rows)
     if not n:
         raise EmptyInputError("matrix needs at least one row and one column")
@@ -344,7 +349,7 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             acc = [a - row[c] * v for a, v in zip(acc, y_c)]
         y[lead] = y_lead = [a // pivot for a in acc]
         solved.append((lead, y_lead))
-    return y
+    return d, y
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -413,9 +418,7 @@ def inverse(matrix: QMatrix) -> QMatrix:
         if len(rs) != len(cs):
             raise SingularError("matrix is not invertible")
         sub = [[ints[r * n + c] for c in cs] for r in rs]
-        adj = integer_adjugate(sub) if len(rs) > 1 else [[1]]
-        # det(B) is entry (0, 0) of B·adj(B) = det(B)·I.
-        blocks.append((rs, cs, sum(x * row[0] for x, row in zip(sub[0], adj)), adj))
+        blocks.append((rs, cs, *(_adjugate(sub) if len(rs) > 1 else (sub[0][0], [[1]]))))
     common = lcm(*(d for _, _, d, _ in blocks))
     out = [0] * (n * n)
     for rs, cs, d, adj in blocks:

@@ -3,12 +3,12 @@
 Rationals travel as `p/q` strings, floats as 17-significant-digit decimals,
 and objects are emitted with sorted keys, so identical inputs always produce
 byte-identical documents.  The emitter looks up the exact type of each value
-in one table; a value of any other type (matrices, cross-ratio tuples and
-sets, enums, frozensets and result records) is written as its wire form, so
-results are serialized as returned.  Integers and Fractions share a formatter
-that falls back to `decimal` past the interpreter's integer digit limit; each
-distinct point is written once per document, from its integer form; strings
-and dict keys go through the ASCII encoder of `json`.
+in one table; a value of any other type (enums, frozensets and result records)
+is written as its wire form, so results are serialized as returned.  Integers
+and Fractions share a formatter that falls back to `decimal` past the
+interpreter's integer digit limit; points, matrices and cross ratios are written
+from their integer forms, each distinct point once per document; strings and
+dict keys go through the ASCII encoder of `json`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from .projgeo import AugmentedBasis, CrossRatioTuple, ProjPoint, UnorderedCrossR
 
 # --- canonical emission -------------------------------------------------------
 
-# The attribute a library value travels as (`_point_text` writes a ProjPoint).
-_WIRE_ATTR = {
-    QMatrix: "rows",
-    CrossRatioTuple: "entries",
-    UnorderedCrossRatio: "tuples",
-}
-
 
 def _float_text(obj: float, points: dict) -> str:
     if not math.isfinite(obj):
@@ -49,9 +42,6 @@ def _float_text(obj: float, points: dict) -> str:
 
 def _wire(obj: Any) -> Any:
     """The plain value that a library object is emitted as."""
-    attr = _WIRE_ATTR.get(type(obj))
-    if attr is not None:
-        return getattr(obj, attr)
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, frozenset):
@@ -81,6 +71,18 @@ def _point_text(obj: ProjPoint, points: dict) -> str:
     return text
 
 
+def _matrix_text(obj: QMatrix, points: dict) -> str:
+    cells, width = ['"' + _format_ratio(x, obj._den) + '"' for x in obj._ints], obj._ncols
+    return "[" + ", ".join(["[" + ", ".join(cells[i : i + width]) + "]" for i in range(0, len(cells), width)]) + "]"
+
+
+def _cross_ratio_text(obj: UnorderedCrossRatio, points: dict) -> str:
+    # a point text sorts as its serialized tuple: its closing quote is below every character of a rational
+    ordered, ranked = obj._ranked(lambda point: _point_text(point, points))
+    texts = [points[point.ints] for point in ordered]
+    return "[" + ", ".join(["[" + ", ".join(map(texts.__getitem__, r)) + "]" for r in ranked]) + "]"
+
+
 def _wire_text(obj: Any, points: dict) -> str:
     return _TEXT.get(type(wire := _wire(obj)), _wire_text)(wire, points)
 
@@ -95,6 +97,9 @@ _TEXT = {
     float: _float_text,
     Fraction: lambda obj, points: '"' + _format_ratio(obj.numerator, obj.denominator) + '"',
     ProjPoint: _point_text,
+    CrossRatioTuple: lambda obj, points: _list_text(obj.entries, points),
+    QMatrix: _matrix_text,
+    UnorderedCrossRatio: _cross_ratio_text,
     list: _list_text,
     tuple: _list_text,
     dict: _dict_text,

@@ -297,20 +297,15 @@ def alpha_orbit(alpha: int | str | Fraction) -> tuple[ProjPoint, ...]:
     """The six parameter values whose groups are conjugate to the one at alpha.
 
     Coincidences among the six expressions shrink the set; over the rationals
-    that happens exactly on the harmonic locus, where it has 3 elements.
+    that happens exactly on the harmonic locus, where it has 3 elements.  With
+    alpha = p/q, the six values 2(a-1)/a, a/(2(a-1)), a/(2-a), (2-a)/a,
+    2(a-1)/(a-2) and (a-2)/(2(a-1)) are the points of integer pairs.
     """
     a = rational(alpha)
     if a in _ALPHA_DEGENERATE:
         raise DegenerateAlphaError(f"alpha = {a} is degenerate")
-    values = (
-        2 * (a - 1) / a,
-        a / (2 * (a - 1)),
-        a / (2 - a),
-        (2 - a) / a,
-        2 * (a - 1) / (a - 2),
-        (a - 2) / (2 * (a - 1)),
-    )
-    points = {ProjPoint((1, v)) for v in values}
+    p, r, s = a.numerator, 2 * (a.numerator - a.denominator), 2 * a.denominator - a.numerator
+    points = set(map(ProjPoint._from_ints, ((p, r), (r, p), (s, p), (p, s), (-s, r), (r, -s))))
     return tuple(sorted(points, key=ProjPoint.serialized))
 
 
@@ -322,15 +317,13 @@ def alpha_conjugacy_class(alpha: int | str | Fraction) -> tuple[Fraction, ...]:
     invariant value gives the class.  A value of 1/2 corresponds to the point
     at infinity and contributes no rational parameter.
     """
-    betas = set()
-    for point in alpha_orbit(alpha):
-        s = point.affine_value()
-        if s is None or 2 * s - 1 == 0:
-            continue
-        beta = 2 * s / (2 * s - 1)
-        if beta not in _ALPHA_DEGENERATE:
-            betas.add(beta)
-    return tuple(sorted(betas))
+    return _conjugate_params(alpha_orbit(alpha))
+
+
+def _conjugate_params(orbit: Iterable[ProjPoint]) -> tuple[Fraction, ...]:
+    """The class of `alpha_conjugacy_class` from the orbit: beta = 2y/(2y - x) per point [x : y]."""
+    betas = {Fraction(2 * y, 2 * y - x) for x, y in (point.ints for point in orbit) if 2 * y != x}
+    return tuple(sorted(betas.difference(_ALPHA_DEGENERATE)))
 
 
 def normalized_slice_member(free_rows: QMatrix) -> SeedMatrix:

@@ -361,8 +361,9 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     hull_dim = len(columns)
     points = list(product(*(range(s) for s in sizes)))
     values = ([int_prod(map(pow, p, mu)) for mu in coeffs] for p in points[1:])  # rho(0) - I = 0
-    images = ([sum(map(mul, vals, col)) for col in columns] for vals in values)
-    grew = exactq.independent_rows(images, hull_dim)
+    if hull_dim < len(coeffs):  # else M = columns is invertible, and V(p) grows the span where M·V(p) does
+        values = ([sum(map(mul, vals, col)) for col in columns] for vals in values)
+    grew = [i for i, _, _, _ in exactq._eliminate(values, stop=hull_dim)]
     if len(grew) != hull_dim:
         raise InternalError(f"the grid spans {len(grew)} dimensions, the coefficients {hull_dim}; this is a bug")
     witnesses = [tuple(map(Fraction, points[i])) for i in [0, *(i + 1 for i in grew)]]

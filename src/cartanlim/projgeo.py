@@ -89,6 +89,11 @@ class ProjPoint(_Frozen):
         """The point of a nonzero integer vector."""
         return object.__new__(cls)._set(ints=_primitive(ints))
 
+    @classmethod
+    def _of(cls, key: tuple[int, ...]) -> "ProjPoint":
+        """The point whose primitive vector is `key`, taken as it is."""
+        return object.__new__(cls)._set(ints=key)
+
     def __reduce__(self):
         return ProjPoint._from_ints, (self.ints,)
 
@@ -207,7 +212,7 @@ class AugmentedBasis(_Frozen):
     @classmethod
     def _from_brackets(cls, rows: Sequence[tuple[int, ...]], brackets: dict[int, int]) -> "AugmentedBasis":
         """The points of m >= n + 2 primitive rows, with a read-only view of their zero-free `maximal_minors(rows)`."""
-        points = tuple(map(ProjPoint._from_ints, rows))
+        points = tuple(map(ProjPoint._of, rows))
         return object.__new__(cls)._set(points=points, n=len(rows[0]), brackets=MappingProxyType(brackets))
 
     @property
@@ -245,41 +250,40 @@ class UnorderedCrossRatio(_Frozen):
 
     Kept as one key per orbit of reordering a tuple, its sorted point keys (`ProjPoint.ints`), which equality and
     hashing read directly.  `in` sorts the query; `len` counts (m - n - 1)! orders per key, one in RP^0 (all [1]).
-    `tuples`, every order of each key by the lexicographic order on serialized rationals, is derived on first read.
+    `tuples`, every order of each key by the lexicographic order on serialized rationals, is derived on each read.
     """
 
-    __slots__ = ("_keys", "_tuples")
+    __slots__ = ("_keys",)
     _key = ("_keys",)
 
     def __init__(self, tuples: Iterable[CrossRatioTuple | tuple[ProjPoint, ...]]):
         keys = {tuple(p.ints for p in t) for t in tuples}
         if not keys:
             raise ZeroVectorError("unordered cross ratio cannot be empty")
-        self._set(_keys=frozenset(map(tuple, map(sorted, keys))), _tuples=None)
+        self._set(_keys=frozenset(map(tuple, map(sorted, keys))))
         if len(self) != len(keys) or len(set(map(len, keys))) > 1:
             raise SizeMismatchError(f"{len(keys)} tuples are not every order of {len(self._keys)} tuples of one length")
 
     @classmethod
     def _from_keys(cls, keys: Iterable[tuple[tuple[int, ...], ...]]) -> "UnorderedCrossRatio":
         """The set of the tuples of these point keys and of their reorderings, given at least one."""
-        return object.__new__(cls)._set(_keys=frozenset(map(tuple, map(sorted, keys))), _tuples=None)
+        return object.__new__(cls)._set(_keys=frozenset(map(tuple, map(sorted, keys))))
 
     def __reduce__(self):
         return UnorderedCrossRatio._from_keys, (self._keys,)
 
+    def _ranked(self, key: Callable[[ProjPoint], object]) -> tuple[list[ProjPoint], list]:
+        """The distinct points sorted by `key` (read once each), and every order of each key as rank tuples, sorted."""
+        ordered = sorted(map(ProjPoint._of, set().union(*self._keys)), key=key)
+        rank = {p.ints: r for r, p in enumerate(ordered)}
+        ranked = sorted([r for t in self._keys for r in permutations(map(rank.__getitem__, t))])
+        return ordered, ranked[: len(self)]  # in RP^0 the orders of the one key are one tuple
+
     @property
     def tuples(self) -> tuple[CrossRatioTuple, ...]:
-        """The tuples in order, every order of each key.  Each distinct point
-        is serialized once, and its rank is its sort key."""
-        tuples = self._tuples
-        if tuples is None:
-            points = map(ProjPoint._from_ints, set().union(*self._keys))
-            ordered = sorted(points, key=ProjPoint.serialized)
-            rank = {p.ints: r for r, p in enumerate(ordered)}
-            ranked = sorted({r for t in self._keys for r in permutations(map(rank.__getitem__, t))})
-            tuples = tuple([CrossRatioTuple(map(ordered.__getitem__, r)) for r in ranked])
-            self._set(_tuples=tuples)
-        return tuples
+        """The tuples in order, every order of each key, each distinct point serialized once."""
+        ordered, ranked = self._ranked(ProjPoint.serialized)
+        return tuple([CrossRatioTuple(map(ordered.__getitem__, r)) for r in ranked])
 
     def __len__(self) -> int:
         key = next(iter(self._keys))
@@ -365,7 +369,7 @@ def ordered_cross_ratio(points: PointsLike) -> CrossRatioTuple:
     first n+1 to the standard projective basis."""
     basis = _as_basis(points)
     columns = _cofactors(basis.brackets, range(basis.n), range(basis.n, basis.m))  # the head 0, 1, ..., n at entry 0
-    return CrossRatioTuple(map(ProjPoint._from_ints, _images(columns, 0, range(1, basis.m - basis.n))))
+    return CrossRatioTuple(map(ProjPoint._of, _images(columns, 0, range(1, basis.m - basis.n))))
 
 
 @lru_cache(maxsize=32)
@@ -448,7 +452,7 @@ def unordered_cross_ratio(points: PointsLike, cap: int = DEFAULT_PERMUTATION_CAP
     t = m - n - 1  # tail slots
     images = list(chain.from_iterable(zip(*get(signed[first])) for get, first in _moves(n)))  # move by move
     keys = frozenset(_sorted_tails([images[c::t] for c in range(t)]))
-    return object.__new__(UnorderedCrossRatio)._set(_keys=keys, _tuples=None)
+    return object.__new__(UnorderedCrossRatio)._set(_keys=keys)
 
 
 def projectively_equivalent(left: PointsLike, right: PointsLike) -> Optional[ProjTransform]:

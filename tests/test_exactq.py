@@ -233,6 +233,22 @@ def test_integer_adjugate_times_matrix_is_det(rows):
     assert QMatrix(adj) == scale_oracle(d, inverse(a))
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_adjugate_reads_the_determinant_off_its_elimination(rows):
+    # `inverse` takes det(B) of each component from here, not from a row-column product
+    d = det(QMatrix(rows))
+    if d == 0:
+        with pytest.raises(SingularError):
+            exactq._adjugate(rows)
+        return
+    assert exactq._adjugate(rows) == (d, exactq.integer_adjugate(rows))
+
+
 def dense_inverse_oracle(matrix: QMatrix) -> QMatrix:
     """The inverse by one adjugate of the whole integer form A' = den·A:
     den·adj(A') / det(A'), with no split into components."""
@@ -274,9 +290,9 @@ def test_block_split_inverse_matches_fraction_oracle(case):
 def test_block_split_inverse_eliminates_no_more_than_a_block(case):
     a, sizes = case
     seen = []
-    original = exactq.integer_adjugate
+    original = exactq._adjugate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactq, "integer_adjugate", lambda rows: seen.append(len(rows)) or original(rows))
+        mp.setattr(exactq, "_adjugate", lambda rows: seen.append(len(rows)) or original(rows))
         try:
             inverse(a)
         except SingularError:

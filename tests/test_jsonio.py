@@ -15,8 +15,16 @@ from cartanlim.exactq import QMatrix
 from cartanlim.jsonio import dumps
 from cartanlim.limits import OrbitClass, OrbitKind
 from cartanlim.obstruct import TierReport
-from cartanlim.projgeo import AugmentedBasis, ProjPoint, unordered_cross_ratio
-from util import dumps_oracle, random_augmented_basis, run_cli
+from cartanlim.projgeo import (
+    AugmentedBasis,
+    CrossRatioTuple,
+    ProjPoint,
+    ProjTransform,
+    ordered_cross_ratio,
+    projectively_equivalent,
+    unordered_cross_ratio,
+)
+from util import dumps_oracle, random_augmented_basis, random_invertible, run_cli
 
 # Blocks [[v0, v0, v1], [v1, v0, v1], [v1, 0, v1]]: the minors leave v0*v1,
 # so the certificate branches, and each case forces the other variable to 0.
@@ -78,6 +86,7 @@ def test_ints_past_the_digit_limit_are_written_in_full():
 def test_each_distinct_point_is_serialized_once_per_document(monkeypatch):
     uc = unordered_cross_ratio(random_augmented_basis(random.Random(28), 2, 8))
     expected = dumps(uc)
+    points = {p for t in uc for p in t.entries}  # read before the spy: `tuples` serializes each point too
     calls = Counter()
     serialized = ProjPoint.serialized
 
@@ -89,8 +98,40 @@ def test_each_distinct_point_is_serialized_once_per_document(monkeypatch):
     for _ in range(2):  # the text is kept for one document only
         calls.clear()
         assert dumps(uc) == expected
-        assert set(calls) == {p for t in uc for p in t.entries}
+        assert set(calls) == points
         assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (2, 8), (3, 7)])
+def test_cross_ratio_writer_agrees_with_the_oracle_over_tuples(n, m):
+    # the writer ranks the keys' points; the oracle writes every `tuples` entry
+    basis = random_augmented_basis(random.Random(10 * n + m), n, m)
+    uc = unordered_cross_ratio(basis)
+    assert dumps(uc) == dumps_oracle(uc)
+    document = {"ordered": ordered_cross_ratio(basis), "unordered": uc}
+    assert dumps(document) == dumps_oracle(document)
+
+
+def test_dumps_builds_no_cross_ratio_tuple_and_reads_no_matrix_rows(monkeypatch):
+    rng = random.Random(37)
+    left = random_augmented_basis(rng, 3, 6)
+    right = AugmentedBasis(map(ProjTransform(random_invertible(rng, 3)), reversed(left.points)))
+    uc = unordered_cross_ratio(left)
+    document = {
+        "ordered": ordered_cross_ratio(left),
+        "uc_left": uc,
+        "uc_right": unordered_cross_ratio(right),
+        "witness": projectively_equivalent(left, right).matrix,
+        "matrices": [QMatrix([[Fraction(1, 2), 0], [-3, Fraction(7, 9)]]), QMatrix._from_ints(6, [0, 4, -9, 10**30], 2)],
+    }
+    expected = [dumps(uc), dumps(document), dumps_oracle(document)]
+    built, read = [], []
+    init, rows = CrossRatioTuple.__init__, QMatrix.rows
+    monkeypatch.setattr(CrossRatioTuple, "__init__", lambda self, entries: built.append(self) or init(self, entries))
+    monkeypatch.setattr(QMatrix, "rows", property(lambda self: read.append(self) or rows.fget(self)))
+    assert [dumps(uc), dumps(document)] == expected[:2] and expected[1] == expected[2]
+    assert built == [] and read == []
+    assert list(uc) and document["witness"].rows and built and read  # the spies see a read of either
 
 
 huge_ints = st.builds(lambda k, sign: sign * (10**k + 7), st.integers(4290, 4400), st.sampled_from((-1, 1)))

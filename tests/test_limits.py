@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +37,8 @@ from cartanlim.limits import (
 from cartanlim.projgeo import AugmentedBasis, ProjPoint, ProjTransform, projectively_equivalent, unordered_cross_ratio
 
 from util import (
+    alpha_class_oracle,
+    alpha_orbit_oracle,
     assert_witness_verifies,
     block_diag_oracle,
     conjugacy_witness_oracle,
@@ -615,6 +618,23 @@ def test_alpha_class_symmetry():
     for v in (F(3), F(9, 4), F(-2)):
         for b in alpha_conjugacy_class(v):
             assert v in alpha_conjugacy_class(b)
+
+
+def test_alpha_orbit_and_class_equal_the_fraction_formulas_on_a_seeded_grid():
+    rng = random.Random(37)
+    small = [F(p, q) for p in range(-12, 13) for q in range(1, 7)]
+    large = [F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25)) for _ in range(40)]
+    near = [F(2 * q + s, q) for q in (10**20 + 1, 7**30) for s in (-1, 1)] + [F(q + 1, q) for q in (10**20, 7**30)]
+    values = sorted(set(small + large + near) - {0, 1, 2})
+    sizes = Counter()
+    for a in values:
+        orbit = alpha_orbit(a)
+        assert orbit == alpha_orbit_oracle(a)
+        assert alpha_conjugacy_class(a) == alpha_class_oracle(a)
+        sizes[len(orbit)] += 1
+    # the 3-point harmonic locus (2/3 and 4/3) is on the grid, and negatives and large p/q are too
+    assert sizes[3] == 2 and sizes[6] == len(values) - 2
+    assert min(values) < -(10**4) and max(v.denominator for v in values) > 10**20
 
 
 # --- normalized slice ---------------------------------------------------------------------------

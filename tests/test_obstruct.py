@@ -364,6 +364,68 @@ def test_flatness_cap():
         flatness_check(builtin_group("E"), cap=100)
 
 
+def _walks(monkeypatch) -> list[list[list[int]]]:
+    """The rows each `exactq._eliminate` call reads, recorded as they are read."""
+    walks, eliminate = [], obstruct.exactq._eliminate
+
+    def tap(rows):
+        walks.append([])
+        for row in rows:
+            walks[-1].append(list(row))
+            yield row
+
+    monkeypatch.setattr(obstruct.exactq, "_eliminate", lambda rows, *args, **kwargs: eliminate(tap(rows), *args, **kwargs))
+    return walks
+
+
+def _seeded_explicit_group(rng: random.Random, dependent: bool) -> PolyParamGroup:
+    """A family I + sum_mu v^mu C_mu / 2 with a position held by one C_mu alone, so the C_mu are independent; a
+    dependent one adds a monomial whose C is a combination of two others.  The law is not needed for flatness."""
+    d, k = rng.randint(1, 3), rng.randint(3, 4)
+    monomials, count = set(), rng.randint(2 + dependent, 3 if d == 1 else 5)
+    while len(monomials) < count:
+        monomials |= {tuple(rng.randint(0, 3) for _ in range(d))} - {(0,) * d}
+    monomials = sorted(monomials)
+    own = rng.sample(range(k * k), len(monomials))
+    shared = [pos for pos in range(k * k) if pos not in own]
+    coeffs = {}
+    for mu, pos in zip(monomials, own):
+        coeffs[mu] = {p: c for p in rng.sample(shared, 2) if (c := rng.randint(-3, 3))} | {pos: rng.choice((-2, -1, 1, 3))}
+    if dependent:
+        a, b, extra = monomials[0], monomials[1], monomials.pop()
+        x, y = rng.choice((-1, 1, 2)), rng.choice((-2, 1, 3))
+        coeffs[extra] = {p: c for p in {*coeffs[a], *coeffs[b]} if (c := x * coeffs[a].get(p, 0) + y * coeffs[b].get(p, 0))}
+    return PolyParamGroup._from_coeffs(d, k, 2, coeffs, check=False)
+
+
+@pytest.mark.parametrize("dependent", [False, True], ids=["independent", "dependent"])
+def test_flatness_walk_equals_the_image_oracle_on_seeded_explicit_groups(monkeypatch, dependent):
+    rng = random.Random(3700 + dependent)
+    walks = _walks(monkeypatch)
+    for _ in range(25):
+        group = _seeded_explicit_group(rng, dependent)
+        walks.clear()
+        report = outcome(flatness_check, group)
+        (positions, walk), grid = walks, list(product(*(range(d + 1) for d in group.max_degrees())))[1:]
+        assert report == outcome(flatness_oracle, group)
+        coefficient_rank = rank(QMatrix(positions))
+        # independent C_mu: the walk reads the monomial values of the grid points; else their images
+        assert (coefficient_rank < len(group._coeffs)) == dependent
+        assert all(len(row) == coefficient_rank for row in walk)
+        if not dependent:
+            assert walk == [[math.prod(map(pow, p, mu)) for mu in group._coeffs] for p in grid[: len(walk)]]
+
+
+@pytest.mark.parametrize("name, seed", [("M5", None), ("M6", None), ("LT", alpha_seed(3)), ("E", None)])
+def test_flatness_of_the_builtins_walks_the_monomial_values(monkeypatch, name, seed):
+    group = builtin_group(name, seed)
+    walks = _walks(monkeypatch)
+    report = flatness_check(group)
+    walk, grid = walks[-1], list(product(*(range(size) for size in report.grid_sizes)))[1:]
+    assert report.hull_dim == len(group._coeffs) == len(walk[0])
+    assert walk == [[math.prod(map(pow, p, mu)) for mu in group._coeffs] for p in grid[: len(walk)]]
+
+
 # --- tier ------------------------------------------------------------------------
 
 

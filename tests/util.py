@@ -303,6 +303,20 @@ def matvec_oracle(matrix: QMatrix, vec) -> tuple[Fraction, ...]:
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in matrix.rows)
 
 
+def alpha_orbit_oracle(a: Fraction) -> tuple[ProjPoint, ...]:
+    """Independent oracle for `alpha_orbit`: the six Fraction expressions in
+    alpha, each as the point [1 : value], sorted by their serialized form."""
+    values = (2 * (a - 1) / a, a / (2 * (a - 1)), a / (2 - a), (2 - a) / a, 2 * (a - 1) / (a - 2), (a - 2) / (2 * (a - 1)))
+    return tuple(sorted({ProjPoint((1, v)) for v in values}, key=ProjPoint.serialized))
+
+
+def alpha_class_oracle(a: Fraction) -> tuple[Fraction, ...]:
+    """Independent oracle for `alpha_conjugacy_class`: beta = 2s/(2s - 1) for
+    each affine value s of the oracle orbit, with s = 1/2 and beta in {0, 1, 2} left out."""
+    betas = {2 * s / (2 * s - 1) for s in (p.affine_value() for p in alpha_orbit_oracle(a)) if s is not None and 2 * s != 1}
+    return tuple(sorted(betas - {0, 1, 2}))
+
+
 def normalized_slice_oracle(free_rows: QMatrix) -> SeedMatrix:
     """Independent oracle for `normalized_slice_member`: the Fraction rows of
     I_n, the all-ones row and the free rows, stacked."""
