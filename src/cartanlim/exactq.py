@@ -68,6 +68,12 @@ def _format_ratio(num: int, den: int) -> str:
         return text if g == den else f"{text}/{Decimal(den // g)}"
 
 
+def _deprecated(name: str, instead: str) -> None:
+    """Warns the caller of the deprecated public `name`, two frames up, what to use instead."""
+    import warnings  # loaded only when a deprecated name is called
+    warnings.warn(f"cartanlim.{name} is deprecated; use {instead}", DeprecationWarning, stacklevel=3)
+
+
 class _Frozen:
     """Base of every immutable value: an attribute is set only while the
     value is built or a cache is filled (`_set`), and is never deleted.

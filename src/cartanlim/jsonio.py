@@ -24,7 +24,6 @@ from .exactq import QMatrix, _format_ratio, _Frozen, parse_rational
 from .limits import GroupElementParams, SeedMatrix
 from .obstruct import (
     LinearBlockFamily,
-    Poly,
     PolyParamGroup,
     builtin_block_family,
     builtin_group,
@@ -190,7 +189,7 @@ def read_params(obj: Any, seed: SeedMatrix, context: str = "params") -> GroupEle
     return GroupElementParams(a, b)
 
 
-def _read_poly(obj: Any, nvars: int, context: str) -> Poly:
+def _read_cell(obj: Any, nvars: int, context: str) -> dict[tuple[int, ...], Fraction]:
     if not isinstance(obj, list):
         raise ParseError(f"{context}: polynomial must be an array of terms")
     terms: dict[tuple[int, ...], Fraction] = {}
@@ -202,7 +201,7 @@ def _read_poly(obj: Any, nvars: int, context: str) -> Poly:
         if len(exps) != nvars or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
             raise ParseError(f"{context}: bad exponent tuple {exps}")
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-    return Poly(nvars, terms)
+    return terms
 
 
 def _built(context: str, build, *args):
@@ -231,9 +230,7 @@ def read_group(obj: Any, context: str = "group") -> PolyParamGroup:
         isinstance(row, list) for row in entries_raw
     ):
         raise ParseError(f"{context}: 'entries' must be an array of rows")
-    entries = [
-        [_read_poly(cell, d, context) for cell in row] for row in entries_raw
-    ]
+    entries = [[_read_cell(cell, d, context) for cell in row] for row in entries_raw]
     return _built(context, PolyParamGroup, d, ambient, entries)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     TooFewRowsError,
     ZeroRowError,
 )
-from .exactq import QMatrix, _cleared, _Frozen, rational
+from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
 from .projgeo import AugmentedBasis, ProjPoint, _brackets, _matvec, _primitive, projectively_equivalent
 
 
@@ -82,9 +82,11 @@ class GroupElementParams(_Frozen):
 
     @classmethod
     def zero(cls, seed: SeedMatrix) -> "GroupElementParams":
+        _deprecated("GroupElementParams.zero(seed)", "GroupElementParams.make([0] * seed.m, [0] * seed.n)")
         return cls((Fraction(0),) * seed.m, (Fraction(0),) * seed.n)
 
     def __add__(self, other: "GroupElementParams") -> "GroupElementParams":
+        _deprecated("GroupElementParams.__add__ (p + q)", "GroupElementParams.make(a, b) of the entrywise sums of p.a, q.a and of p.b, q.b")
         return GroupElementParams(
             tuple(x + y for x, y in zip(self.a, other.a)),
             tuple(x + y for x, y in zip(self.b, other.b)),

@@ -7,9 +7,9 @@ block.  The built-in groups are the two quadratic families in dimensions 5
 and 6, the 8-dimensional linear family E whose block admits no rank-one
 direction, and the seed-matrix groups, which pass both tests.
 
-A group is compiled once into integers, rho(v) = I + sum_mu mu(v) C_mu / D;
-the built-in groups are stated in that form directly, and their Poly entries
-are derived only when read.  The exact group law, flatness (the rank of the
+A group is compiled once into integers, rho(v) = I + sum_mu mu(v) C_mu / D,
+from a grid of {exponents: coefficient} cells; the built-in groups are stated
+in that form directly.  The exact group law, flatness (the rank of the
 C_mu), the tier walk (over the block of rows and columns that some C_mu
 touches) and the table of 2x2 minor forms of the rank-one search and of the
 certificate replay all run on that form.
@@ -18,12 +18,11 @@ certificate replay all run on that form.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
 from math import comb, lcm, prod as int_prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import exactq
 from .errors import (
@@ -32,46 +31,50 @@ from .errors import (
     SampleCapExceededError,
     UnknownNameError,
 )
-from .exactq import QMatrix, _cleared, _Frozen, rational
+from .exactq import QMatrix, _cleared, _deprecated, _Frozen, rational
 from .limits import SeedMatrix
 
 class Poly(_Frozen):
-    """Multivariate polynomial with rational coefficients.
-
-    Just enough arithmetic to state matrix entries and evaluate them exactly:
-    terms map exponent tuples to coefficients.
-    """
+    """Multivariate polynomial with rational coefficients: terms map exponent tuples to coefficients."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Optional[dict[tuple[int, ...], Fraction]] = None):
+        _deprecated("Poly", "a {exponents: coefficient} mapping as a PolyParamGroup cell")
+        self._set(nvars=nvars, terms=Poly._of(nvars, terms or {}).terms)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Poly":  # built without a warning
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in terms.items():
             c = rational(coeff)
             if c == 0:
                 continue
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
             clean[tuple(exps)] = c
-        self._set(nvars=nvars, terms=clean)
+        return object.__new__(cls)._set(nvars=nvars, terms=clean)
 
     def __reduce__(self):
-        return Poly, (self.nvars, self.terms)
+        return Poly._of, (self.nvars, self.terms)
 
     @classmethod
     def constant(cls, value: int | str | Fraction, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: rational(value)})
+        _deprecated("Poly.constant(value, nvars)", "the cell {(0,) * nvars: value}")
+        return cls._of(nvars, {(0,) * nvars: rational(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int, coeff: int | str | Fraction = 1) -> "Poly":
+        _deprecated("Poly.variable(index, nvars, coeff)", "the cell {unit exponents of variable index: coeff}")
         exps = tuple(int(i == index) for i in range(nvars))
-        return cls(nvars, {exps: rational(coeff)})
+        return cls._of(nvars, {exps: rational(coeff)})
 
     @classmethod
     def monomial(
         cls, coeff: int | str | Fraction, exps: Sequence[int], nvars: int
     ) -> "Poly":
-        return cls(nvars, {tuple(exps): rational(coeff)})
+        _deprecated("Poly.monomial(coeff, exps, nvars)", "the cell {tuple(exps): coeff}")
+        return cls._of(nvars, {tuple(exps): rational(coeff)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,9 +103,10 @@ class Poly(_Frozen):
 class PolyParamGroup:
     """A matrix family v -> rho(v) with polynomial entries and rho(0) = I.
 
-    The entries are compiled once into rho(v) = I + sum_mu mu(v) C_mu / D, with
-    one integer vector C_mu of the k*k entries per nonconstant monomial mu;
-    `_from_coeffs` takes that form directly, and `entries` is derived from it.
+    Each of the k x k `entries` maps exponent tuples to coefficients (ints,
+    `p/q` strings or Fractions).  The entries are compiled once into rho(v) =
+    I + sum_mu mu(v) C_mu / D, with one integer vector C_mu of the k*k entries
+    per nonconstant monomial mu; `_from_coeffs` takes that form directly.
     With check=True construction then checks, in this order, that every entry
     has total degree below `ambient` (an additive family is exp(sum v_i N_i)
     with commuting nilpotent N_i) and that rho(u)rho(v) = rho(u+v) holds as a
@@ -114,24 +118,29 @@ class PolyParamGroup:
         self,
         dim_params: int,
         ambient: int,
-        entries: Sequence[Sequence[Poly]],
+        entries: Sequence[Sequence[Mapping[tuple[int, ...], int | str | Fraction]]],
         *,
         check: bool = True,
     ):
         grid = tuple(tuple(row) for row in entries)
         if len(grid) != ambient or any(len(row) != ambient for row in grid):
             raise ValueError(f"entries must form an {ambient} x {ambient} grid")
-        cells = [p for row in grid for p in row]
-        if any(p.nvars != dim_params for p in cells):
+        cells = [cell for row in grid for cell in row]
+        if any(isinstance(cell, Poly) for cell in cells):
+            _deprecated("PolyParamGroup with Poly cells", "a {exponents: coefficient} mapping per cell")
+            cells = [cell.terms if isinstance(cell, Poly) else cell for cell in cells]
+        terms = [(pos, exps, c) for pos, cell in enumerate(cells) for exps, c in zip(cell, map(rational, cell.values())) if c]
+        if any(len(exps) != dim_params for _, exps, _ in terms):
             raise ValueError("entry polynomial has the wrong variable count")
-        if any(p.constant_term() != int(pos // ambient == pos % ambient) for pos, p in enumerate(cells)):
+        if negative := [exps for _, exps, _ in terms if any(e < 0 for e in exps)]:
+            raise ValueError(f"bad exponent tuple {negative[0]} for {dim_params} variables")
+        if {pos: c for pos, exps, c in terms if not any(exps)} != {i * (ambient + 1): 1 for i in range(ambient)}:
             raise ValueError("family does not pass through the identity")
-        den = lcm(*(c.denominator for p in cells for c in p.terms.values()))
+        den = lcm(*(c.denominator for _, _, c in terms))
         coeffs: dict[tuple[int, ...], dict[int, int]] = {}
-        for pos, p in enumerate(cells):
-            for exps, c in p.terms.items():
-                if any(exps):
-                    coeffs.setdefault(exps, {})[pos] = c.numerator * (den // c.denominator)
+        for pos, exps, c in terms:
+            if any(exps):
+                coeffs.setdefault(exps, {})[pos] = c.numerator * (den // c.denominator)
         self._compile(dim_params, ambient, den, coeffs, check)
 
     @classmethod
@@ -156,15 +165,16 @@ class PolyParamGroup:
             if not self._is_additive():
                 raise ValueError("family is not additive: rho(u)rho(v) != rho(u+v)")
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[Poly, ...], ...]:
-        """The entry polynomials, derived from the C_mu on first read."""
+        """The entry polynomials, derived from the C_mu on each read."""
+        _deprecated("PolyParamGroup.entries", "the {exponents: coefficient} cells the group was stated with")
         k, d = self.ambient, self.dim_params
         cells = [{(0,) * d: int(pos % (k + 1) == 0)} for pos in range(k * k)]
         for mu, vec in self._coeffs.items():
             for pos, c in vec.items():
                 cells[pos][mu] = Fraction(c, self._den)
-        return tuple(tuple(Poly(d, cell) for cell in cells[i : i + k]) for i in range(0, k * k, k))
+        return tuple(tuple(Poly._of(d, cell) for cell in cells[i : i + k]) for i in range(0, k * k, k))
 
     def _is_additive(self) -> bool:
         """The coefficients of u^a v^b (a, b != 0) agree on both sides:
@@ -359,6 +369,10 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     by_position = [[vec.get(pos, 0) for vec in coeffs.values()] for pos in touched]
     columns = [by_position[i] for i in exactq.independent_rows(by_position)]
     hull_dim = len(columns)
+    if hull_dim < group.dim_params:
+        raise RedundantParametersError(
+            "image hull is smaller than the parameter count; parameters are redundant"
+        )
     points = list(product(*(range(s) for s in sizes)))
     values = ([int_prod(map(pow, p, mu)) for mu in coeffs] for p in points[1:])  # rho(0) - I = 0
     if hull_dim < len(coeffs):  # else M = columns is invertible, and V(p) grows the span where M·V(p) does
@@ -367,10 +381,6 @@ def flatness_check(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     if len(grew) != hull_dim:
         raise InternalError(f"the grid spans {len(grew)} dimensions, the coefficients {hull_dim}; this is a bug")
     witnesses = [tuple(map(Fraction, points[i])) for i in [0, *(i + 1 for i in grew)]]
-    if hull_dim < group.dim_params:
-        raise RedundantParametersError(
-            "image hull is smaller than the parameter count; parameters are redundant"
-        )
     verdict = "Flat" if hull_dim == group.dim_params else "NotFlat"
     return FlatnessReport(
         verdict=verdict,

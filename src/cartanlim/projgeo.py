@@ -38,7 +38,7 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .exactq import QMatrix, _cleared, _format_ratio, _Frozen, rational
+from .exactq import QMatrix, _cleared, _deprecated, _format_ratio, _Frozen, rational
 
 #: Largest m for which unordered_cross_ratio will run: its value stands for all m! orderings.
 DEFAULT_PERMUTATION_CAP = 8
@@ -161,6 +161,7 @@ class ProjTransform(_Frozen):
         return ProjPoint._from_ints(_matvec(self.ints, point.ints))
 
     def inverse(self) -> "ProjTransform":
+        _deprecated("ProjTransform.inverse", "ProjTransform(exactq.inverse(t.matrix))")
         return ProjTransform._from_ints(exactq.integer_adjugate(self.ints))
 
     def compose(self, other: "ProjTransform") -> "ProjTransform":

@@ -66,7 +66,7 @@ def test_build_pr_requires_positive_r():
 
 def test_diagonal_zero_params_is_ones():
     t = alpha_seed(3)
-    diag = diagonal_for_target(t, GroupElementParams.zero(t), 10)
+    diag = diagonal_for_target(t, GroupElementParams.make([0] * t.m, [0] * t.n), 10)
     assert diag == [1.0] * 7
 
 
@@ -108,7 +108,7 @@ def test_diagonal_zero_first_column_matches_conjugated_element():
 
 def test_conjugated_element_zero_params():
     t = alpha_seed(3)
-    got = conjugated_element(t, GroupElementParams.zero(t), 100)
+    got = conjugated_element(t, GroupElementParams.make([0] * t.m, [0] * t.n), 100)
     for i in range(7):
         for j in range(7):
             assert got[i][j] == (1.0 if i == j else 0.0)
@@ -158,14 +158,14 @@ def test_zero_first_column_falls_back_to_other_column():
 def test_all_zero_columns_rejected():
     t = SeedMatrix([[0, 1], [1, 0], [1, 1], [1, 2]])
     with pytest.raises(ZeroFirstColumnError):
-        conjugated_element(t, GroupElementParams.zero(t), 10)
+        conjugated_element(t, GroupElementParams.make([0] * t.m, [0] * t.n), 10)
     with pytest.raises(ZeroFirstColumnError):
-        diagonal_for_target(t, GroupElementParams.zero(t), 10)
+        diagonal_for_target(t, GroupElementParams.make([0] * t.m, [0] * t.n), 10)
 
 
 def test_convergence_report_schedule_checks():
     t = alpha_seed(3)
-    p = GroupElementParams.zero(t)
+    p = GroupElementParams.make([0] * t.m, [0] * t.n)
     with pytest.raises(ValueError):
         convergence_report(t, p, [])
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_convergence_report_schedule_checks():
 
 def test_convergence_report_zero_params():
     t = alpha_seed(3)
-    trace = convergence_report(t, GroupElementParams.zero(t), [10, 100, 1000])
+    trace = convergence_report(t, GroupElementParams.make([0] * t.m, [0] * t.n), [10, 100, 1000])
     assert all(d <= 1e-12 for d in trace.distances)
 
 

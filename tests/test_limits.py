@@ -47,6 +47,7 @@ from util import (
     matvec_oracle,
     normalized_slice_oracle,
     orbit_hull_dim,
+    params_sum_oracle,
     phi_oracle,
     random_fraction,
     random_generic_seed,
@@ -82,7 +83,7 @@ def test_is_generic_too_few_rows():
 
 def test_rho_zero_is_identity():
     t = alpha_seed(3)
-    assert rho(t, GroupElementParams.zero(t)) == identity_oracle(7)
+    assert rho(t, GroupElementParams.make([0] * t.m, [0] * t.n)) == identity_oracle(7)
 
 
 def test_rho_smallest_case():
@@ -128,8 +129,8 @@ def test_rho_homomorphism():
     t = random_generic_seed(rng, 4, 2)
     for _ in range(10):
         p, q = random_params(rng, t), random_params(rng, t)
-        assert rho(t, p) * rho(t, q) == rho(t, p + q)
-    assert rho(t, GroupElementParams.zero(t)) == identity_oracle(7)
+        assert rho(t, p) * rho(t, q) == rho(t, params_sum_oracle(p, q))
+    assert rho(t, GroupElementParams.make([0] * t.m, [0] * t.n)) == identity_oracle(7)
 
 
 def test_rho_dimension_mismatch():
@@ -155,7 +156,7 @@ def test_element_params_matches_rebuild_oracle(rows):
     k = m + n + 1
     rng = random.Random(k)
     dense = all(all(row) for row in seed.matrix.rows)
-    for params in (GroupElementParams.zero(seed), random_params(rng, seed), random_params(rng, seed)):
+    for params in (GroupElementParams.make([0] * seed.m, [0] * seed.n), random_params(rng, seed), random_params(rng, seed)):
         grid = [list(row) for row in rho(seed, params).rows]
         assert element_params(seed, QMatrix(grid)) == element_params_oracle(seed, QMatrix(grid)) == params
         assert element_params(seed, scale_oracle(2, QMatrix(grid))) is None
@@ -199,7 +200,7 @@ def test_action_fixes_head_subspace():
 def test_action_identity_param():
     t = alpha_seed(3)
     x = ProjPoint([1, 2, 3, 4, 5, 6, 7])
-    assert group_action(t, GroupElementParams.zero(t), x) == x
+    assert group_action(t, GroupElementParams.make([0] * t.m, [0] * t.n), x) == x
 
 
 def test_fixed_points_are_exactly_zero_tail():
@@ -260,7 +261,7 @@ def test_action_checks_the_parameters_before_the_point():
     with pytest.raises(DimensionMismatchError, match=r"^parameters of shape \(2, 1\) for a seed with \(m, n\) = \(3, 1\)$"):
         group_action(t, GroupElementParams.make([1, 2], [3]), far)
     with pytest.raises(DimensionMismatchError, match=r"^point has 7 coordinates, expected 5$"):
-        group_action(t, GroupElementParams.zero(t), far)
+        group_action(t, GroupElementParams.make([0] * t.m, [0] * t.n), far)
 
 
 # --- orbit classification -----------------------------------------------------------------

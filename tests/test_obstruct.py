@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction as F
 from itertools import product
 
@@ -12,16 +13,16 @@ from cartanlim import obstruct
 from cartanlim.errors import (
     CartanlimError,
     InternalError,
+    ParseError,
     RedundantParametersError,
     SampleCapExceededError,
     UnknownNameError,
 )
 from cartanlim.exactq import QMatrix, rank
-from cartanlim.jsonio import read_seed
+from cartanlim.jsonio import read_group, read_seed
 from cartanlim.limits import GroupElementParams, SeedMatrix, alpha_seed, rho
 from cartanlim.obstruct import (
     LinearBlockFamily,
-    Poly,
     PolyParamGroup,
     TierOneResult,
     _unipotent_group_from_block,
@@ -37,16 +38,20 @@ from util import (
     FIXTURES,
     NONGROUPS,
     block_oracle,
+    builtin_cells_oracle,
     builtin_poly_group_oracle,
     exp_family_terms,
     flag_tier_profile_oracle,
     flatness_oracle,
+    group_cells,
+    group_document,
     group_from_terms,
     identity_oracle,
     poly_evaluate_oracle,
     random_fraction,
     random_generic_seed,
     random_rational_seed,
+    run_cli,
     sub_oracle,
     tier_one_oracle,
     tier_oracle,
@@ -60,8 +65,8 @@ E_VARS = "abcdefg"
 
 
 def test_poly_drops_zero_terms():
-    p = Poly(1, {(1,): F(0)})
-    assert p.terms == {}
+    group = PolyParamGroup(1, 2, [[{(0,): 1, (1,): F(0)}, {(1,): "0/3"}], [{}, {(0,): 1}]])
+    assert (group._den, group._coeffs) == (1, {})
 
 
 # --- builtin families -----------------------------------------------------------
@@ -113,9 +118,74 @@ SEED_A3 = read_seed(json.loads((FIXTURES / "seed_a3.json").read_text()))
 )
 def test_builtin_groups_equal_their_explicit_form(name, seed):
     group, explicit = builtin_group(name, seed), builtin_poly_group_oracle(name, seed)
-    assert (group._den, group._coeffs, group.entries) == (explicit._den, explicit._coeffs, explicit.entries)
+    assert (group._den, group._coeffs) == (explicit._den, explicit._coeffs)
     assert flatness_check(group) == flatness_check(explicit)
     assert tier(group) == tier(explicit)
+
+
+# --- explicit groups as term mappings ---------------------------------------------
+
+
+@pytest.mark.parametrize("name, seed", [("M5", None), ("M6", None), ("E", None), ("LT", SEED_A3)])
+def test_explicit_json_forms_read_to_the_builtin_compiled_form(name, seed):
+    document = json.loads(json.dumps(group_document(builtin_cells_oracle(name, seed))))
+    group, builtin = read_group(document), builtin_group(name, seed)
+    assert (group._den, group._coeffs) == (builtin._den, builtin._coeffs)
+
+
+ONE, X = {(0,): 1}, {(1,): 1}
+
+# (case, dim_params, ambient, cells, the error text of the constructor)
+BAD_CELLS = [
+    ("grid shape", 1, 2, [[ONE, X]], "entries must form an 2 x 2 grid"),
+    ("variable count", 1, 2, [[ONE, {(1, 0): 1}], [{}, ONE]], "entry polynomial has the wrong variable count"),
+    ("negative exponent", 1, 2, [[ONE, {(-1,): 2}], [{}, ONE]], "bad exponent tuple (-1,) for 1 variables"),
+    ("constant off the diagonal", 1, 2, [[ONE, {(0,): "1/2", (1,): 1}], [{}, ONE]], "family does not pass through the identity"),
+    ("constant 2 on the diagonal", 1, 2, [[{(0,): 2}, X], [{}, ONE]], "family does not pass through the identity"),
+    ("no constant on the diagonal", 1, 2, [[{(1,): 1}, X], [{}, ONE]], "family does not pass through the identity"),
+    ("degree at the size", 1, 2, [[ONE, {(2,): 1}], [{}, ONE]], "an entry has total degree 2, not below the size 2"),
+    (
+        "not additive",
+        1,
+        3,
+        [[ONE, X, {}], [{}, ONE, X], [{}, {}, ONE]],
+        "family is not additive: rho(u)rho(v) != rho(u+v)",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, d, k, cells, text", BAD_CELLS, ids=[case[0] for case in BAD_CELLS])
+def test_bad_mapping_cells_raise_the_constructor_texts(case, d, k, cells, text):
+    with pytest.raises(ValueError) as info:
+        PolyParamGroup(d, k, cells)
+    assert str(info.value) == text
+    if case not in ("grid shape", "variable count", "negative exponent"):  # the JSON reader refuses those itself
+        with pytest.raises(ParseError) as info:
+            read_group(group_document(cells))
+        assert str(info.value) == f"group: {text}"
+
+
+def test_cancelling_coefficients_are_dropped():
+    # v^1 with 1/3 - 1/3, an off-diagonal constant 2 - 2, and a diagonal 1 + 0: what is left is the v corner
+    cell = [["1/3", [1]], ["2", [0]], ["-1/3", [1]], ["1", [1]], ["-2", [0]]]
+    document = {"dim_params": 1, "ambient": 2, "entries": [[[["1", [0]], ["0", [0]]], cell], [[], [["1", [0]]]]]}
+    group, plain = read_group(document), PolyParamGroup(1, 2, [[ONE, X], [{}, ONE]])
+    assert (group._den, group._coeffs) == (plain._den, plain._coeffs) == (1, {(1,): {1: 1}})
+
+
+def test_reading_and_building_groups_builds_no_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Poly was built")
+
+    monkeypatch.setattr(obstruct.Poly, "__init__", refuse)
+    monkeypatch.setattr(obstruct.Poly, "_of", classmethod(refuse))
+    seed_document = json.loads((FIXTURES / "seed_a3.json").read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, seed in (("M5", None), ("M6", None), ("E", None), ("LT", SEED_A3)):
+            builtin_group(name, seed)
+            read_group({"builtin": name} | ({"seed": seed_document} if seed else {}))
+            read_group(group_document(builtin_cells_oracle(name, seed)))
 
 
 def test_every_builtin_group_runs_the_law(monkeypatch):
@@ -143,23 +213,22 @@ def test_a_corrupted_coefficient_table_is_refused():
 
 
 def test_nonadditive_family_rejected():
-    bad = [[Poly.constant(1, 1), Poly.monomial(1, (2,), 1)], [Poly.constant(0, 1), Poly.constant(1, 1)]]
+    bad = [[{(0,): 1}, {(2,): 1}], [{}, {(0,): 1}]]
     with pytest.raises(ValueError):
         PolyParamGroup(1, 2, bad)
     PolyParamGroup(1, 2, bad, check=False)  # flatness machinery may still use it
 
 
 def test_degree_limit_and_additivity_sample_both_reject():
-    x = Poly.variable(0, 1)
-    zero, one = Poly.constant(0, 1), Poly.constant(1, 1)
+    x, zero, one = {(1,): 1}, {}, {(0,): 1}
     # x^3 in a 3 x 3 family: exp of a nilpotent 3 x 3 matrix has degree at most 2
     with pytest.raises(ValueError, match="total degree 3"):
-        PolyParamGroup(1, 3, [[one, zero, Poly.monomial(1, (3,), 1)], [zero, one, zero], [zero, zero, one]])
+        PolyParamGroup(1, 3, [[one, zero, {(3,): 1}], [zero, one, zero], [zero, zero, one]])
     # degree 1 but not additive: rho(u)rho(v) has the entry uv in the corner
     with pytest.raises(ValueError, match="not additive"):
         PolyParamGroup(1, 3, [[one, x, zero], [zero, one, x], [zero, zero, one]])
     # the additive family exp(xN) with N the 3 x 3 shift reaches degree 2
-    half_square = Poly.monomial(F(1, 2), (2,), 1)
+    half_square = {(2,): F(1, 2)}
     PolyParamGroup(1, 3, [[one, x, half_square], [zero, one, x], [zero, zero, one]])
 
 
@@ -219,8 +288,8 @@ def test_the_law_skips_pairs_that_neither_chain_nor_split(law_pairs):
     # v_1 + ... + v_d in the corner of a 2 x 2 family: C_a C_b = 0 for every
     # pair and no a + b is a monomial, so no pair can fail
     for d in (10, 40, 160):
-        one, zero = Poly.constant(1, d), Poly.constant(0, d)
-        corner = Poly(d, {tuple(int(i == j) for j in range(d)): F(1) for i in range(d)})
+        one, zero = {(0,) * d: 1}, {}
+        corner = {tuple(int(i == j) for j in range(d)): F(1) for i in range(d)}
         PolyParamGroup(d, 2, [[one, corner], [zero, one]])
     assert law_pairs == []
     # exp(vN) for the 3 x 3 shift N: only (v, v) chains, and it splits v^2
@@ -259,10 +328,11 @@ def test_the_exact_law_agrees_with_random_rational_pairs(family, seed):
     # probability below 10^-8, so three pairs decide the identity
     d, terms = family
     group = group_from_terms(d, terms, check=False)
+    cells = group_cells(group)
     rng = random.Random(seed)
 
     def rho(point):
-        return QMatrix([[poly_evaluate_oracle(p, point) for p in row] for row in group.entries])
+        return QMatrix([[poly_evaluate_oracle(cell, point) for cell in row] for row in cells])
 
     def draw():
         return [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(d)]
@@ -306,14 +376,14 @@ def test_flatness_witness_sample_is_affinely_independent():
 def test_quadratic_coordinate_flips_flatness():
     # degree-one entries are flat; adding one quadratic coordinate is not
     linear = [
-        [Poly.constant(1, 2), Poly.variable(0, 2), Poly.variable(1, 2)],
-        [Poly.constant(0, 2), Poly.constant(1, 2), Poly.constant(0, 2)],
-        [Poly.constant(0, 2), Poly.constant(0, 2), Poly.constant(1, 2)],
+        [{(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}],
+        [{(0, 0): 0}, {(0, 0): 1}, {(0, 0): 0}],
+        [{(0, 0): 0}, {(0, 0): 0}, {(0, 0): 1}],
     ]
     flat = PolyParamGroup(2, 3, linear, check=False)
     assert flatness_check(flat).verdict == "Flat"
     curved = [row[:] for row in linear]
-    curved[1][2] = Poly.monomial(F(1, 2), (2, 0), 2)
+    curved[1][2] = {(2, 0): F(1, 2)}
     bent = PolyParamGroup(2, 3, curved, check=False)
     assert flatness_check(bent).verdict == "NotFlat"
 
@@ -345,7 +415,7 @@ def test_flatness_maps_the_grid_up_to_its_last_witness(monkeypatch, name, seed, 
 
 
 def _identity_group(dim_params: int) -> PolyParamGroup:
-    zero, one = Poly(dim_params), Poly.constant(1, dim_params)
+    zero, one = {}, {(0,) * dim_params: 1}
     return PolyParamGroup(dim_params, 2, [[one, zero], [zero, one]])
 
 
@@ -357,6 +427,24 @@ def test_empty_moving_block_reports():
     assert tier(constant) == obstruct.TierReport(0, (F(0),))
     with pytest.raises(RedundantParametersError):
         flatness_check(constant)
+
+
+def test_redundant_parameters_are_refused_before_the_grid_walk(monkeypatch, tmp_path):
+    # v_1 and v_2 move the same entry: C_(1,0) = C_(0,1), a hull of dimension 1 for 2 parameters
+    cells = [[{(0, 0): 1}, {(1, 0): 1, (0, 1): 1}], [{}, {(0, 0): 1}]]
+    group = PolyParamGroup(2, 2, cells)
+    walks = _walks(monkeypatch)
+    with pytest.raises(RedundantParametersError) as info:
+        flatness_check(group)
+    assert str(info.value) == "image hull is smaller than the parameter count; parameters are redundant"
+    assert len(walks) == 1  # the coefficient rank; no grid image is mapped
+    # the cap check still comes first: an over-cap redundant family exits 3
+    path = tmp_path / "redundant.json"
+    path.write_text(json.dumps(group_document(cells)))
+    code, out = run_cli(["obstruct", "flat", str(path), "--sample-cap", "3"])
+    assert code == 3 and json.loads(out)["error"]["type"] == "SampleCapExceededError"
+    code, out = run_cli(["obstruct", "flat", str(path)])
+    assert code == 2 and json.loads(out)["error"]["type"] == "RedundantParametersError"
 
 
 def test_flatness_cap():
@@ -401,19 +489,24 @@ def _seeded_explicit_group(rng: random.Random, dependent: bool) -> PolyParamGrou
 @pytest.mark.parametrize("dependent", [False, True], ids=["independent", "dependent"])
 def test_flatness_walk_equals_the_image_oracle_on_seeded_explicit_groups(monkeypatch, dependent):
     rng = random.Random(3700 + dependent)
-    walks = _walks(monkeypatch)
+    walks, redundant = _walks(monkeypatch), 0
     for _ in range(25):
         group = _seeded_explicit_group(rng, dependent)
         walks.clear()
         report = outcome(flatness_check, group)
-        (positions, walk), grid = walks, list(product(*(range(d + 1) for d in group.max_degrees())))[1:]
+        (positions, *walked), grid = walks, list(product(*(range(d + 1) for d in group.max_degrees())))[1:]
         assert report == outcome(flatness_oracle, group)
         coefficient_rank = rank(QMatrix(positions))
         # independent C_mu: the walk reads the monomial values of the grid points; else their images
         assert (coefficient_rank < len(group._coeffs)) == dependent
-        assert all(len(row) == coefficient_rank for row in walk)
-        if not dependent:
-            assert walk == [[math.prod(map(pow, p, mu)) for mu in group._coeffs] for p in grid[: len(walk)]]
+        # redundant parameters are refused from the coefficient rank, before the grid is walked
+        redundant += report is RedundantParametersError
+        assert len(walked) == (report is not RedundantParametersError)
+        for walk in walked:
+            assert all(len(row) == coefficient_rank for row in walk)
+            if not dependent:
+                assert walk == [[math.prod(map(pow, p, mu)) for mu in group._coeffs] for p in grid[: len(walk)]]
+    assert redundant == (3 if dependent else 4)  # 7 of the 50 groups
 
 
 @pytest.mark.parametrize("name, seed", [("M5", None), ("M6", None), ("LT", alpha_seed(3)), ("E", None)])

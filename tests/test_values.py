@@ -49,7 +49,7 @@ SAMPLES = [
     AugmentedBasis(POINTS),
     CrossRatioTuple(POINTS[2:]),
     unordered_cross_ratio(POINTS),
-    Poly(2, {(1, 0): F(1, 2), (0, 2): 3}),
+    Poly._of(2, {(1, 0): F(1, 2), (0, 2): 3}),  # the constructor is deprecated; the class is immutable while it exists
     SEED,
     GroupElementParams.make([1, "2/3"], [-1]),
     OrbitClass(OrbitKind.EXCEPTIONAL, 2, frozenset({1})),

@@ -22,8 +22,8 @@ from cartanlim import (
     FlatnessReport,
     GroupElementParams,
     LinearBlockFamily,
-    Poly,
     ProjPoint,
+    ProjTransform,
     QMatrix,
     PolyParamGroup,
     SeedMatrix,
@@ -224,10 +224,22 @@ def phi_oracle(seed: SeedMatrix, j: int, w) -> Fraction:
     return sum((t * Fraction(x) for t, x in zip(seed.matrix.rows[j - 1], w, strict=True)), Fraction(0))
 
 
-def poly_evaluate_oracle(poly: Poly, point) -> Fraction:
-    """The polynomial's value at the point: the sum of its terms at the
-    Fraction coordinates."""
-    return sum((c * prod(Fraction(x) ** e for x, e in zip(point, exps)) for exps, c in poly.terms.items()), Fraction(0))
+def poly_evaluate_oracle(cell: dict, point) -> Fraction:
+    """The value of a cell {exponents: coefficient} at the point: the sum of
+    its terms at the Fraction coordinates."""
+    return sum((Fraction(c) * prod(Fraction(x) ** e for x, e in zip(point, exps)) for exps, c in cell.items()), Fraction(0))
+
+
+def group_cells(group: PolyParamGroup) -> list[list[dict]]:
+    """The k x k cells {exponents: Fraction} of a group, read off its
+    compiled form I + sum_mu mu(v) C_mu / D: the identity's constant terms,
+    and C_mu[i, j] / D at mu in cell (i, j)."""
+    k, d = group.ambient, group.dim_params
+    cells = [[{(0,) * d: Fraction(1)} if i == j else {} for j in range(k)] for i in range(k)]
+    for mu, vec in group._coeffs.items():
+        for pos, c in vec.items():
+            cells[pos // k][pos % k][mu] = Fraction(c, group._den)
+    return cells
 
 
 def inverse_pr_oracle(pr: QMatrix) -> QMatrix:
@@ -412,13 +424,23 @@ def equivalence_oracle(left: AugmentedBasis, right: AugmentedBasis):
     right point; the inverse of the first candidate that maps the right set
     into the left one, or None."""
     n, m = left.n, left.m
-    from_std = basis_transform(left.points[: n + 1]).inverse()
+    from_std = transform_inverse_oracle(basis_transform(left.points[: n + 1]))
     target = set(left.points)
     for head in permutations(range(m), n + 1):
         candidate = from_std.compose(basis_transform([right.points[i] for i in head]))
         if all(candidate(p) in target for p in right.points):
-            return candidate.inverse()
+            return transform_inverse_oracle(candidate)
     return None
+
+
+def transform_inverse_oracle(transform: ProjTransform) -> ProjTransform:
+    """The inverse transform, from the rational inverse of its matrix."""
+    return ProjTransform(inverse(transform.matrix))
+
+
+def params_sum_oracle(p: GroupElementParams, q: GroupElementParams) -> GroupElementParams:
+    """The parameters p + q, entry by entry."""
+    return GroupElementParams.make([x + y for x, y in zip(p.a, q.a)], [x + y for x, y in zip(p.b, q.b)])
 
 
 def element_params_oracle(seed: SeedMatrix, matrix: QMatrix):
@@ -443,7 +465,7 @@ def orbit_hull_dim(seed: SeedMatrix, point: ProjPoint, samples: int = 200) -> in
     invariant coordinate puts all orbit samples in one affine chart.
     """
     d = seed.m + seed.n
-    params = [GroupElementParams.zero(seed)]
+    params = [GroupElementParams.make([0] * seed.m, [0] * seed.n)]
     for s in range(d):
         unit = [Fraction(int(t == s)) for t in range(d)]
         params.append(GroupElementParams.make(unit[: seed.m], unit[seed.m :]))
@@ -526,14 +548,16 @@ def flag_tier_profile_oracle(seed_matrix: SeedMatrix) -> tuple[int, ...]:
 def flatness_oracle(group: PolyParamGroup, cap: int = 2000) -> FlatnessReport:
     """Independent oracle for `flatness_check`: the Fraction images of the
     grid of degree+1 values per variable, read entry by entry with
-    `poly_evaluate_oracle`, and the points whose difference from the image of 0 is
-    independent of the ones before, by rational elimination."""
-    sizes = tuple(max(degs) + 1 for degs in zip(*(p.max_degrees() for row in group.entries for p in row)))
+    `poly_evaluate_oracle` from `group_cells`, and the points whose difference
+    from the image of 0 is independent of the ones before, by rational
+    elimination."""
+    cells = [cell for row in group_cells(group) for cell in row]
+    sizes = tuple(max((exps[i] for cell in cells for exps in cell), default=0) + 1 for i in range(group.dim_params))
     total = prod(sizes)
     if total > cap:
         raise SampleCapExceededError(f"certifying grid has {total} points, above the cap of {cap}")
     points = [tuple(Fraction(x) for x in combo) for combo in product(*(range(s) for s in sizes))]
-    images = [[poly_evaluate_oracle(p, point) for row in group.entries for p in row] for point in points]
+    images = [[poly_evaluate_oracle(cell, point) for cell in cells] for point in points]
     grew = incremental_basis_oracle([[x - y for x, y in zip(image, images[0])] for image in images])
     if len(grew) < group.dim_params:
         raise RedundantParametersError("image hull is smaller than the parameter count")
@@ -679,7 +703,7 @@ def exp_family_terms(nilpotent, nvars: int) -> list[list[dict]]:
 
 
 def group_from_terms(nvars: int, terms: list[list[dict]], check: bool = True) -> PolyParamGroup:
-    return PolyParamGroup(nvars, len(terms), [[Poly(nvars, cell) for cell in row] for row in terms], check=check)
+    return PolyParamGroup(nvars, len(terms), terms, check=check)
 
 
 def _one_entry_family(k: int, cell: tuple[int, int], terms: dict) -> list[list[dict]]:
@@ -730,18 +754,17 @@ _QUADRATIC_CELLS = {
 }
 
 
-def builtin_poly_group_oracle(name: str, seed: SeedMatrix | None = None) -> PolyParamGroup:
-    """Independent oracle for `builtin_group`: the group built from its grid
-    of `Poly` cells through the public constructor.  M5 and M6 from their
-    monomial cells; E from its block of variable names and LT from the rows
-    of the seed, each as I plus the Fraction linear forms of the block in the
-    upper-right corner."""
+def builtin_cells_oracle(name: str, seed: SeedMatrix | None = None) -> list[list[dict]]:
+    """The grid of {exponents: coefficient} cells of a named group.  M5 and
+    M6 from their monomial cells; E from its block of variable names and LT
+    from the rows of the seed, each as I plus the Fraction linear forms of
+    the block in the upper-right corner."""
     if name in _QUADRATIC_CELLS:
         d, k, cells = _QUADRATIC_CELLS[name]
-        grid = [[Poly.constant(int(i == j), d) for j in range(k)] for i in range(k)]
+        grid = [[{(0,) * d: int(i == j)} for j in range(k)] for i in range(k)]
         for (i, j), (coeff, var, power) in cells.items():
-            grid[i][j] = Poly.monomial(coeff, [power * (t == var) for t in range(d)], d)
-        return PolyParamGroup(d, k, grid)
+            grid[i][j] = {tuple(power * (t == var) for t in range(d)): coeff}
+        return grid
     if name == "E":
         d = len(_E_VARS)
         block = [[{_E_VARS.index(c): 1} if c != "0" else {} for c in row] for row in _E_BLOCK]
@@ -751,10 +774,17 @@ def builtin_poly_group_oracle(name: str, seed: SeedMatrix | None = None) -> Poly
         # a_j scales row j of T, and b_i is entry i of the last row
         block = [[{j: rows[j][i]} for i in range(n)] for j in range(m)] + [[{m + i: 1} for i in range(n)]]
     p, q = len(block), len(block[0])
-    grid = [[Poly.constant(int(i == j), d) for j in range(p + q)] for i in range(p + q)]
+    grid = [[{(0,) * d: int(i == j)} for j in range(p + q)] for i in range(p + q)]
     for i, j in product(range(p), range(q)):
-        grid[i][p + j] = Poly(d, {tuple(int(s == var) for s in range(d)): c for var, c in block[i][j].items()})
-    return PolyParamGroup(d, p + q, grid)
+        grid[i][p + j] = {tuple(int(s == var) for s in range(d)): c for var, c in block[i][j].items()}
+    return grid
+
+
+def builtin_poly_group_oracle(name: str, seed: SeedMatrix | None = None) -> PolyParamGroup:
+    """Independent oracle for `builtin_group`: the group built from its grid
+    of cells (`builtin_cells_oracle`) through the public constructor."""
+    cells = builtin_cells_oracle(name, seed)
+    return PolyParamGroup(len(next(iter(cells[0][0]))), len(cells), cells)
 
 
 def dumps_oracle(obj) -> str:
